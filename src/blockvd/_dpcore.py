@@ -10,8 +10,12 @@ where X is the deleted bag subset, L the labeling of the rest, i the
 number of vertices already deleted below the bag, and gh one hypothesis
 per unit: a set of candidate final patterns plus the labels of outside
 neighbors already attached.  The value is the family of partitions of
-the bag components realized by some partial solution, kept small by
-rank-based reduction after every node.
+the bag components realized by some partial solution.  After every node
+each family is held to the representative-set bound of m * 2^(m-1)
+partitions over m bag components: the rank-based reduction runs only on
+a family above that bound.  Bell(m) <= m * 2^(m-1) for every m <= 5, so
+on bags of width at most 4 no family can exceed it and the reduction
+never runs.
 
 Hypothesis slots hold pattern *sets* rather than single patterns: a
 state with slot S stands for the union of the single-pattern states over
@@ -113,6 +117,8 @@ class Engine:
         self._compat_memo: dict[tuple, int] = {}
         self._view_memo: dict[tuple[int, ...], _View] = {}
         self._adjset_memo: dict[tuple[int, int], int] = {}
+        # (p1, p2) -> uplus(p1, p2), or False when their joint has a cycle
+        self._join_memo: dict[tuple[Partition, Partition], Partition | bool] = {}
         self.stats = {"states": 0, "retained": 0, "nodes": ntd.num_nodes}
 
     # ------------------------------------------------------------------
@@ -259,8 +265,10 @@ class Engine:
         self._canon_memo[memo_key] = res
         return res
 
-    def _apply_sigma_witness(self, si: int, wit: Witness | None) -> Witness | None:
-        if wit is None or si < 0:
+    def _sigma_witness(self, si: int, wit: Witness | None) -> Witness | None:
+        """Relabel a witness by permutation si; sigma 0 is the identity and
+        -1 means canonization is off, so both leave the witness as it is."""
+        if wit is None or si <= 0:
             return wit
         sigma = self._sigmas[si]
         s, labs = wit
@@ -268,6 +276,17 @@ class Engine:
 
     # ------------------------------------------------------------------
     # table plumbing
+
+    def _target(
+        self,
+        xk: tuple[int, ...],
+        lkey: tuple[int, ...],
+        i: int,
+        gh: tuple[GhEntry, ...],
+    ) -> tuple[StateKey, int]:
+        """Canonical key of a produced state and the sigma that reached it."""
+        lc, ghc, si = self.canon(lkey, gh)
+        return (xk, lc, i, ghc), si
 
     def insert(
         self,
@@ -279,16 +298,13 @@ class Engine:
         part: Partition,
         wit: Witness | None,
     ) -> None:
-        lc, ghc, si = self.canon(lkey, gh)
-        key = (xk, lc, i, ghc)
+        key, si = self._target(xk, lkey, i, gh)
         fam = table.get(key)
         if fam is None:
             fam = {}
             table[key] = fam
         if part not in fam:
-            fam[part] = (
-                self._apply_sigma_witness(si, wit) if self.track_witness else None
-            )
+            fam[part] = self._sigma_witness(si, wit) if self.track_witness else None
 
     @staticmethod
     def _state_order(key: StateKey):
@@ -296,11 +312,13 @@ class Engine:
         return (len(key[0]), key)
 
     def reduce_table(self, table: dict) -> None:
-        for key in sorted(table, key=self._state_order):
-            fam = table[key]
+        for key, fam in table.items():
             if len(fam) <= 1:
                 continue
             m = next(iter(fam)).m
+            # a family within the representative-set bound already meets it
+            if len(fam) <= m << (m - 1):
+                continue
             kept = rep_partitions(m, list(fam))
             if len(kept) != len(fam):
                 table[key] = {p: fam[p] for p in kept}
@@ -444,6 +462,29 @@ class Engine:
         memo[part] = res
         return res
 
+    def _emit_introduced(
+        self,
+        table: dict,
+        ctx: dict,
+        xk: tuple[int, ...],
+        lkey: tuple[int, ...],
+        i: int,
+        gh: tuple[GhEntry, ...],
+        fam: dict,
+        lv: int,
+    ) -> None:
+        """Push a child family into the state where v survives labeled lv."""
+        key, si = self._target(xk, lkey, i, gh)
+        out = table.get(key)
+        v = ctx["v"]
+        for part, wit in fam.items():
+            newpart = self._intro_partition(ctx, part)
+            if newpart is None or (out is not None and newpart in out):
+                continue
+            if out is None:
+                out = table[key] = {}
+            out[newpart] = self._sigma_witness(si, self._witness_with_label(wit, v, lv))
+
     def _introduce_state(self, table: dict, ctx: dict, key: StateKey, fam: dict) -> None:
         raise NotImplementedError
 
@@ -509,6 +550,27 @@ class Engine:
         res = Partition.from_parts(len(ctx["pv"].comps), new_parts)
         memo[part] = res
         return res
+
+    def _emit_forgotten(
+        self,
+        table: dict,
+        ctx: dict,
+        xk: tuple[int, ...],
+        lkey: tuple[int, ...],
+        i: int,
+        gh: tuple[GhEntry, ...],
+        fam: dict,
+    ) -> None:
+        """Push a child family into one forget branch where v survived."""
+        key, si = self._target(xk, lkey, i, gh)
+        out = table.get(key)
+        for part, wit in fam.items():
+            newpart = self._forget_partition(ctx, part)
+            if out is None:
+                out = table[key] = {}
+            elif newpart in out:
+                continue
+            out[newpart] = self._sigma_witness(si, wit)
 
     def _forget_state(self, table: dict, ctx: dict, key: StateKey, fam: dict) -> None:
         raise NotImplementedError
@@ -591,7 +653,7 @@ class Engine:
             for si, lkey, lgh in index.get((rxk, rlk), ()):
                 if lkey[2] + ri > self.k:
                     continue
-                self._join_states(table, bag, si, lkey, lgh, rkey, left[lkey], rfam)
+                self._join_states(table, si, lkey, lgh, rkey, left[lkey], rfam)
         return table
 
     def _join_gh(
@@ -616,7 +678,6 @@ class Engine:
     def _join_states(
         self,
         table: dict,
-        bag: tuple[int, ...],
         si: int,
         lkey: StateKey,
         lgh: tuple[GhEntry, ...],
@@ -624,32 +685,25 @@ class Engine:
         lfam: dict,
         rfam: dict,
     ) -> None:
-        rxk, rlk, ri, _ = rkey
-        gh_p = self._join_gh(lgh, rkey[3])
+        rxk, rlk, ri, rgh = rkey
+        gh_p = self._join_gh(lgh, rgh)
         if gh_p is None:
             return
-        m = len(self.view(tuple(u for u in bag if u not in set(rxk))).comps)
-        li = lkey[2]
+        key, si_p = self._target(rxk, rlk, lkey[2] + ri, gh_p)
+        out = table.get(key)
+        memo = self._join_memo
         for p1, w1 in lfam.items():
             for p2, w2 in rfam.items():
-                if not inc_is_forest(m, [p1, p2]):
+                pair = (p1, p2)
+                joint = memo.get(pair)
+                if joint is None:
+                    joint = uplus(p1, p2) if inc_is_forest(p1.m, pair) else False
+                    memo[pair] = joint
+                if joint is False or (out is not None and joint in out):
                     continue
-                self.insert(
-                    table,
-                    rxk,
-                    rlk,
-                    li + ri,
-                    gh_p,
-                    uplus(p1, p2),
-                    self._merge_witness(si, w1, w2),
-                )
-
-    def _sigma_witness(self, si: int, wit: Witness | None) -> Witness | None:
-        if wit is None or not self.canonize:
-            return wit
-        sigma = self._sigmas[si]
-        s, labs = wit
-        return (s, tuple((v, sigma[l - 1]) for v, l in labs))
+                if out is None:
+                    out = table[key] = {}
+                out[joint] = self._sigma_witness(si_p, self._merge_witness(si, w1, w2))
 
     def _merge_witness(
         self, si: int, lw: Witness | None, rw: Witness | None
@@ -740,15 +794,9 @@ class BlockEngine(Engine):
                 entries.append((unit, self.intern(pats), hm_union))
             if dead:
                 continue
-            gh_p = tuple(sorted(entries))
-            for part, wit in fam.items():
-                newpart = self._intro_partition(ctx, part)
-                if newpart is None:
-                    continue
-                self.insert(
-                    table, xk, lkey_p, i, gh_p, newpart,
-                    self._witness_with_label(wit, v, lv),
-                )
+            self._emit_introduced(
+                table, ctx, xk, lkey_p, i, tuple(sorted(entries)), fam, lv
+            )
 
     def _forget_state(self, table: dict, ctx: dict, key: StateKey, fam: dict) -> None:
         xk, lk, i, gh = key
@@ -774,9 +822,7 @@ class BlockEngine(Engine):
             branch_lists = [b + o for b in branch_lists for o in options]
         for branch in branch_lists:
             gh_p = tuple(sorted(carried + branch))
-            for part, wit in fam.items():
-                newpart = self._forget_partition(ctx, part)
-                self.insert(table, xk, lkey_p, i, gh_p, newpart, wit)
+            self._emit_forgotten(table, ctx, xk, lkey_p, i, gh_p, fam)
 
 
 class ComponentEngine(Engine):
@@ -794,7 +840,6 @@ class ComponentEngine(Engine):
     def _introduce_state(self, table: dict, ctx: dict, key: StateKey, fam: dict) -> None:
         xk, lk, i, gh = key
         pv: _View = ctx["pv"]
-        v = ctx["v"]
         vpos = ctx["vpos"]
         vnew = ctx["vnew"]
         comp_map = ctx["comp_map"]
@@ -835,15 +880,9 @@ class ComponentEngine(Engine):
                 continue
             entries = [gh[o] for o in range(len(comp_map)) if comp_map[o] != vnew]
             entries.append((vunit, self.intern(pats), hm_a))
-            gh_p = tuple(sorted(entries))
-            for part, wit in fam.items():
-                newpart = self._intro_partition(ctx, part)
-                if newpart is None:
-                    continue
-                self.insert(
-                    table, xk, lkey_p, i, gh_p, newpart,
-                    self._witness_with_label(wit, v, lv),
-                )
+            self._emit_introduced(
+                table, ctx, xk, lkey_p, i, tuple(sorted(entries)), fam, lv
+            )
 
     def _forget_state(self, table: dict, ctx: dict, key: StateKey, fam: dict) -> None:
         xk, lk, i, gh = key
@@ -865,6 +904,4 @@ class ComponentEngine(Engine):
             branch_lists = self._sink_unit_branches(unit, sid, hm, lv, pieces, labs)
         for branch in branch_lists:
             gh_p = tuple(sorted(carried + branch))
-            for part, wit in fam.items():
-                newpart = self._forget_partition(ctx, part)
-                self.insert(table, xk, lkey_p, i, gh_p, newpart, wit)
+            self._emit_forgotten(table, ctx, xk, lkey_p, i, gh_p, fam)

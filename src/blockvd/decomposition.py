@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, TooLarge
-from .graph import Graph
+from .graph import Graph, parse_ints
 
 
 @dataclass(frozen=True)
@@ -393,14 +393,20 @@ def read_td(text: str) -> TreeDecomposition:
             parts = line.split()
             if len(parts) != 5 or parts[1] != "td":
                 raise InvalidInput(f"bad solution line: {line!r}")
-            header = (int(parts[2]), int(parts[3]), int(parts[4]))
+            header = tuple(parse_ints(parts[2:], line))
             continue
         if line.startswith("b"):
             parts = line.split()
-            bags[int(parts[1]) - 1] = frozenset(int(x) - 1 for x in parts[2:])
+            if len(parts) < 2:
+                raise InvalidInput(f"bad bag line: {line!r}")
+            bid, *members = parse_ints(parts[1:], line)
+            bags[bid - 1] = frozenset(x - 1 for x in members)
             continue
-        a, b = line.split()
-        edges.append((int(a) - 1, int(b) - 1))
+        fields = line.split()
+        if len(fields) != 2:
+            raise InvalidInput(f"bad edge line: {line!r}")
+        a, b = parse_ints(fields, line)
+        edges.append((a - 1, b - 1))
     if header is None:
         raise InvalidInput("missing 's td' line")
     nbags = header[0]

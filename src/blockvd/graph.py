@@ -358,6 +358,14 @@ def aux_partition(bg: BoundariedGraph) -> Partition:
     return Partition.from_parts(len(bcomps), groups.values())
 
 
+def parse_ints(fields: Sequence[str], line: str) -> list[int]:
+    """The fields of one input line as integers, else InvalidInput."""
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise InvalidInput(f"non-integer field in line: {line!r}") from None
+
+
 def read_gr(text: str) -> Graph:
     """Parse a PACE-style ``.gr`` file (1-based vertices, ``c`` comments)."""
     n = None
@@ -371,11 +379,13 @@ def read_gr(text: str) -> Graph:
             parts = line.split()
             if len(parts) < 4 or parts[1] != "tw":
                 raise InvalidInput(f"bad problem line: {line!r}")
-            n = int(parts[2])
-            m_expected = int(parts[3])
+            n, m_expected = parse_ints(parts[2:4], line)
             continue
-        u, v = line.split()
-        edges.append((int(u) - 1, int(v) - 1))
+        fields = line.split()
+        if len(fields) != 2:
+            raise InvalidInput(f"bad edge line: {line!r}")
+        u, v = parse_ints(fields, line)
+        edges.append((u - 1, v - 1))
     if n is None:
         raise InvalidInput("missing 'p tw n m' line")
     if m_expected is not None and m_expected != len(edges):

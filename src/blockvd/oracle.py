@@ -26,7 +26,8 @@ def verify_solution(
     the family predicate.
     """
     fam = get_family(family) if isinstance(family, str) else family
-    remaining = [v for v in range(g.n) if v not in set(deleted)]
+    gone = set(deleted)
+    remaining = [v for v in range(g.n) if v not in gone]
     if mode == "block":
         pieces: Iterable[frozenset[int]] = biconnected_blocks(g, remaining).blocks
     elif mode == "component":

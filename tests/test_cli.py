@@ -200,6 +200,21 @@ class TestErrorPaths:
         assert code == 2
 
 
+    def test_malformed_graph_exit_two_one_line(self, tmp_path):
+        (tmp_path / "bad.gr").write_text("p tw 3 x\n")
+        proc = run_cli(
+            [
+                "solve", "--mode", "block", "--family", "k1k2",
+                "-d", "2", "-k", "1", "--graph", "bad.gr",
+            ],
+            tmp_path,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error:")
+
+
 class TestHashSeedIndependence:
     def test_solve_identical_across_hash_seeds(self, tmp_path):
         (tmp_path / "g.gr").write_text(

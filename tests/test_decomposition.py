@@ -173,3 +173,19 @@ class TestTdIO:
         assert again.bags == td.bags
         assert sorted(again.tree_edges) == sorted(td.tree_edges)
         assert validate_td(g, again) is None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "s td 1 x 3\nb 1 1\n",  # non-integer solution field
+            "s td 1 2 3\nb x 1\n",  # non-integer bag id
+            "s td 1 2 3\nb 1 y\n",  # non-integer bag member
+            "s td 1 2 3\nb\n",  # bag line without an id
+            "s td 2 2 3\nb 1 1\nb 2 2\n1\n",  # tree edge with one token
+            "s td 2 2 3\nb 1 1\nb 2 2\n1 2 3\n",  # tree edge with three tokens
+            "s td 2 2 3\nb 1 1\nb 2 2\n1 z\n",  # non-integer tree edge
+        ],
+    )
+    def test_malformed_raises_invalid_input(self, text):
+        with pytest.raises(InvalidInput):
+            read_td(text)

@@ -74,6 +74,26 @@ class TestTableInvariants:
                 m = next(iter(fam)).m
                 assert len(fam) <= max(1, m * (1 << max(m - 1, 0)))
 
+    def test_reduce_table_runs_only_above_the_bound(self):
+        # m=6 has Bell(6) = 203 > 6 * 2^5 partitions, so the family is
+        # reduced; every m=5 family fits under 5 * 2^4 and stays whole
+        from blockvd.partitions import all_partitions
+        from blockvd.repset import verify_representative
+
+        engine = build_engine(Instance(path(3), 3, 1, "chordal", "block"))
+        six, five = list(all_partitions(6)), list(all_partitions(5))
+        assert (len(six), len(five)) == (203, 52)
+        big, small = ((), (1,) * 6, 0, ()), ((), (1,) * 5, 0, ())
+        table = {
+            big: {p: None for p in six},
+            small: {p: None for p in five},
+        }
+        engine.reduce_table(table)
+        assert len(table[big]) <= 6 * (1 << 5)
+        assert set(table[big]) <= set(six)
+        assert verify_representative(6, six, list(table[big]))
+        assert list(table[small]) == five
+
     def test_witness_tables_consistent(self, rng):
         # stored witnesses replay: the partition matches the components of
         # the partial solution and the deletion count matches the budget

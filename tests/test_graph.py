@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from blockvd.errors import IncompatibleBoundary
+from blockvd.errors import IncompatibleBoundary, InvalidInput
 from blockvd.graph import (
     BoundariedGraph,
     Graph,
@@ -286,6 +286,19 @@ class TestGrIO:
     def test_comments_ignored(self):
         g = read_gr("c hello\np tw 3 1\nc mid\n1 3\n")
         assert g.n == 3 and g.edges() == frozenset({(0, 2)})
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p tw 3 x\n",  # non-integer header field
+            "p tw 3 1\n1\n",  # edge line with one token
+            "p tw 3 1\n1 2 3\n",  # edge line with three tokens
+            "p tw 3 1\n1 x\n",  # non-integer vertex
+        ],
+    )
+    def test_malformed_raises_invalid_input(self, text):
+        with pytest.raises(InvalidInput):
+            read_gr(text)
 
 
 class TestSBlockLemmas:

@@ -1,0 +1,81 @@
+"""Metamorphic checks of both DPs on small random instances.
+
+Each property relates two solves, so it needs no oracle: tracking
+witnesses must not change the search, relabelling vertices must not change
+or the tree decomposition must not change the answer, a larger budget
+cannot turn YES into NO, and a witness never exceeds the budget.
+"""
+
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockvd.decomposition import exact_td_small
+from blockvd.dp_block import solve_block
+from blockvd.dp_component import solve_component
+from blockvd.graph import Graph
+from blockvd.instance import Instance
+
+SOLVERS = {"block": solve_block, "component": solve_component}
+
+# derandomized and without an example database: the same cases every run
+CASES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def instances(draw) -> Instance:
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True))
+    return Instance(
+        Graph(n, edges),
+        d=draw(st.integers(2, 4)),
+        k=draw(st.integers(0, 3)),
+        family=draw(st.sampled_from(["k1k2", "cliques", "chordal"])),
+        mode=draw(st.sampled_from(["block", "component"])),
+    )
+
+
+def solve(inst: Instance, witness: bool = False):
+    return SOLVERS[inst.mode](inst, witness=witness)
+
+
+@CASES
+@given(instances())
+def test_witness_tracking_leaves_the_search_unchanged(inst):
+    plain, tracked = solve(inst), solve(inst, witness=True)
+    assert tracked.decision == plain.decision
+    assert tracked.stats["states"] == plain.stats["states"]
+    assert tracked.stats["retained"] == plain.stats["retained"]
+
+
+@CASES
+@given(instances(), st.randoms(use_true_random=False))
+def test_relabelling_keeps_the_decision(inst, rnd):
+    perm = list(range(inst.graph.n))
+    rnd.shuffle(perm)
+    moved = Graph(inst.graph.n, [(perm[u], perm[v]) for u, v in inst.graph.edges()])
+    assert solve(replace(inst, graph=moved)).decision == solve(inst).decision
+
+
+@CASES
+@given(instances())
+def test_decomposition_choice_keeps_the_decision(inst):
+    exact = replace(inst, td=exact_td_small(inst.graph))
+    assert solve(exact).decision == solve(inst).decision
+
+
+@CASES
+@given(instances())
+def test_yes_stays_yes_with_a_larger_budget(inst):
+    if solve(inst).decision:
+        assert solve(replace(inst, k=inst.k + 1)).decision
+
+
+@CASES
+@given(instances())
+def test_witness_fits_the_budget(inst):
+    res = solve(inst, witness=True)
+    if res.decision:
+        assert res.witness is not None and len(res.witness) <= inst.k

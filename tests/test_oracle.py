@@ -27,6 +27,11 @@ class TestVerify:
         assert verify_solution(cycle(4), set(), 4, "cycles", "component")
         assert not verify_solution(cycle(4), set(), 4, "chordal", "component")
 
+    def test_one_shot_iterable(self):
+        # the deleted set is read once, so a generator counts like a list
+        assert verify_solution(complete(3), [1], 2, "k1k2", "block")
+        assert verify_solution(complete(3), (v for v in [1]), 2, "k1k2", "block")
+
 
 class TestBruteForce:
     def test_c4_cycles_free(self):
