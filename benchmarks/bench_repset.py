@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the GF(2) reduction kernels: compiled extension vs pure Python.
+"""Benchmark the GF(2) reduction kernel alone.
 
 The kernel is the inner loop of the representative-set reduction, which
-runs after every dynamic-programming transition.  Rows are cut-matrix
-bitsets with 2^(m-1) columns; the benchmark reduces random full-ish
-partition families for growing ground sets and reports both backends.
+runs on every family above the representative-set bound.  Rows are
+cut-matrix bitsets with 2^(m-1) columns; the benchmark reduces random
+full-ish partition families for growing ground sets.
 
 Usage: python benchmarks/bench_repset.py [--max-m 14] [--rows 400] [--reps 3]
 """
@@ -18,11 +18,6 @@ import time
 from blockvd import _gf2
 from blockvd.partitions import Partition
 from blockvd.repset import cut_row
-
-try:
-    from blockvd import _gf2c
-except ImportError:  # pragma: no cover
-    _gf2c = None
 
 
 def random_partition(rng: random.Random, m: int) -> Partition:
@@ -58,20 +53,12 @@ def main() -> None:
     args = ap.parse_args()
 
     rng = random.Random(0)
-    print(f"{'m':>3} {'cols':>6} {'rows':>5} {'kept':>5} "
-          f"{'pure (ms)':>10} {'cython (ms)':>12} {'speedup':>8}")
+    print(f"{'m':>3} {'cols':>6} {'rows':>5} {'kept':>5} {'time (ms)':>10}")
     for m in range(6, args.max_m + 1):
         nbits = 1 << (m - 1)
         rows = [cut_row(random_partition(rng, m)) for _ in range(args.rows)]
-        t_pure, kept = bench(_gf2.gf2_independent_rows, rows, nbits, args.reps)
-        line = f"{m:>3} {nbits:>6} {len(rows):>5} {kept:>5} {t_pure * 1e3:>10.2f}"
-        if _gf2c is not None:
-            t_c, kept_c = bench(_gf2c.gf2_independent_rows, rows, nbits, args.reps)
-            assert kept_c == kept, "kernels disagree"
-            line += f" {t_c * 1e3:>12.2f} {t_pure / t_c:>8.2f}x"
-        else:
-            line += f" {'n/a':>12} {'n/a':>8}"
-        print(line)
+        secs, kept = bench(_gf2.gf2_independent_rows, rows, nbits, args.reps)
+        print(f"{m:>3} {nbits:>6} {len(rows):>5} {kept:>5} {secs * 1e3:>10.2f}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Solvers and generators for bounded block/component vertex deletion."""
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .graph import Graph
 from .instance import Instance
 
 __version__ = "0.1.0"
+# the GF(2) kernel is pure Python; recorded with benchmark results
+KERNEL_BACKEND = "pure"
 __all__ = ["Graph", "Instance", "KERNEL_BACKEND", "__version__"]

@@ -29,13 +29,20 @@ what makes the representative-set reduction valid.
 
 States are additionally canonicalized under permutations of the label
 alphabet, which acts on L, patterns, and h sets but never on partitions.
+
+A family maps each partition to its witness: the set of vertices deleted
+below the bag by one partial solution realizing it, or None when
+witnesses are off.  Witnesses carry no labels, so canonization leaves
+them alone.  Every transition adds its produced states through
+``Engine.emit``, which canonizes the target key once per state and keeps
+the first witness of each partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .decomposition import NiceTreeDecomposition
 from .families import Pattern
@@ -45,7 +52,7 @@ from .repset import rep_partitions
 
 StateKey = tuple[tuple[int, ...], tuple[int, ...], int, tuple]
 GhEntry = tuple[tuple[int, ...], int, int]  # (unit vertices, pattern-set id, h mask)
-Witness = tuple[frozenset[int], tuple[tuple[int, int], ...]]
+Witness = frozenset[int]
 
 
 @dataclass
@@ -240,16 +247,15 @@ class Engine:
 
     def canon(
         self, lkey: tuple[int, ...], gh: tuple[GhEntry, ...]
-    ) -> tuple[tuple[int, ...], tuple[GhEntry, ...], int]:
-        """Canonical (L, gh) under label permutations; returns the sigma index."""
+    ) -> tuple[tuple[int, ...], tuple[GhEntry, ...]]:
+        """Canonical (L, gh) under label permutations."""
         if not self.canonize:
-            return lkey, gh, -1
+            return lkey, gh
         memo_key = (lkey, gh)
         got = self._canon_memo.get(memo_key)
         if got is not None:
             return got
         best = None
-        best_si = 0
         for si in range(len(self._sigmas)):
             sigma = self._sigmas[si]
             l2 = tuple(sigma[l - 1] for l in lkey)
@@ -260,51 +266,37 @@ class Engine:
             cand = (l2, gh2)
             if best is None or cand < best:
                 best = cand
-                best_si = si
-        res = (best[0], best[1], best_si)
-        self._canon_memo[memo_key] = res
-        return res
-
-    def _sigma_witness(self, si: int, wit: Witness | None) -> Witness | None:
-        """Relabel a witness by permutation si; sigma 0 is the identity and
-        -1 means canonization is off, so both leave the witness as it is."""
-        if wit is None or si <= 0:
-            return wit
-        sigma = self._sigmas[si]
-        s, labs = wit
-        return (s, tuple((v, sigma[l - 1]) for v, l in labs))
+        self._canon_memo[memo_key] = best
+        return best
 
     # ------------------------------------------------------------------
     # table plumbing
 
-    def _target(
-        self,
-        xk: tuple[int, ...],
-        lkey: tuple[int, ...],
-        i: int,
-        gh: tuple[GhEntry, ...],
-    ) -> tuple[StateKey, int]:
-        """Canonical key of a produced state and the sigma that reached it."""
-        lc, ghc, si = self.canon(lkey, gh)
-        return (xk, lc, i, ghc), si
-
-    def insert(
+    def emit(
         self,
         table: dict,
         xk: tuple[int, ...],
         lkey: tuple[int, ...],
         i: int,
         gh: tuple[GhEntry, ...],
-        part: Partition,
-        wit: Witness | None,
+        items: Iterable[tuple[Partition | None, Witness | None]],
     ) -> None:
-        key, si = self._target(xk, lkey, i, gh)
+        """Add (partition, witness) pairs to one produced state.
+
+        The target key is canonized once.  A None partition was rejected
+        by the transition and is skipped; so is a partition the family
+        already holds, which keeps the first witness.  The family is
+        created on its first new partition, so no empty family is stored.
+        """
+        lc, ghc = self.canon(lkey, gh)
+        key = (xk, lc, i, ghc)
         fam = table.get(key)
-        if fam is None:
-            fam = {}
-            table[key] = fam
-        if part not in fam:
-            fam[part] = self._sigma_witness(si, wit) if self.track_witness else None
+        for part, wit in items:
+            if part is None or (fam is not None and part in fam):
+                continue
+            if fam is None:
+                fam = table[key] = {}
+            fam[part] = wit
 
     @staticmethod
     def _state_order(key: StateKey):
@@ -368,8 +360,7 @@ class Engine:
             if fam:
                 decision = True
                 if self.track_witness:
-                    first = next(iter(fam.values()))
-                    wit = first[0] if first is not None else None
+                    wit = next(iter(fam.values()))
                 break
         return SolveResult(
             decision,
@@ -383,9 +374,8 @@ class Engine:
 
     def _leaf_table(self) -> dict:
         table: dict = {}
-        empty = Partition(0, ())
-        wit: Witness | None = (frozenset(), ()) if self.track_witness else None
-        self.insert(table, (), (), 0, (), empty, wit)
+        wit: Witness | None = frozenset() if self.track_witness else None
+        self.emit(table, (), (), 0, (), [(Partition(0, ()), wit)])
         return table
 
     # ------------------------------------------------------------------
@@ -400,15 +390,15 @@ class Engine:
             if not fam:
                 continue
             # v joins the deleted set: nothing else changes
-            xk_del = tuple(sorted(xk + (v,)))
-            for part, wit in fam.items():
-                self.insert(table, xk_del, lk, i, gh, part, wit)
-            # v survives with some label
+            self.emit(table, tuple(sorted(xk + (v,))), lk, i, gh, fam.items())
+            # v survives with some label; the family moves the same way
+            # whatever the label
             ctx = ctx_cache.get(xk)
             if ctx is None:
                 ctx = self._intro_ctx(bag, v, xk)
                 ctx_cache[xk] = ctx
-            self._introduce_state(table, ctx, key, fam)
+            moved = [(self._intro_partition(ctx, p), w) for p, w in fam.items()]
+            self._introduce_state(table, ctx, key, moved)
         return table
 
     def _intro_ctx(self, bag: tuple[int, ...], v: int, xk: tuple[int, ...]) -> dict:
@@ -462,30 +452,8 @@ class Engine:
         memo[part] = res
         return res
 
-    def _emit_introduced(
-        self,
-        table: dict,
-        ctx: dict,
-        xk: tuple[int, ...],
-        lkey: tuple[int, ...],
-        i: int,
-        gh: tuple[GhEntry, ...],
-        fam: dict,
-        lv: int,
-    ) -> None:
-        """Push a child family into the state where v survives labeled lv."""
-        key, si = self._target(xk, lkey, i, gh)
-        out = table.get(key)
-        v = ctx["v"]
-        for part, wit in fam.items():
-            newpart = self._intro_partition(ctx, part)
-            if newpart is None or (out is not None and newpart in out):
-                continue
-            if out is None:
-                out = table[key] = {}
-            out[newpart] = self._sigma_witness(si, self._witness_with_label(wit, v, lv))
-
-    def _introduce_state(self, table: dict, ctx: dict, key: StateKey, fam: dict) -> None:
+    def _introduce_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
+        """Emit the moved family once per label v can survive with."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -501,18 +469,18 @@ class Engine:
                 continue
             if v in xk:
                 if i + 1 <= self.k:
+                    items: Iterable = fam.items()
+                    if self.track_witness:
+                        items = [(p, w | {v}) for p, w in items]
                     xk2 = tuple(u for u in xk if u != v)
-                    for part, wit in fam.items():
-                        w2 = wit
-                        if wit is not None:
-                            w2 = (wit[0] | {v}, wit[1])
-                        self.insert(table, xk2, lk, i + 1, gh, part, w2)
+                    self.emit(table, xk2, lk, i + 1, gh, items)
                 continue
             ctx = ctx_cache.get(xk)
             if ctx is None:
                 ctx = self._forget_ctx(bag, v, xk)
                 ctx_cache[xk] = ctx
-            self._forget_state(table, ctx, key, fam)
+            moved = [(self._forget_partition(ctx, p), w) for p, w in fam.items()]
+            self._forget_state(table, ctx, key, moved)
         return table
 
     def _forget_ctx(self, bag: tuple[int, ...], v: int, xk: tuple[int, ...]) -> dict:
@@ -551,28 +519,8 @@ class Engine:
         memo[part] = res
         return res
 
-    def _emit_forgotten(
-        self,
-        table: dict,
-        ctx: dict,
-        xk: tuple[int, ...],
-        lkey: tuple[int, ...],
-        i: int,
-        gh: tuple[GhEntry, ...],
-        fam: dict,
-    ) -> None:
-        """Push a child family into one forget branch where v survived."""
-        key, si = self._target(xk, lkey, i, gh)
-        out = table.get(key)
-        for part, wit in fam.items():
-            newpart = self._forget_partition(ctx, part)
-            if out is None:
-                out = table[key] = {}
-            elif newpart in out:
-                continue
-            out[newpart] = self._sigma_witness(si, wit)
-
-    def _forget_state(self, table: dict, ctx: dict, key: StateKey, fam: dict) -> None:
+    def _forget_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
+        """Emit the moved family once per hypothesis branch for v's unit."""
         raise NotImplementedError
 
     def _sink_unit_branches(
@@ -627,7 +575,7 @@ class Engine:
         table: dict = {}
         # Index the left child under every label permutation so states that
         # only differ by the label alphabet can still pair up.
-        index: dict[tuple, list[tuple[int, StateKey, tuple[GhEntry, ...]]]] = {}
+        index: dict[tuple, list[tuple[StateKey, tuple[GhEntry, ...]]]] = {}
         use_sigma = self.canonize
         nsig = len(self._sigmas) if use_sigma else 1
         for key in sorted(left, key=self._state_order):
@@ -644,16 +592,19 @@ class Engine:
                     )
                 else:
                     l2, gh2 = lk, gh
-                index.setdefault((xk, l2), []).append((si, key, gh2))
+                index.setdefault((xk, l2), []).append((key, gh2))
         for rkey in sorted(right, key=self._state_order):
             rxk, rlk, ri, rgh = rkey
             rfam = right[rkey]
             if not rfam:
                 continue
-            for si, lkey, lgh in index.get((rxk, rlk), ()):
-                if lkey[2] + ri > self.k:
+            for lkey, lgh in index.get((rxk, rlk), ()):
+                i = lkey[2] + ri
+                if i > self.k:
                     continue
-                self._join_states(table, si, lkey, lgh, rkey, left[lkey], rfam)
+                gh_p = self._join_gh(lgh, rgh)
+                if gh_p is not None:
+                    self.emit(table, rxk, rlk, i, gh_p, self._joints(left[lkey], rfam))
         return table
 
     def _join_gh(
@@ -675,23 +626,12 @@ class Engine:
             entries.append((u1, self.intern(common), h1 | h2))
         return tuple(entries)
 
-    def _join_states(
-        self,
-        table: dict,
-        si: int,
-        lkey: StateKey,
-        lgh: tuple[GhEntry, ...],
-        rkey: StateKey,
-        lfam: dict,
-        rfam: dict,
-    ) -> None:
-        rxk, rlk, ri, rgh = rkey
-        gh_p = self._join_gh(lgh, rgh)
-        if gh_p is None:
-            return
-        key, si_p = self._target(rxk, rlk, lkey[2] + ri, gh_p)
-        out = table.get(key)
+    def _joints(
+        self, lfam: dict, rfam: dict
+    ) -> Iterator[tuple[Partition, Witness | None]]:
+        """Acyclic joints of two families, each with the union witness."""
         memo = self._join_memo
+        track = self.track_witness
         for p1, w1 in lfam.items():
             for p2, w2 in rfam.items():
                 pair = (p1, p2)
@@ -699,29 +639,8 @@ class Engine:
                 if joint is None:
                     joint = uplus(p1, p2) if inc_is_forest(p1.m, pair) else False
                     memo[pair] = joint
-                if joint is False or (out is not None and joint in out):
-                    continue
-                if out is None:
-                    out = table[key] = {}
-                out[joint] = self._sigma_witness(si_p, self._merge_witness(si, w1, w2))
-
-    def _merge_witness(
-        self, si: int, lw: Witness | None, rw: Witness | None
-    ) -> Witness | None:
-        if not self.track_witness or lw is None or rw is None:
-            return None
-        lw = self._sigma_witness(si, lw)
-        merged = dict(lw[1])
-        merged.update(dict(rw[1]))
-        return (lw[0] | rw[0], tuple(sorted(merged.items())))
-
-    @staticmethod
-    def _witness_with_label(wit: Witness | None, v: int, lv: int) -> Witness | None:
-        if wit is None:
-            return None
-        merged = dict(wit[1])
-        merged[v] = lv
-        return (wit[0], tuple(sorted(merged.items())))
+                if joint is not False:
+                    yield joint, (w1 | w2 if track else None)
 
 
 class BlockEngine(Engine):
@@ -730,7 +649,7 @@ class BlockEngine(Engine):
     def __init__(self, g, d, k, patterns, ntd, witness=False, canonize=None):
         super().__init__(g, d, k, patterns, ntd, "block", witness, canonize)
 
-    def _introduce_state(self, table: dict, ctx: dict, key: StateKey, fam: dict) -> None:
+    def _introduce_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
         xk, lk, i, gh = key
         pv: _View = ctx["pv"]
         v = ctx["v"]
@@ -794,11 +713,9 @@ class BlockEngine(Engine):
                 entries.append((unit, self.intern(pats), hm_union))
             if dead:
                 continue
-            self._emit_introduced(
-                table, ctx, xk, lkey_p, i, tuple(sorted(entries)), fam, lv
-            )
+            self.emit(table, xk, lkey_p, i, tuple(sorted(entries)), moved)
 
-    def _forget_state(self, table: dict, ctx: dict, key: StateKey, fam: dict) -> None:
+    def _forget_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
         xk, lk, i, gh = key
         cv: _View = ctx["cv"]
         pv: _View = ctx["pv"]
@@ -822,7 +739,7 @@ class BlockEngine(Engine):
             branch_lists = [b + o for b in branch_lists for o in options]
         for branch in branch_lists:
             gh_p = tuple(sorted(carried + branch))
-            self._emit_forgotten(table, ctx, xk, lkey_p, i, gh_p, fam)
+            self.emit(table, xk, lkey_p, i, gh_p, moved)
 
 
 class ComponentEngine(Engine):
@@ -837,7 +754,7 @@ class ComponentEngine(Engine):
     def __init__(self, g, d, k, patterns, ntd, witness=False, canonize=None):
         super().__init__(g, d, k, patterns, ntd, "component", witness, canonize)
 
-    def _introduce_state(self, table: dict, ctx: dict, key: StateKey, fam: dict) -> None:
+    def _introduce_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
         xk, lk, i, gh = key
         pv: _View = ctx["pv"]
         vpos = ctx["vpos"]
@@ -880,11 +797,9 @@ class ComponentEngine(Engine):
                 continue
             entries = [gh[o] for o in range(len(comp_map)) if comp_map[o] != vnew]
             entries.append((vunit, self.intern(pats), hm_a))
-            self._emit_introduced(
-                table, ctx, xk, lkey_p, i, tuple(sorted(entries)), fam, lv
-            )
+            self.emit(table, xk, lkey_p, i, tuple(sorted(entries)), moved)
 
-    def _forget_state(self, table: dict, ctx: dict, key: StateKey, fam: dict) -> None:
+    def _forget_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
         xk, lk, i, gh = key
         cv: _View = ctx["cv"]
         pv: _View = ctx["pv"]
@@ -904,4 +819,4 @@ class ComponentEngine(Engine):
             branch_lists = self._sink_unit_branches(unit, sid, hm, lv, pieces, labs)
         for branch in branch_lists:
             gh_p = tuple(sorted(carried + branch))
-            self._emit_forgotten(table, ctx, xk, lkey_p, i, gh_p, fam)
+            self.emit(table, xk, lkey_p, i, gh_p, moved)

@@ -1,15 +1,12 @@
-"""Pure-Python GF(2) row-reduction kernel on int bitsets.
+"""GF(2) row-reduction kernel on int bitsets.
 
-Twin of the compiled ``_gf2c`` extension; both must keep the exact same
-pivot rule (lowest set bit, first independent row wins) so results are
-interchangeable.
+The pivot rule is the lowest set bit, and the first independent row wins,
+so the kept rows depend only on the row order.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-BACKEND = "pure"
 
 
 def gf2_independent_rows(rows: Sequence[int], nbits: int) -> list[int]:

@@ -27,7 +27,7 @@ from .decomposition import (
 )
 from .dp_block import solve_block
 from .dp_component import solve_component
-from .errors import BlockvdError
+from .errors import BlockvdError, InvalidInput
 from .families import enumerate_component_patterns, enumerate_ud, get_family
 from .gadgets import (
     GridISInstance,
@@ -35,7 +35,7 @@ from .gadgets import (
     gen_fixed_d,
     gen_subgraph_iso_instance,
 )
-from .graph import read_gr, write_gr
+from .graph import parse_ints, read_gr, write_gr
 from .instance import Instance
 from .oracle import brute_force_solve, verify_solution
 
@@ -79,6 +79,27 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0 if decision else 1
 
 
+def _planted(args: argparse.Namespace) -> list[int] | None:
+    """The ``--planted`` list such as ``1,2,3``: one value per index 1..k."""
+    if args.planted is None:
+        return None
+    planted = parse_ints(args.planted.split(","), args.planted)
+    if len(planted) != args.k:
+        raise InvalidInput(f"--planted needs {args.k} values, got {len(planted)}")
+    return planted
+
+
+def _edges(text: str) -> list[tuple[int, int]]:
+    """A comma-separated edge list such as ``1-2,2-3``."""
+    edges = []
+    for e in text.split(","):
+        ends = parse_ints(e.split("-"), e)
+        if len(ends) != 2:
+            raise InvalidInput(f"edge {e!r} is not of the form a-b")
+        edges.append((ends[0], ends[1]))
+    return edges
+
+
 def _write_instance(gen, prefix: str) -> None:
     parent = Path(prefix).parent
     if parent and not parent.exists():
@@ -105,18 +126,13 @@ def _write_instance(gen, prefix: str) -> None:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.generator == "perm-is":
         grid = GridISInstance.minimal(args.k)
-        planted = None
-        if args.planted is not None:
-            planted = [int(x) for x in args.planted.split(",")]
-        gen = gen_fixed_d(grid, args.d, args.variant, planted=planted)
+        gen = gen_fixed_d(grid, args.d, args.variant, planted=_planted(args))
     elif args.generator == "clique":
         import random
 
         rng = random.Random(args.seed)
         k, t, p = args.k, args.t, args.edges_per_pair
-        planted = None
-        if args.planted is not None:
-            planted = [int(x) for x in args.planted.split(",")]
+        planted = _planted(args)
         if p is None:
             p = min(t * t, max(2, t))
         edges_by_pair = {}
@@ -136,17 +152,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                 edges_by_pair[(i, j)] = sorted(pairs)
         gen = gen_clique_instance(k, t, edges_by_pair, planted=planted)
     else:  # subgraph-iso
-        pattern = [tuple(int(x) for x in e.split("-")) for e in args.pattern_edges.split(",")]
-        host = [tuple(int(x) for x in e.split("-")) for e in args.host_edges.split(",")]
-        planted = None
-        if args.planted is not None:
-            planted = [int(x) for x in args.planted.split(",")]
+        pattern = _edges(args.pattern_edges)
+        host = _edges(args.host_edges)
         gen = gen_subgraph_iso_instance(
             host_edges=host,
             host_size=args.t,
             pattern_edges=pattern,
             pattern_size=args.k,
-            planted=planted,
+            planted=_planted(args),
         )
     if gen.planted is not None and not verify_solution(
         gen.instance.graph,
@@ -163,6 +176,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_td(args: argparse.Namespace) -> int:
     g = read_gr(Path(args.graph).read_text())
     if args.action == "validate":
+        if args.td is None:
+            raise InvalidInput("td validate needs --td")
         td = read_td(Path(args.td).read_text())
         bad = validate_td(g, td)
         if bad is None:
@@ -293,10 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except BlockvdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (BlockvdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

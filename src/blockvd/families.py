@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import CapExceeded, IncompatibleBoundary, InvalidInput, NonChordalFamily
 from .graph import (
@@ -183,20 +183,26 @@ def _label_subsets(d: int, min_size: int):
             yield labels
 
 
-def enumerate_ud(
-    d: int, family: PFamilySpec, cap: int | None = None
+def _enumerate_patterns(
+    d: int,
+    family: PFamilySpec,
+    cap: int | None,
+    min_labels: int,
+    shape: Callable[[Pattern], bool],
 ) -> tuple[Pattern, ...]:
-    """All biconnected family members on label subsets of [d], >= 2 labels.
+    """Family members of the given shape on label subsets of [d].
 
     Raises NonChordalFamily as soon as an accepted member is not chordal:
     the dynamic program is unsound for such families.
     """
+    if d < 1:
+        raise InvalidInput(f"d={d} must be at least 1")
     if d > _ud_cap(cap):
         raise CapExceeded(
             f"d={d} exceeds the pattern-universe cap; raise BLOCKVD_UD_CAP to override"
         )
     out: list[Pattern] = []
-    for labels in _label_subsets(d, 2):
+    for labels in _label_subsets(d, min_labels):
         pairs = [
             (labels[i], labels[j])
             for i in range(len(labels))
@@ -205,7 +211,7 @@ def enumerate_ud(
         for emask in range(1 << len(pairs)):
             edges = frozenset(pairs[i] for i in range(len(pairs)) if emask >> i & 1)
             p = Pattern(frozenset(labels), edges)
-            if not pattern_is_biconnected(p):
+            if not shape(p):
                 continue
             if not family.contains_pattern(p):
                 continue
@@ -216,37 +222,20 @@ def enumerate_ud(
             out.append(p)
     out.sort(key=Pattern.sort_key)
     return tuple(out)
+
+
+def enumerate_ud(
+    d: int, family: PFamilySpec, cap: int | None = None
+) -> tuple[Pattern, ...]:
+    """All biconnected family members on label subsets of [d], >= 2 labels."""
+    return _enumerate_patterns(d, family, cap, 2, pattern_is_biconnected)
 
 
 def enumerate_component_patterns(
     d: int, family: PFamilySpec, cap: int | None = None
 ) -> tuple[Pattern, ...]:
     """Connected family members on label subsets of [d] (>= 1 label)."""
-    if d > _ud_cap(cap):
-        raise CapExceeded(
-            f"d={d} exceeds the pattern-universe cap; raise BLOCKVD_UD_CAP to override"
-        )
-    out: list[Pattern] = []
-    for labels in _label_subsets(d, 1):
-        pairs = [
-            (labels[i], labels[j])
-            for i in range(len(labels))
-            for j in range(i + 1, len(labels))
-        ]
-        for emask in range(1 << len(pairs)):
-            edges = frozenset(pairs[i] for i in range(len(pairs)) if emask >> i & 1)
-            p = Pattern(frozenset(labels), edges)
-            if not pattern_is_connected(p):
-                continue
-            if not family.contains_pattern(p):
-                continue
-            if not pattern_is_chordal(p):
-                raise NonChordalFamily(
-                    f"family {family.name!r} admits the non-chordal pattern {p}"
-                )
-            out.append(p)
-    out.sort(key=Pattern.sort_key)
-    return tuple(out)
+    return _enumerate_patterns(d, family, cap, 1, pattern_is_connected)
 
 
 def is_block_labeling(g: Graph, labels: Mapping[int, int]) -> bool:

@@ -638,6 +638,12 @@ def gen_subgraph_iso_instance(
     a-b a host edge.
     """
     k, t = pattern_size, host_size
+    for ends, size, kind in ((pattern_edges, k, "pattern"), (host_edges, t, "host")):
+        for a, b in ends:
+            if a == b or not (1 <= a <= size and 1 <= b <= size):
+                raise InvalidInput(
+                    f"{kind} edge {a}-{b} needs two distinct ends in 1..{size}"
+                )
     hset = {(min(a, b), max(a, b)) for a, b in host_edges}
     vals = sorted(
         {(a, b) for (x, y) in hset for (a, b) in ((x, y), (y, x))}

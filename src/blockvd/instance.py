@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomposition import TreeDecomposition
+from .errors import InvalidInput
 from .graph import Graph
 
 
@@ -19,6 +20,6 @@ class Instance:
 
     def __post_init__(self) -> None:
         if self.mode not in ("block", "component"):
-            raise ValueError(f"bad mode {self.mode!r}")
+            raise InvalidInput(f"bad mode {self.mode!r}")
         if self.d < 1 or self.k < 0:
-            raise ValueError("d must be >= 1 and k >= 0")
+            raise InvalidInput("d must be >= 1 and k >= 0")

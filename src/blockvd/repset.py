@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._kernels import gf2_independent_rows
+from ._gf2 import gf2_independent_rows
 from .errors import BadBucket, TooLarge
 from .partitions import Partition, all_partitions, inc_is_forest, one_coarsenings, uplus
 

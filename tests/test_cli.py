@@ -214,6 +214,36 @@ class TestErrorPaths:
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--mode", "block", "--family", "k1k2",
+             "-d", "0", "-k", "1", "--graph", "c5.gr"],
+            ["solve", "--mode", "block", "--family", "k1k2",
+             "-d", "3", "-k", "-1", "--graph", "c5.gr"],
+            ["enum-ud", "-d", "-2", "--family", "k1k2"],
+            ["gen", "subgraph-iso", "-k", "2", "-t", "2",
+             "--pattern-edges", "1-x", "--host-edges", "1-2", "-o", "out"],
+            ["gen", "subgraph-iso", "-k", "2", "-t", "2",
+             "--pattern-edges", "1-5", "--host-edges", "1-2", "-o", "out"],
+            ["gen", "clique", "-k", "3", "-t", "2", "--planted", "1,2", "-o", "out"],
+            ["solve", "--mode", "block", "--family", "k1k2",
+             "-d", "3", "-k", "1", "--graph", "."],
+            ["td", "validate", "--graph", "c5.gr"],
+        ],
+        ids=["solve-d-zero", "solve-k-negative", "enum-ud-d-negative",
+             "gen-edge-not-integer", "gen-edge-out-of-range", "gen-planted-short",
+             "solve-graph-directory", "td-validate-without-td"],
+    )
+    def test_bad_input_exit_two_one_line(self, args, c5, monkeypatch, capsys):
+        monkeypatch.chdir(c5.parent)
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error:")
+
 
 class TestHashSeedIndependence:
     def test_solve_identical_across_hash_seeds(self, tmp_path):

@@ -119,20 +119,16 @@ class TestTableInvariants:
                     keep = [v for v in sorted(bag) if v not in set(xk)]
                     for part, wit in fam.items():
                         assert wit is not None
-                        deleted, labs = wit
+                        deleted = wit
                         assert len(deleted) == i
                         assert deleted <= below[node] - bag
                         live = below[node] - deleted - set(xk)
-                        # labels cover exactly the surviving vertices
-                        assert {v for v, _ in labs} == live
                         # partition mirrors component containment
                         sub = BoundariedGraph(
                             g, frozenset(live), frozenset(keep)
                         )
                         assert aux_partition(sub) == part
                         # the partial solution is a valid chordal-block graph
-                        labd = dict(labs)
-                        from blockvd.families import is_block_labeling
                         from blockvd.graph import biconnected_blocks, is_chordal
 
                         bd = biconnected_blocks(g, live)
@@ -140,13 +136,6 @@ class TestTableInvariants:
                         assert is_chordal(Graph(g.n, [
                             e for e in g.edges() if set(e) <= live
                         ]))
-                        assert is_block_labeling(
-                            Graph(
-                                g.n,
-                                [e for e in g.edges() if set(e) <= live],
-                            ),
-                            {v: labd.get(v, 1) for v in range(g.n)},
-                        )
 
 
 class TestSteps:
@@ -180,14 +169,14 @@ class TestSteps:
         # child table: bag {0,1}, components {0} and {1} linked below
         linked = Partition.from_parts(2, [[0, 1]])
         child = {}
-        engine.insert(child, (), (1, 1), 1, (), linked, None)
+        engine.emit(child, (), (1, 1), 1, (), [(linked, None)])
         out = engine._introduce((0, 1, 2), 2, child)
         for key, fam in out.items():
             if key[0] == ():  # vertex 2 not deleted
                 assert not fam
         # the unlinked partition survives
         child2 = {}
-        engine.insert(child2, (), (1, 1), 0, (), Partition.singletons(2), None)
+        engine.emit(child2, (), (1, 1), 0, (), [(Partition.singletons(2), None)])
         out2 = engine._introduce((0, 1, 2), 2, child2)
         assert any(key[0] == () and out2[key] for key in out2)
 

@@ -1,8 +1,8 @@
 """Metamorphic checks of both DPs on small random instances.
 
 Each property relates two solves, so it needs no oracle: tracking
-witnesses must not change the search, relabelling vertices must not change
-or the tree decomposition must not change the answer, a larger budget
+witnesses must not change the search, relabelling vertices, the tree
+decomposition or its root must not change the answer, a larger budget
 cannot turn YES into NO, and a witness never exceeds the budget.
 """
 
@@ -11,11 +11,12 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockvd.decomposition import exact_td_small
+from blockvd.decomposition import TreeDecomposition, exact_td_small, heuristic_td
 from blockvd.dp_block import solve_block
 from blockvd.dp_component import solve_component
 from blockvd.graph import Graph
 from blockvd.instance import Instance
+from blockvd.oracle import verify_solution
 
 SOLVERS = {"block": solve_block, "component": solve_component}
 
@@ -64,6 +65,23 @@ def test_relabelling_keeps_the_decision(inst, rnd):
 def test_decomposition_choice_keeps_the_decision(inst):
     exact = replace(inst, td=exact_td_small(inst.graph))
     assert solve(exact).decision == solve(inst).decision
+
+
+@CASES
+@given(instances(), st.integers(0, 63))
+def test_another_root_keeps_the_decision(inst, shift):
+    # the nice form is rooted at bag 0, so rotating the bag order re-roots it
+    td = heuristic_td(inst.graph)
+    n = td.num_nodes
+    r = shift % n
+    rerooted = TreeDecomposition(
+        td.bags[r:] + td.bags[:r],
+        tuple(((a - r) % n, (b - r) % n) for a, b in td.tree_edges),
+    )
+    res = solve(replace(inst, td=rerooted), witness=True)
+    assert res.decision == solve(replace(inst, td=td)).decision
+    if res.decision:
+        assert verify_solution(inst.graph, res.witness, inst.d, inst.family, inst.mode)
 
 
 @CASES

@@ -12,11 +12,6 @@ from blockvd.repset import (
     verify_representative,
 )
 
-try:
-    from blockvd._gf2c import gf2_independent_rows as compiled_rows
-except ImportError:  # pragma: no cover
-    compiled_rows = None
-
 
 class TestCutMatrix:
     def test_inner_product_is_single_part_indicator(self):
@@ -40,14 +35,6 @@ class TestKernels:
         rows = [0b0011, 0b0101, 0b0110, 0b1000, 0b0000]
         keep = pure_rows(rows, 4)
         assert keep == [0, 1, 3]
-
-    @pytest.mark.skipif(compiled_rows is None, reason="extension not built")
-    def test_pure_matches_compiled(self):
-        rng = random.Random(0)
-        for _ in range(200):
-            nbits = rng.randint(1, 130)
-            rows = [rng.getrandbits(nbits) for _ in range(rng.randint(0, 25))]
-            assert pure_rows(rows, nbits) == compiled_rows(rows, nbits)
 
 
 class TestReduceConnected:
