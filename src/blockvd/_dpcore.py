@@ -27,8 +27,16 @@ final shape (several blocks or components sinking together).  All
 checks are per-unit and independent of the stored partitions, which is
 what makes the representative-set reduction valid.
 
-States are additionally canonicalized under permutations of the label
-alphabet, which acts on L, patterns, and h sets but never on partitions.
+States are canonicalized under permutations of the label alphabet,
+which act on L, patterns and h masks but never on partitions: the
+canonical (L, gh) is its least image over all d! permutations.  That
+image renumbers L by first appearance, so ``canon`` searches only the
+(d - u)! permutations of the labels absent from L, for u distinct
+labels in L.  The join pairs canonical states with equal (X, L) under
+each of those images of the left hypotheses; pairing the keys directly
+loses states.  Canonization is on for d <= 4: at d = 5 it speeds block
+mode up, but component mode relabels hundreds of patterns under every
+absent-label permutation and slows down severalfold.
 
 A family maps each partition to its witness: the set of vertices deleted
 below the bag by one partial solution realizing it, or None when
@@ -73,6 +81,8 @@ class _View:
 
 
 class Engine:
+    mode: str  # "block" or "component", set by each subclass
+
     def __init__(
         self,
         g: Graph,
@@ -80,15 +90,11 @@ class Engine:
         k: int,
         patterns: Sequence[Pattern],
         ntd: NiceTreeDecomposition,
-        mode: str,
         witness: bool = False,
-        canonize: bool | None = None,
     ):
-        assert mode in ("block", "component")
         self.g = g
         self.d = d
         self.k = k
-        self.mode = mode
         self.ntd = ntd
         self.track_witness = witness
         self.patterns = tuple(patterns)
@@ -107,19 +113,13 @@ class Engine:
         self._sets: list[frozenset[int]] = []
         self._set_ids: dict[frozenset[int], int] = {}
 
-        self.canonize = canonize if canonize is not None else d <= 4
-        if self.canonize:
-            self._sigmas = [tuple(s) for s in permutations(range(1, d + 1))]
-            self._pat_sigma: list[list[int]] = []
-            for s in self._sigmas:
-                smap = {i + 1: s[i] for i in range(d)}
-                self._pat_sigma.append(
-                    [self.pat_index[p.relabel(smap)] for p in self.patterns]
-                )
-            self._mask_sigma = [
-                [self._permute_mask(s, m) for m in range(1 << d)] for s in self._sigmas
-            ]
-            self._set_sigma: dict[tuple[int, int], int] = {}
+        self.canonize = d <= 4
+        # label permutations sigma (sigma[l - 1] is the image of label l) by
+        # the order of first appearance they renumber, and their action on
+        # patterns and on hypothesis slots, built on first use
+        self._sigmas_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        self._pat_sigma: dict[tuple[int, ...], list[int]] = {}
+        self._slot_sigma: dict[tuple[tuple[int, ...], int, int], tuple[int, int]] = {}
         self._canon_memo: dict[tuple, tuple] = {}
         self._compat_memo: dict[tuple, int] = {}
         self._view_memo: dict[tuple[int, ...], _View] = {}
@@ -144,29 +144,8 @@ class Engine:
     def set_of(self, sid: int) -> frozenset[int]:
         return self._sets[sid]
 
-    def _sigma_set(self, si: int, sid: int) -> int:
-        got = self._set_sigma.get((si, sid))
-        if got is not None:
-            return got
-        table = self._pat_sigma[si]
-        res = self.intern(table[q] for q in self._sets[sid])
-        self._set_sigma[(si, sid)] = res
-        return res
-
     # ------------------------------------------------------------------
     # small helpers
-
-    @staticmethod
-    def _permute_mask(sigma: tuple[int, ...], mask: int) -> int:
-        out = 0
-        i = 0
-        m = mask
-        while m:
-            if m & 1:
-                out |= 1 << (sigma[i] - 1)
-            m >>= 1
-            i += 1
-        return out
 
     def view(self, keep: Iterable[int]) -> _View:
         key = tuple(sorted(keep))
@@ -245,29 +224,60 @@ class Engine:
     # ------------------------------------------------------------------
     # canonization
 
+    def _sigma_slot(self, sigma: tuple[int, ...], sid: int, hm: int) -> tuple[int, int]:
+        """A hypothesis slot's pattern set and h mask under sigma."""
+        key = (sigma, sid, hm)
+        got = self._slot_sigma.get(key)
+        if got is None:
+            table = self._pat_sigma.get(sigma)
+            if table is None:
+                smap = dict(enumerate(sigma, 1))
+                table = [self.pat_index[p.relabel(smap)] for p in self.patterns]
+                self._pat_sigma[sigma] = table
+            got = (
+                self.intern(table[q] for q in self._sets[sid]),
+                sum(1 << (s - 1) for l, s in enumerate(sigma) if hm >> l & 1),
+            )
+            self._slot_sigma[key] = got
+        return got
+
+    def _images(self, lkey: tuple[int, ...], gh: tuple[GhEntry, ...]) -> list[tuple]:
+        """Distinct images of (L, gh) that renumber L by first appearance.
+
+        The permutations giving them differ only on the labels absent from
+        L.  Without canonization the only image is (L, gh) itself.
+        """
+        if not self.canonize:
+            return [(lkey, gh)]
+        order = tuple(dict.fromkeys(lkey))
+        sigmas = self._sigmas_of.get(order)
+        if sigmas is None:
+            image = {l: new for new, l in enumerate(order, 1)}
+            absent = [l for l in range(1, self.d + 1) if l not in image]
+            sigmas = []
+            for rest in permutations(range(len(order) + 1, self.d + 1)):
+                image.update(zip(absent, rest))
+                sigmas.append(tuple(image[l] for l in range(1, self.d + 1)))
+            self._sigmas_of[order] = sigmas
+        lc = tuple(sigmas[0][l - 1] for l in lkey)
+        ghs = dict.fromkeys(
+            tuple((unit, *self._sigma_slot(sigma, sid, hm)) for unit, sid, hm in gh)
+            for sigma in sigmas
+        )
+        return [(lc, gh2) for gh2 in ghs]
+
     def canon(
         self, lkey: tuple[int, ...], gh: tuple[GhEntry, ...]
     ) -> tuple[tuple[int, ...], tuple[GhEntry, ...]]:
-        """Canonical (L, gh) under label permutations."""
+        """Canonical (L, gh): the least image under label permutations."""
         if not self.canonize:
             return lkey, gh
         memo_key = (lkey, gh)
         got = self._canon_memo.get(memo_key)
-        if got is not None:
-            return got
-        best = None
-        for si in range(len(self._sigmas)):
-            sigma = self._sigmas[si]
-            l2 = tuple(sigma[l - 1] for l in lkey)
-            gh2 = tuple(
-                (unit, self._sigma_set(si, sid), self._mask_sigma[si][hm])
-                for (unit, sid, hm) in gh
-            )
-            cand = (l2, gh2)
-            if best is None or cand < best:
-                best = cand
-        self._canon_memo[memo_key] = best
-        return best
+        if got is None:
+            got = min(self._images(lkey, gh))
+            self._canon_memo[memo_key] = got
+        return got
 
     # ------------------------------------------------------------------
     # table plumbing
@@ -573,26 +583,7 @@ class Engine:
 
     def _join(self, bag: tuple[int, ...], left: dict, right: dict) -> dict:
         table: dict = {}
-        # Index the left child under every label permutation so states that
-        # only differ by the label alphabet can still pair up.
-        index: dict[tuple, list[tuple[StateKey, tuple[GhEntry, ...]]]] = {}
-        use_sigma = self.canonize
-        nsig = len(self._sigmas) if use_sigma else 1
-        for key in sorted(left, key=self._state_order):
-            if not left[key]:
-                continue
-            xk, lk, i, gh = key
-            for si in range(nsig):
-                if use_sigma:
-                    sigma = self._sigmas[si]
-                    l2 = tuple(sigma[l - 1] for l in lk)
-                    gh2 = tuple(
-                        (unit, self._sigma_set(si, sid), self._mask_sigma[si][hm])
-                        for (unit, sid, hm) in gh
-                    )
-                else:
-                    l2, gh2 = lk, gh
-                index.setdefault((xk, l2), []).append((key, gh2))
+        index = self._join_index(left)
         for rkey in sorted(right, key=self._state_order):
             rxk, rlk, ri, rgh = rkey
             rfam = right[rkey]
@@ -606,6 +597,17 @@ class Engine:
                 if gh_p is not None:
                     self.emit(table, rxk, rlk, i, gh_p, self._joints(left[lkey], rfam))
         return table
+
+    def _join_index(self, left: dict) -> dict[tuple, list]:
+        """Left states by (X, L), each under every image with its own L."""
+        index: dict[tuple, list[tuple[StateKey, tuple[GhEntry, ...]]]] = {}
+        for key in sorted(left, key=self._state_order):
+            if not left[key]:
+                continue
+            xk, lk, i, gh = key
+            for l2, gh2 in self._images(lk, gh):
+                index.setdefault((xk, l2), []).append((key, gh2))
+        return index
 
     def _join_gh(
         self, lgh: tuple[GhEntry, ...], rgh: tuple[GhEntry, ...]
@@ -646,8 +648,7 @@ class Engine:
 class BlockEngine(Engine):
     """Tracks one hypothesis per non-trivial block of the bag graph."""
 
-    def __init__(self, g, d, k, patterns, ntd, witness=False, canonize=None):
-        super().__init__(g, d, k, patterns, ntd, "block", witness, canonize)
+    mode = "block"
 
     def _introduce_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
         xk, lk, i, gh = key
@@ -751,8 +752,7 @@ class ComponentEngine(Engine):
     parts on single-pattern slots.
     """
 
-    def __init__(self, g, d, k, patterns, ntd, witness=False, canonize=None):
-        super().__init__(g, d, k, patterns, ntd, "component", witness, canonize)
+    mode = "component"
 
     def _introduce_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
         xk, lk, i, gh = key

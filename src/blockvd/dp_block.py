@@ -20,31 +20,24 @@ def build_engine(
     inst: Instance,
     ntd: NiceTreeDecomposition | None = None,
     witness: bool = False,
-    canonize: bool | None = None,
 ) -> BlockEngine:
     fam = get_family(inst.family)
     patterns = enumerate_ud(inst.d, fam)
     if ntd is None:
         td = inst.td if inst.td is not None else heuristic_td(inst.graph)
         ntd = to_nice(td, inst.graph)
-    return BlockEngine(
-        inst.graph, inst.d, inst.k, patterns, ntd, witness=witness, canonize=canonize
-    )
+    return BlockEngine(inst.graph, inst.d, inst.k, patterns, ntd, witness=witness)
 
 
 def solve_block(
     inst: Instance,
     ntd: NiceTreeDecomposition | None = None,
     witness: bool = False,
-    canonize: bool | None = None,
-    keep_tables: bool = False,
 ) -> SolveResult:
     """Decide the block variant; optionally recover a verified deletion set."""
     if inst.mode != "block":
         raise ValueError("instance mode must be 'block'")
-    engine = build_engine(inst, ntd, witness=witness, canonize=canonize)
-    engine._debug_keep_tables = keep_tables
-    result = engine.run()
+    result = build_engine(inst, ntd, witness=witness).run()
     if witness and result.decision:
         if result.witness is None or not verify_solution(
             inst.graph, result.witness, inst.d, inst.family, "block"

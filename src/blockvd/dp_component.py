@@ -22,29 +22,24 @@ def build_engine(
     inst: Instance,
     ntd: NiceTreeDecomposition | None = None,
     witness: bool = False,
-    canonize: bool | None = None,
 ) -> ComponentEngine:
     fam = get_family(inst.family)
     patterns = enumerate_component_patterns(inst.d, fam)
     if ntd is None:
         td = inst.td if inst.td is not None else heuristic_td(inst.graph)
         ntd = to_nice(td, inst.graph)
-    return ComponentEngine(
-        inst.graph, inst.d, inst.k, patterns, ntd, witness=witness, canonize=canonize
-    )
+    return ComponentEngine(inst.graph, inst.d, inst.k, patterns, ntd, witness=witness)
 
 
 def solve_component(
     inst: Instance,
     ntd: NiceTreeDecomposition | None = None,
     witness: bool = False,
-    canonize: bool | None = None,
 ) -> SolveResult:
     """Decide the component variant; optionally recover a verified set."""
     if inst.mode != "component":
         raise ValueError("instance mode must be 'component'")
-    engine = build_engine(inst, ntd, witness=witness, canonize=canonize)
-    result = engine.run()
+    result = build_engine(inst, ntd, witness=witness).run()
     if witness and result.decision:
         if result.witness is None or not verify_solution(
             inst.graph, result.witness, inst.d, inst.family, "component"

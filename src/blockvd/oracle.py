@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .errors import TooLarge
+from .errors import InvalidInput, TooLarge
 from .families import PFamilySpec, get_family
 from .graph import Graph, biconnected_blocks, connected_components, induced_edges
 from .instance import Instance
@@ -23,10 +23,14 @@ def verify_solution(
 
     Block mode checks every block of the remainder, component mode every
     connected component; both must have at most d vertices and satisfy
-    the family predicate.
+    the family predicate.  Raises InvalidInput for a deleted vertex
+    outside 0..n-1.
     """
     fam = get_family(family) if isinstance(family, str) else family
     gone = set(deleted)
+    outside = sorted(v for v in gone if not 0 <= v < g.n)
+    if outside:
+        raise InvalidInput(f"deleted vertices {outside} are outside 0..{g.n - 1}")
     remaining = [v for v in range(g.n) if v not in gone]
     if mode == "block":
         pieces: Iterable[frozenset[int]] = biconnected_blocks(g, remaining).blocks

@@ -11,6 +11,7 @@ import random
 
 from .dp_block import solve_block
 from .dp_component import solve_component
+from .errors import InvalidInput
 from .graph import (
     BoundariedGraph,
     Graph,
@@ -156,6 +157,8 @@ def random_compatible_chordal_pair(
 
 
 def run_selftest(trials: int = 25, verbose: bool = False) -> bool:
+    if trials < 1:
+        raise InvalidInput(f"trials must be at least 1, got {trials}")
     rng = random.Random(0)
     parts = [
         ("oracle agreement", check_oracle_agreement(rng, trials)),

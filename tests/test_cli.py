@@ -230,10 +230,13 @@ class TestErrorPaths:
             ["solve", "--mode", "block", "--family", "k1k2",
              "-d", "3", "-k", "1", "--graph", "."],
             ["td", "validate", "--graph", "c5.gr"],
+            ["selftest", "--trials", "0"],
+            ["selftest", "--trials", "-1"],
         ],
         ids=["solve-d-zero", "solve-k-negative", "enum-ud-d-negative",
              "gen-edge-not-integer", "gen-edge-out-of-range", "gen-planted-short",
-             "solve-graph-directory", "td-validate-without-td"],
+             "solve-graph-directory", "td-validate-without-td",
+             "selftest-trials-zero", "selftest-trials-negative"],
     )
     def test_bad_input_exit_two_one_line(self, args, c5, monkeypatch, capsys):
         monkeypatch.chdir(c5.parent)

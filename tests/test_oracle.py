@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from blockvd.errors import TooLarge
+from blockvd.errors import InvalidInput, TooLarge
 from blockvd.graph import Graph
 from blockvd.instance import Instance
 from blockvd.oracle import brute_force_solve, verify_solution
@@ -31,6 +31,12 @@ class TestVerify:
         # the deleted set is read once, so a generator counts like a list
         assert verify_solution(complete(3), [1], 2, "k1k2", "block")
         assert verify_solution(complete(3), (v for v in [1]), 2, "k1k2", "block")
+
+    @pytest.mark.parametrize("deleted", [[7], [2], [-1], [0, 5]])
+    def test_vertex_outside_the_graph_rejected(self, deleted):
+        # a 1-based set checked against a 0-based graph must not pass silently
+        with pytest.raises(InvalidInput):
+            verify_solution(Graph(2, [(0, 1)]), deleted, 2, "k1k2", "block")
 
 
 class TestBruteForce:
