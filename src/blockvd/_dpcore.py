@@ -1,8 +1,12 @@
 """Shared table-driven dynamic program over a nice tree decomposition.
 
-Both deletion problems run on the same engine; the ``mode`` switch picks
-the unit of shape-tracking (non-trivial blocks of the bag graph, or all
-of its components).  A table entry is keyed by
+One engine solves both deletion problems.  The component variant is the
+block variant with connected components where the block variant has
+blocks, so ``mode`` matters only in ``Engine.view``, which picks the
+units of shape-tracking: the non-trivial blocks of the bag graph, or all
+of its components.  Every transition is written for blocks and covers
+components unchanged; a vertex may lie in several blocks but in exactly
+one component.  A table entry is keyed by
 
     (X, L, i, gh)
 
@@ -81,10 +85,9 @@ class _View:
 
 
 class Engine:
-    mode: str  # "block" or "component", set by each subclass
-
     def __init__(
         self,
+        mode: str,
         g: Graph,
         d: int,
         k: int,
@@ -92,6 +95,7 @@ class Engine:
         ntd: NiceTreeDecomposition,
         witness: bool = False,
     ):
+        self.mode = mode  # "block" or "component"; read only by view
         self.g = g
         self.d = d
         self.k = k
@@ -148,6 +152,11 @@ class Engine:
     # small helpers
 
     def view(self, keep: Iterable[int]) -> _View:
+        """Components and units of the graph induced by keep.
+
+        The units are the non-trivial blocks in block mode and the
+        components in component mode.
+        """
         key = tuple(sorted(keep))
         got = self._view_memo.get(key)
         if got is not None:
@@ -163,8 +172,10 @@ class Engine:
                 for b in biconnected_blocks(self.g, key).blocks
                 if len(b) >= 2
             )
-        else:
+        elif self.mode == "component":
             units = comps
+        else:
+            raise ValueError(f"bad mode {self.mode!r}")
         unit_edges = tuple(
             tuple(
                 (u, w)
@@ -397,8 +408,6 @@ class Engine:
         for key in sorted(child, key=self._state_order):
             xk, lk, i, gh = key
             fam = child[key]
-            if not fam:
-                continue
             # v joins the deleted set: nothing else changes
             self.emit(table, tuple(sorted(xk + (v,))), lk, i, gh, fam.items())
             # v survives with some label; the family moves the same way
@@ -417,18 +426,25 @@ class Engine:
         keep_child = tuple(u for u in keep_parent if u != v)
         pv = self.view(keep_parent)
         cv = self.view(keep_child)
-        comp_map = tuple(pv.comp_of[c[0]] for c in cv.comps)
-        vnew = pv.comp_of[v]
-        vnbrs = tuple(u for u in self.g.neighbors(v) if u in set(keep_child))
+        # a child state holds the hypothesis of unit j of the sorted child
+        # units at position j of its gh; each parent unit through v absorbs
+        # the child units it contains, and the other child units carry over
+        child_units = sorted(cv.units)
+        vunits = []
+        absorbed: set[int] = set()
+        for unit, edges in zip(pv.units, pv.unit_edges):
+            if v in unit:
+                uset = set(unit)
+                subs = tuple(j for j, cu in enumerate(child_units) if uset.issuperset(cu))
+                absorbed.update(subs)
+                vunits.append((unit, edges, subs))
         return {
             "pv": pv,
-            "cv": cv,
-            "v": v,
             "vpos": pv.keep.index(v),
-            "vnbrs": vnbrs,
-            "comp_map": comp_map,
-            "vnew": vnew,
-            "vadj_old": tuple(sorted({cv.comp_of[u] for u in vnbrs})),
+            "comp_map": tuple(pv.comp_of[c[0]] for c in cv.comps),
+            "vnew": pv.comp_of[v],
+            "vunits": vunits,
+            "carried": tuple(j for j in range(len(child_units)) if j not in absorbed),
             "part_memo": {},
         }
 
@@ -463,8 +479,51 @@ class Engine:
         return res
 
     def _introduce_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
-        """Emit the moved family once per label v can survive with."""
-        raise NotImplementedError
+        """Emit the moved family once per label v can survive with.
+
+        A unit through v keeps the candidate patterns common to the child
+        units it absorbs and inherits their attached labels.  Its labels
+        must be distinct and none of them attached already; its patterns
+        must host its labeled shape and keep v apart from the attached
+        labels.
+        """
+        xk, lk, i, gh = key
+        pv: _View = ctx["pv"]
+        vpos = ctx["vpos"]
+        carried = [gh[j] for j in ctx["carried"]]
+        inherited = []
+        for unit, edges, subs in ctx["vunits"]:
+            hm = 0
+            allowed: frozenset[int] | None = None
+            for j in subs:
+                _, sid, shm = gh[j]
+                hm |= shm
+                cand = self.set_of(sid)
+                allowed = cand if allowed is None else (allowed & cand)
+            inherited.append((unit, edges, hm, allowed))
+        for lv in range(1, self.d + 1):
+            lkey_p = lk[:vpos] + (lv,) + lk[vpos:]
+            labs = dict(zip(pv.keep, lkey_p))
+            entries = list(carried)
+            for unit, edges, hm, allowed in inherited:
+                unit_mask = 0
+                for u in unit:
+                    unit_mask |= 1 << (labs[u] - 1)
+                if unit_mask.bit_count() < len(unit) or hm & unit_mask:
+                    break
+                csid = self.compat_set(unit, edges, labs)
+                if csid is None:
+                    break
+                pats = self.set_of(csid)
+                if allowed is not None:
+                    pats = pats & allowed
+                if hm:
+                    pats = {q for q in pats if not (hm & self.pat_adj[q].get(lv, 0))}
+                if not pats:
+                    break
+                entries.append((unit, self.intern(pats), hm))
+            else:
+                self.emit(table, xk, lkey_p, i, tuple(sorted(entries)), moved)
 
     # ------------------------------------------------------------------
     # forget
@@ -475,8 +534,6 @@ class Engine:
         for key in sorted(child, key=self._state_order):
             xk, lk, i, gh = key
             fam = child[key]
-            if not fam:
-                continue
             if v in xk:
                 if i + 1 <= self.k:
                     items: Iterable = fam.items()
@@ -502,13 +559,25 @@ class Engine:
         split: list[list[int]] = [[] for _ in cv.comps]
         for pidx, c in enumerate(pv.comps):
             split[cv.comp_of[c[0]]].append(pidx)
+        # a child unit through v sinks whole or splits into the parent units
+        # it contains; the child units avoiding v carry over
+        carried = []
+        pieces = []
+        for j, unit in enumerate(sorted(cv.units)):
+            if v not in unit:
+                carried.append(j)
+                continue
+            uset = set(unit)
+            inside = tuple(pu for pu in pv.units if uset.issuperset(pu))
+            if inside:
+                pieces.append((j, inside))
         return {
-            "cv": cv,
+            "keep": cv.keep,
             "pv": pv,
-            "v": v,
             "vpos": cv.keep.index(v),
-            "ucomp": cv.comp_of[v],
             "split": split,
+            "carried": tuple(carried),
+            "pieces": pieces,
             "part_memo": {},
         }
 
@@ -530,8 +599,19 @@ class Engine:
         return res
 
     def _forget_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
-        """Emit the moved family once per hypothesis branch for v's unit."""
-        raise NotImplementedError
+        """Emit the moved family once per hypothesis branch for v's units."""
+        xk, lk, i, gh = key
+        vpos = ctx["vpos"]
+        lv = lk[vpos]
+        lkey_p = lk[:vpos] + lk[vpos + 1 :]
+        labs = dict(zip(ctx["keep"], lk))
+        branch_lists: list[list[GhEntry]] = [[gh[j] for j in ctx["carried"]]]
+        for j, inside in ctx["pieces"]:
+            unit, sid, hm = gh[j]
+            options = self._sink_unit_branches(unit, sid, hm, lv, inside, labs)
+            branch_lists = [b + o for b in branch_lists for o in options]
+        for branch in branch_lists:
+            self.emit(table, xk, lkey_p, i, tuple(sorted(branch)), moved)
 
     def _sink_unit_branches(
         self,
@@ -587,8 +667,6 @@ class Engine:
         for rkey in sorted(right, key=self._state_order):
             rxk, rlk, ri, rgh = rkey
             rfam = right[rkey]
-            if not rfam:
-                continue
             for lkey, lgh in index.get((rxk, rlk), ()):
                 i = lkey[2] + ri
                 if i > self.k:
@@ -602,8 +680,6 @@ class Engine:
         """Left states by (X, L), each under every image with its own L."""
         index: dict[tuple, list[tuple[StateKey, tuple[GhEntry, ...]]]] = {}
         for key in sorted(left, key=self._state_order):
-            if not left[key]:
-                continue
             xk, lk, i, gh = key
             for l2, gh2 in self._images(lk, gh):
                 index.setdefault((xk, l2), []).append((key, gh2))
@@ -643,180 +719,3 @@ class Engine:
                     memo[pair] = joint
                 if joint is not False:
                     yield joint, (w1 | w2 if track else None)
-
-
-class BlockEngine(Engine):
-    """Tracks one hypothesis per non-trivial block of the bag graph."""
-
-    mode = "block"
-
-    def _introduce_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
-        xk, lk, i, gh = key
-        pv: _View = ctx["pv"]
-        v = ctx["v"]
-        vpos = ctx["vpos"]
-        if "_vunits" not in ctx:
-            cv: _View = ctx["cv"]
-            vunits = []
-            absorbed: set[tuple[int, ...]] = set()
-            for unit, edges in zip(pv.units, pv.unit_edges):
-                if v not in unit:
-                    continue
-                uset = set(unit)
-                subs = [cu for cu in cv.units if set(cu) <= uset]
-                absorbed.update(subs)
-                vunits.append((unit, edges, subs))
-            ctx["_vunits"] = vunits
-            ctx["_absorbed"] = absorbed
-        vunits = ctx["_vunits"]
-        absorbed = ctx["_absorbed"]
-        ghd = {unit: (sid, hm) for (unit, sid, hm) in gh}
-        carried = [e for e in gh if e[0] not in absorbed]
-        for lv in range(1, self.d + 1):
-            lkey_p = lk[:vpos] + (lv,) + lk[vpos:]
-            labs = dict(zip(pv.keep, lkey_p))
-            entries = list(carried)
-            dead = False
-            for unit, edges, subs in vunits:
-                hm_union = 0
-                allowed: frozenset[int] | None = None
-                for cu in subs:
-                    ssid, shm = ghd[cu]
-                    hm_union |= shm
-                    cand = self.set_of(ssid)
-                    allowed = cand if allowed is None else (allowed & cand)
-                unit_mask = 0
-                seen = 0
-                for u in unit:
-                    b = 1 << (labs[u] - 1)
-                    if seen & b:
-                        dead = True
-                        break
-                    seen |= b
-                    unit_mask |= b
-                if dead or (hm_union & unit_mask):
-                    dead = True
-                    break
-                csid = self.compat_set(unit, edges, labs)
-                if csid is None:
-                    dead = True
-                    break
-                pats = self.set_of(csid)
-                if allowed is not None:
-                    pats = pats & allowed
-                if hm_union:
-                    pats = {
-                        q for q in pats if not (hm_union & self.pat_adj[q].get(lv, 0))
-                    }
-                if not pats:
-                    dead = True
-                    break
-                entries.append((unit, self.intern(pats), hm_union))
-            if dead:
-                continue
-            self.emit(table, xk, lkey_p, i, tuple(sorted(entries)), moved)
-
-    def _forget_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
-        xk, lk, i, gh = key
-        cv: _View = ctx["cv"]
-        pv: _View = ctx["pv"]
-        v = ctx["v"]
-        vpos = ctx["vpos"]
-        lv = lk[vpos]
-        lkey_p = lk[:vpos] + lk[vpos + 1 :]
-        labs = dict(zip(cv.keep, lk))
-
-        carried: list[GhEntry] = []
-        branch_lists: list[list[GhEntry]] = [[]]
-        for (unit, sid, hm), edges in zip(gh, cv.unit_edges):
-            if v not in unit:
-                carried.append((unit, sid, hm))
-                continue
-            uset = set(unit)
-            pieces = [pu for pu in pv.units if set(pu) <= uset]
-            if not pieces:
-                continue  # the block sinks whole; nothing left to track
-            options = self._sink_unit_branches(unit, sid, hm, lv, pieces, labs)
-            branch_lists = [b + o for b in branch_lists for o in options]
-        for branch in branch_lists:
-            gh_p = tuple(sorted(carried + branch))
-            self.emit(table, xk, lkey_p, i, gh_p, moved)
-
-
-class ComponentEngine(Engine):
-    """Tracks one hypothesis per component of the bag graph.
-
-    Partition parts group bag components lying in one component of the
-    partial solution; components sharing a part are pinned to a common
-    pattern, which the slot machinery realizes by keeping multi-member
-    parts on single-pattern slots.
-    """
-
-    mode = "component"
-
-    def _introduce_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
-        xk, lk, i, gh = key
-        pv: _View = ctx["pv"]
-        vpos = ctx["vpos"]
-        vnew = ctx["vnew"]
-        comp_map = ctx["comp_map"]
-        merged_old = [o for o in range(len(comp_map)) if comp_map[o] == vnew]
-        vunit = pv.units[vnew]
-        vedges = pv.unit_edges[vnew]
-        for lv in range(1, self.d + 1):
-            lkey_p = lk[:vpos] + (lv,) + lk[vpos:]
-            labs = dict(zip(pv.keep, lkey_p))
-            hm_a = 0
-            allowed: frozenset[int] | None = None
-            for o in merged_old:
-                _, osid, ohm = gh[o]
-                hm_a |= ohm
-                cand = self.set_of(osid)
-                allowed = cand if allowed is None else (allowed & cand)
-            unit_mask = 0
-            seen = 0
-            dead = False
-            for u in vunit:
-                b = 1 << (labs[u] - 1)
-                if seen & b:
-                    dead = True
-                    break
-                seen |= b
-                unit_mask |= b
-            if dead or (hm_a & unit_mask):
-                continue
-            csid = self.compat_set(vunit, vedges, labs)
-            if csid is None:
-                continue
-            pats = self.set_of(csid)
-            if allowed is not None:
-                pats = pats & allowed
-            if hm_a:
-                pats = {q for q in pats if not (hm_a & self.pat_adj[q].get(lv, 0))}
-            if not pats:
-                continue
-            entries = [gh[o] for o in range(len(comp_map)) if comp_map[o] != vnew]
-            entries.append((vunit, self.intern(pats), hm_a))
-            self.emit(table, xk, lkey_p, i, tuple(sorted(entries)), moved)
-
-    def _forget_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
-        xk, lk, i, gh = key
-        cv: _View = ctx["cv"]
-        pv: _View = ctx["pv"]
-        v = ctx["v"]
-        vpos = ctx["vpos"]
-        ucomp = ctx["ucomp"]
-        lv = lk[vpos]
-        lkey_p = lk[:vpos] + lk[vpos + 1 :]
-        labs = dict(zip(cv.keep, lk))
-
-        carried = [gh[o] for o in range(len(gh)) if o != ucomp]
-        unit, sid, hm = gh[ucomp]
-        pieces = [pv.units[pidx] for pidx in ctx["split"][ucomp]]
-        if not pieces:
-            branch_lists: list[list[GhEntry]] = [[]]
-        else:
-            branch_lists = self._sink_unit_branches(unit, sid, hm, lv, pieces, labs)
-        for branch in branch_lists:
-            gh_p = tuple(sorted(carried + branch))
-            self.emit(table, xk, lkey_p, i, gh_p, moved)

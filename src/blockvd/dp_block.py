@@ -1,14 +1,15 @@
 """Bounded block vertex deletion on a nice tree decomposition.
 
-States combine a bag deletion set, a labeling of the rest, a used
-budget, and per-block shape hypotheses; families of boundary-component
-partitions are kept representative after every node.  See ``_dpcore``
-for the engine.
+``build_engine`` runs the one engine of ``_dpcore`` in block mode.  Its
+states combine a bag deletion set, a labeling of the rest, a used
+budget, and one shape hypothesis per non-trivial block of the bag graph;
+families of boundary-component partitions are kept representative after
+every node.
 """
 
 from __future__ import annotations
 
-from ._dpcore import BlockEngine, SolveResult, StateKey
+from ._dpcore import Engine, SolveResult, StateKey
 from .decomposition import NiceTreeDecomposition, heuristic_td, to_nice
 from .families import enumerate_ud, get_family
 from .instance import Instance
@@ -20,13 +21,13 @@ def build_engine(
     inst: Instance,
     ntd: NiceTreeDecomposition | None = None,
     witness: bool = False,
-) -> BlockEngine:
+) -> Engine:
     fam = get_family(inst.family)
     patterns = enumerate_ud(inst.d, fam)
     if ntd is None:
         td = inst.td if inst.td is not None else heuristic_td(inst.graph)
         ntd = to_nice(td, inst.graph)
-    return BlockEngine(inst.graph, inst.d, inst.k, patterns, ntd, witness=witness)
+    return Engine("block", inst.graph, inst.d, inst.k, patterns, ntd, witness=witness)
 
 
 def solve_block(
@@ -47,7 +48,7 @@ def solve_block(
 
 
 def intro_step(
-    engine: BlockEngine,
+    engine: Engine,
     bag: tuple[int, ...],
     v: int,
     child_table: dict,
@@ -60,7 +61,7 @@ def intro_step(
 
 
 def forget_step(
-    engine: BlockEngine,
+    engine: Engine,
     bag: tuple[int, ...],
     v: int,
     child_table: dict,
@@ -73,7 +74,7 @@ def forget_step(
 
 
 def join_step(
-    engine: BlockEngine,
+    engine: Engine,
     bag: tuple[int, ...],
     left_table: dict,
     right_table: dict,

@@ -1,8 +1,11 @@
 """Bounded component vertex deletion: the per-component variant of the DP.
 
-Shapes are tracked per bag component instead of per block, and
-partition parts additionally pin the pattern shared by the components
-they group; the engine lives in ``_dpcore``.
+``build_engine`` runs the one engine of ``_dpcore`` in component mode,
+which tracks one shape hypothesis per bag component where block mode
+tracks one per non-trivial block; every transition is shared.
+Components that sink together into one component below the bag are
+tied to one pattern, which the engine realizes with single-pattern
+slots.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Mapping, Sequence
 
-from ._dpcore import ComponentEngine, SolveResult
+from ._dpcore import Engine, SolveResult
 from .decomposition import NiceTreeDecomposition, heuristic_td, to_nice
 from .families import Pattern, enumerate_component_patterns, get_family
 from .graph import BoundariedGraph, induced_edges
@@ -22,13 +25,13 @@ def build_engine(
     inst: Instance,
     ntd: NiceTreeDecomposition | None = None,
     witness: bool = False,
-) -> ComponentEngine:
+) -> Engine:
     fam = get_family(inst.family)
     patterns = enumerate_component_patterns(inst.d, fam)
     if ntd is None:
         td = inst.td if inst.td is not None else heuristic_td(inst.graph)
         ntd = to_nice(td, inst.graph)
-    return ComponentEngine(inst.graph, inst.d, inst.k, patterns, ntd, witness=witness)
+    return Engine("component", inst.graph, inst.d, inst.k, patterns, ntd, witness=witness)
 
 
 def solve_component(

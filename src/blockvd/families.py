@@ -173,7 +173,12 @@ def _ud_cap(cap: int | None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get("BLOCKVD_UD_CAP")
-    return int(env) if env else DEFAULT_UD_CAP
+    if not env:
+        return DEFAULT_UD_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidInput(f"BLOCKVD_UD_CAP={env!r} is not an integer") from None
 
 
 def _label_subsets(d: int, min_size: int):

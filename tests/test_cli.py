@@ -232,13 +232,23 @@ class TestErrorPaths:
             ["td", "validate", "--graph", "c5.gr"],
             ["selftest", "--trials", "0"],
             ["selftest", "--trials", "-1"],
+            ["solve", "--mode", "block", "--family", "k1k2",
+             "-d", "3", "-k", "1", "--graph", "bin.gr"],
+            ["solve", "--mode", "component", "--family", "k1k2",
+             "-d", "3", "-k", "1", "--graph", "c5.gr", "--td", "bin.gr"],
+            ["td", "heuristic", "--graph", "bin.gr"],
+            ["td", "validate", "--graph", "c5.gr", "--td", "bin.gr"],
         ],
         ids=["solve-d-zero", "solve-k-negative", "enum-ud-d-negative",
              "gen-edge-not-integer", "gen-edge-out-of-range", "gen-planted-short",
              "solve-graph-directory", "td-validate-without-td",
-             "selftest-trials-zero", "selftest-trials-negative"],
+             "selftest-trials-zero", "selftest-trials-negative",
+             "solve-graph-not-utf8", "solve-td-not-utf8",
+             "td-graph-not-utf8", "td-td-not-utf8"],
     )
     def test_bad_input_exit_two_one_line(self, args, c5, monkeypatch, capsys):
+        # a UTF-16 byte-order mark is not valid UTF-8
+        (c5.parent / "bin.gr").write_bytes(b"\xff\xfep tw 5 5\n1 2\n")
         monkeypatch.chdir(c5.parent)
         code = main(args)
         out, err = capsys.readouterr()
@@ -246,6 +256,26 @@ class TestErrorPaths:
         assert out == ""
         assert len(err.splitlines()) == 1, err
         assert err.startswith("error:")
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--mode", "block", "--family", "k1k2",
+             "-d", "3", "-k", "1", "--graph", "c5.gr"],
+            ["enum-ud", "-d", "3", "--family", "k1k2"],
+        ],
+        ids=["solve", "enum-ud"],
+    )
+    def test_malformed_ud_cap_exit_two_one_line(self, args, c5, monkeypatch, capsys):
+        monkeypatch.chdir(c5.parent)
+        monkeypatch.setenv("BLOCKVD_UD_CAP", "x")
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error:") and "BLOCKVD_UD_CAP" in err
 
 
 class TestHashSeedIndependence:
