@@ -31,16 +31,22 @@ final shape (several blocks or components sinking together).  All
 checks are per-unit and independent of the stored partitions, which is
 what makes the representative-set reduction valid.
 
-States are canonicalized under permutations of the label alphabet,
-which act on L, patterns and h masks but never on partitions: the
-canonical (L, gh) is its least image over all d! permutations.  That
-image renumbers L by first appearance, so ``canon`` searches only the
-(d - u)! permutations of the labels absent from L, for u distinct
-labels in L.  The join pairs canonical states with equal (X, L) under
-each of those images of the left hypotheses; pairing the keys directly
-loses states.  Canonization is on for d <= 4: at d = 5 it speeds block
-mode up, but component mode relabels hundreds of patterns under every
-absent-label permutation and slows down severalfold.
+States are canonicalized under permutations of the label alphabet at
+every d.  A permutation acts on L, patterns and h masks but never on
+partitions, and the canonical (L, gh) is its least image over all d!
+permutations.  That image renumbers L by first appearance, so only the
+images that do so compete.  They are the orbit of one of them under the
+permutations of the u+1..d labels absent from L, for u distinct labels
+in L, and ``_images`` walks that orbit through the adjacent
+transpositions (j j+1), u < j < d: |orbit| * (d - u - 1) slot relabels
+instead of (d - u)!.  Component-mode slots are mostly symmetric in the
+absent labels, so their orbits are small.  A slot relabels only the
+patterns it holds, each through its integer code (label bits, then
+label-pair bits).  The join still needs every image, not just the
+least: each side was canonized on its own, so a left and a right state
+with equal (X, L) may agree only after the left one's absent labels are
+renamed.  The join therefore indexes each left state under every image
+with its own L; pairing the canonical keys directly loses states.
 
 A family maps each partition to its witness: the set of vertices deleted
 below the bag by one partial solution realizing it, or None when
@@ -53,7 +59,6 @@ the first witness of each partition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .decomposition import NiceTreeDecomposition
@@ -65,6 +70,16 @@ from .repset import rep_partitions
 StateKey = tuple[tuple[int, ...], tuple[int, ...], int, tuple]
 GhEntry = tuple[tuple[int, ...], int, int]  # (unit vertices, pattern-set id, h mask)
 Witness = frozenset[int]
+
+
+def _permute_bits(bits: Sequence[int], code: int) -> int:
+    """The union of bits[i] over the set bits i of code."""
+    out = 0
+    while code:
+        low = code & -code
+        out |= bits[low.bit_length() - 1]
+        code ^= low
+    return out
 
 
 @dataclass
@@ -102,28 +117,48 @@ class Engine:
         self.ntd = ntd
         self.track_witness = witness
         self.patterns = tuple(patterns)
-        self.pat_index = {p: i for i, p in enumerate(self.patterns)}
 
         # per-pattern adjacency masks: bit l-1 stands for label l
         self.pat_adj: list[dict[int, int]] = []
+        # integer codes: bit l-1 for label l, bit d + j for the j-th label
+        # pair (a, b), a < b, in lexicographic order
+        self._pair_bit = {
+            pair: d + j
+            for j, pair in enumerate(
+                (a, b) for a in range(1, d + 1) for b in range(a + 1, d + 1)
+            )
+        }
+        codes = []
         for p in self.patterns:
             adj = {l: 0 for l in p.labels}
+            code = 0
+            for l in p.labels:
+                code |= 1 << (l - 1)
             for a, b in p.edges:
                 adj[a] |= 1 << (b - 1)
                 adj[b] |= 1 << (a - 1)
+                code |= 1 << self._pair_bit[(a, b)]
             self.pat_adj.append(adj)
+            codes.append(code)
+        self._codes = tuple(codes)
+        self._code_index = {code: q for q, code in enumerate(codes)}
 
         # interned pattern sets (hypothesis slots)
         self._sets: list[frozenset[int]] = []
         self._set_ids: dict[frozenset[int], int] = {}
 
-        self.canonize = d <= 4
-        # label permutations sigma (sigma[l - 1] is the image of label l) by
-        # the order of first appearance they renumber, and their action on
-        # patterns and on hypothesis slots, built on first use
-        self._sigmas_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        self._pat_sigma: dict[tuple[int, ...], list[int]] = {}
-        self._slot_sigma: dict[tuple[tuple[int, ...], int, int], tuple[int, int]] = {}
+        # reference path: tests switch canonization off to compare against
+        self.canonize = True
+        # label permutations sigma (sigma[l - 1] is the image of label l):
+        # the adjacent transpositions (j j+1), the first-appearance
+        # renumbering of each order of labels, the bit map of each sigma on
+        # pattern codes and its action on hypothesis slots, built on first use
+        self._swaps = [
+            tuple(range(1, j)) + (j + 1, j) + tuple(range(j + 2, d + 1))
+            for j in range(1, d)
+        ]
+        self._sigma0_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._action_of: dict[tuple[int, ...], tuple[list[int], dict, dict]] = {}
         self._canon_memo: dict[tuple, tuple] = {}
         self._compat_memo: dict[tuple, int] = {}
         self._view_memo: dict[tuple[int, ...], _View] = {}
@@ -235,47 +270,67 @@ class Engine:
     # ------------------------------------------------------------------
     # canonization
 
-    def _sigma_slot(self, sigma: tuple[int, ...], sid: int, hm: int) -> tuple[int, int]:
-        """A hypothesis slot's pattern set and h mask under sigma."""
-        key = (sigma, sid, hm)
-        got = self._slot_sigma.get(key)
+    def _sigma_action(self, sigma: tuple[int, ...]) -> tuple[list[int], dict, dict]:
+        """Where sigma sends each bit of a pattern code or h mask, with its
+        memos on pattern indices and on hypothesis slots."""
+        got = self._action_of.get(sigma)
         if got is None:
-            table = self._pat_sigma.get(sigma)
-            if table is None:
-                smap = dict(enumerate(sigma, 1))
-                table = [self.pat_index[p.relabel(smap)] for p in self.patterns]
-                self._pat_sigma[sigma] = table
-            got = (
-                self.intern(table[q] for q in self._sets[sid]),
-                sum(1 << (s - 1) for l, s in enumerate(sigma) if hm >> l & 1),
-            )
-            self._slot_sigma[key] = got
+            bits = [1 << (s - 1) for s in sigma]
+            for a, b in self._pair_bit:
+                sa, sb = sigma[a - 1], sigma[b - 1]
+                bits.append(1 << self._pair_bit[(sa, sb) if sa < sb else (sb, sa)])
+            got = self._action_of[sigma] = (bits, {}, {})
         return got
+
+    def _sigma_gh(self, sigma: tuple[int, ...], gh: tuple[GhEntry, ...]) -> tuple[GhEntry, ...]:
+        """Hypotheses under sigma; each slot relabels only the patterns it holds."""
+        bits, pat_memo, slot_memo = self._sigma_action(sigma)
+        out = []
+        for unit, sid, hm in gh:
+            got = slot_memo.get((sid, hm))
+            if got is None:
+                pats = []
+                for q in self._sets[sid]:
+                    r = pat_memo.get(q)
+                    if r is None:
+                        r = pat_memo[q] = self._code_index[_permute_bits(bits, self._codes[q])]
+                    pats.append(r)
+                got = slot_memo[(sid, hm)] = (self.intern(pats), _permute_bits(bits, hm))
+            out.append((unit, *got))
+        return tuple(out)
 
     def _images(self, lkey: tuple[int, ...], gh: tuple[GhEntry, ...]) -> list[tuple]:
         """Distinct images of (L, gh) that renumber L by first appearance.
 
-        The permutations giving them differ only on the labels absent from
-        L.  Without canonization the only image is (L, gh) itself.
+        The renumbering sigma0 sends the u distinct labels of L to 1..u by
+        first appearance and the absent labels, in increasing order, to
+        u+1..d.  The other permutations giving such an image differ from
+        sigma0 by a permutation of u+1..d, so the images are the orbit of
+        sigma0(gh) under that group, walked through its generators (j j+1)
+        for u < j < d.  Without canonization the only image is (L, gh).
         """
         if not self.canonize:
             return [(lkey, gh)]
         order = tuple(dict.fromkeys(lkey))
-        sigmas = self._sigmas_of.get(order)
-        if sigmas is None:
+        sigma0 = self._sigma0_of.get(order)
+        if sigma0 is None:
             image = {l: new for new, l in enumerate(order, 1)}
             absent = [l for l in range(1, self.d + 1) if l not in image]
-            sigmas = []
-            for rest in permutations(range(len(order) + 1, self.d + 1)):
-                image.update(zip(absent, rest))
-                sigmas.append(tuple(image[l] for l in range(1, self.d + 1)))
-            self._sigmas_of[order] = sigmas
-        lc = tuple(sigmas[0][l - 1] for l in lkey)
-        ghs = dict.fromkeys(
-            tuple((unit, *self._sigma_slot(sigma, sid, hm)) for unit, sid, hm in gh)
-            for sigma in sigmas
-        )
-        return [(lc, gh2) for gh2 in ghs]
+            image.update(zip(absent, range(len(order) + 1, self.d + 1)))
+            sigma0 = self._sigma0_of[order] = tuple(image[l] for l in range(1, self.d + 1))
+        lc = tuple(sigma0[l - 1] for l in lkey)
+        swaps = self._swaps[len(order) :]
+        # lc == lkey when L is renumbered already, as in every stored
+        # state; sigma0 is then the identity
+        orbit = [gh if lc == lkey else self._sigma_gh(sigma0, gh)]
+        seen = set(orbit)
+        for gh2 in orbit:
+            for t in swaps:
+                gh3 = self._sigma_gh(t, gh2)
+                if gh3 not in seen:
+                    seen.add(gh3)
+                    orbit.append(gh3)
+        return [(lc, gh2) for gh2 in orbit]
 
     def canon(
         self, lkey: tuple[int, ...], gh: tuple[GhEntry, ...]

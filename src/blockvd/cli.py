@@ -50,9 +50,17 @@ def _emit(payload: dict, as_json: bool) -> None:
             print(f"{key}: {payload[key]}")
 
 
+def _read_input(path: str) -> str:
+    """The text of a --graph or --td file, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: {exc}") from None
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g = read_gr(Path(args.graph).read_text())
-    td = read_td(Path(args.td).read_text()) if args.td else None
+    g = read_gr(_read_input(args.graph))
+    td = read_td(_read_input(args.td)) if args.td else None
     inst = Instance(g, args.d, args.k, args.family, args.mode, td=td)
     t0 = time.perf_counter()
     payload: dict = {"schema": SCHEMA, "version": __version__, "mode": args.mode}
@@ -174,11 +182,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_td(args: argparse.Namespace) -> int:
-    g = read_gr(Path(args.graph).read_text())
+    g = read_gr(_read_input(args.graph))
     if args.action == "validate":
         if args.td is None:
             raise InvalidInput("td validate needs --td")
-        td = read_td(Path(args.td).read_text())
+        td = read_td(_read_input(args.td))
         bad = validate_td(g, td)
         if bad is None:
             print(f"ok: {td.num_nodes} bags, width {td.width}")
@@ -191,7 +199,7 @@ def _cmd_td(args: argparse.Namespace) -> int:
         td = exact_td_small(g, limit=args.limit)
     else:  # nice
         base = (
-            read_td(Path(args.td).read_text()) if args.td else heuristic_td(g)
+            read_td(_read_input(args.td)) if args.td else heuristic_td(g)
         )
         ntd = to_nice(base, g)
         print(
@@ -308,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (BlockvdError, OSError, UnicodeDecodeError) as exc:
+    except (BlockvdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,15 +4,18 @@ from pathlib import Path
 
 import pytest
 
+import blockvd
 from blockvd.graph import Graph
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+# the directory holding the blockvd package under test
+SRC = Path(blockvd.__file__).resolve().parents[1]
 
 
 def child_env(**extra: str) -> dict[str, str]:
     """``os.environ`` plus ``extra`` for a child ``python -m blockvd.cli``,
-    with the absolute ``src`` path put first on ``PYTHONPATH`` so that the
-    child imports ``blockvd`` whatever its working directory."""
+    with the absolute path of the package under test put first on
+    ``PYTHONPATH`` so that the child imports that same ``blockvd`` whatever
+    its working directory."""
     env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p

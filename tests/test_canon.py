@@ -2,18 +2,24 @@
 
 The canonical form of a state's (L, gh) is the lexicographic minimum of
 its images under all d! permutations of the label alphabet; the engine
-searches only the permutations that renumber L by first appearance.
-The reference here is the definition itself.
+reaches only the images that renumber L by first appearance, by walking
+the orbit of one of them under the permutations of the labels absent
+from L.  The reference here is the definition itself, computed with
+``Pattern.relabel``.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from itertools import permutations
 
 import pytest
 
 from blockvd import dp_block, dp_component
+from blockvd._dpcore import Engine
+from blockvd.decomposition import heuristic_td, to_nice
+from blockvd.families import Pattern, enumerate_component_patterns, enumerate_ud, get_family
 from blockvd.instance import Instance
 
 from conftest import random_graph
@@ -23,7 +29,7 @@ FAMILIES = ("k1k2", "cliques", "chordal")
 
 
 def instances(mode: str, count: int, seed: int):
-    """Small random instances at d in {3, 4}, all of width at most 4.
+    """Small random instances at d in {3, 4, 5}, all of width at most 4.
 
     At width 4 or less no family exceeds the representative-set bound,
     so no reduction runs and tables hold every realized partition.
@@ -33,7 +39,7 @@ def instances(mode: str, count: int, seed: int):
     while len(out) < count:
         n = rng.randint(6, 8)
         g = random_graph(rng, n, rng.randint(n - 1, int(n * 1.5)))
-        inst = Instance(g, rng.choice([3, 4]), rng.randint(1, 4), rng.choice(FAMILIES), mode)
+        inst = Instance(g, rng.choice([3, 4, 5]), rng.randint(1, 4), rng.choice(FAMILIES), mode)
         engine = BUILD[mode](inst)
         if engine.ntd.width <= 4:
             out.append(inst)
@@ -50,20 +56,27 @@ def permute_mask(sigma: tuple[int, ...], mask: int) -> int:
     return sum(1 << (s - 1) for l, s in enumerate(sigma) if mask >> l & 1)
 
 
+# per engine: pattern -> index, and per sigma the image index of each pattern
+_RELABEL: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def sigma_image(engine, sigma: tuple[int, ...], lkey, gh):
     """(L, gh) under sigma, which sends label l to sigma[l - 1]."""
-    smap = dict(enumerate(sigma, 1))
-    pats = engine.patterns
+    index, by_sigma = _RELABEL.setdefault(
+        engine, ({p: q for q, p in enumerate(engine.patterns)}, {})
+    )
+    memo = by_sigma.setdefault(sigma, {})
+
+    def image(q: int) -> int:
+        got = memo.get(q)
+        if got is None:
+            got = memo[q] = index[engine.patterns[q].relabel(dict(enumerate(sigma, 1)))]
+        return got
+
     return (
         tuple(sigma[l - 1] for l in lkey),
         tuple(
-            (
-                unit,
-                engine.intern(
-                    engine.pat_index[pats[q].relabel(smap)] for q in engine.set_of(sid)
-                ),
-                permute_mask(sigma, hm),
-            )
+            (unit, engine.intern(map(image, engine.set_of(sid))), permute_mask(sigma, hm))
             for unit, sid, hm in gh
         ),
     )
@@ -116,14 +129,78 @@ def test_join_index_holds_the_images_with_an_equal_label_key(mode):
             assert set(got) == {key for key, fam in left.items() if fam}
             for key, ghs in got.items():
                 _, lk, _, gh = key
-                want = set()
-                for sigma in sigmas:
-                    l2, gh2 = sigma_image(engine, sigma, lk, gh)
-                    if l2 == lk:
-                        want.add(gh2)
+                want = {
+                    sigma_image(engine, sigma, lk, gh)[1]
+                    for sigma in sigmas
+                    if all(sigma[l - 1] == l for l in lk)
+                }
                 assert len(ghs) == len(want)
                 assert set(ghs) == want
     assert joins > 0
+
+
+def clique_patterns(d: int, min_labels: int) -> tuple[Pattern, ...]:
+    """The cliques family's patterns on label subsets of [d], in engine order.
+
+    Built directly, because enumerating a universe at d = 6 takes a second
+    or more whatever the family.
+    """
+    out = []
+    for mask in range(1, 1 << d):
+        labels = [l for l in range(1, d + 1) if mask >> (l - 1) & 1]
+        if len(labels) >= min_labels:
+            edges = frozenset((a, b) for a in labels for b in labels if a < b)
+            out.append(Pattern(frozenset(labels), edges))
+    return tuple(sorted(out, key=Pattern.sort_key))
+
+
+def test_clique_patterns_match_the_enumerated_universes():
+    cliques = get_family("cliques")
+    assert clique_patterns(5, 2) == enumerate_ud(5, cliques)
+    assert clique_patterns(5, 1) == enumerate_component_patterns(5, cliques)
+
+
+def universe(mode: str, d: int, family: str) -> tuple[Pattern, ...]:
+    if family == "cliques":
+        return clique_patterns(d, 2 if mode == "block" else 1)
+    enum = enumerate_ud if mode == "block" else enumerate_component_patterns
+    return enum(d, get_family(family))
+
+
+def first_appearance_images(engine, lkey, gh) -> set:
+    """The reference image set: (L, gh) under each of the (d - u)!
+    permutations that renumber L by first appearance."""
+    d = engine.d
+    order = tuple(dict.fromkeys(lkey))
+    absent = [l for l in range(1, d + 1) if l not in order]
+    want = set()
+    for rest in permutations(range(len(order) + 1, d + 1)):
+        image = dict(zip(order, range(1, len(order) + 1)))
+        image.update(zip(absent, rest))
+        want.add(sigma_image(engine, tuple(image[l] for l in range(1, d + 1)), lkey, gh))
+    return want
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+@pytest.mark.parametrize("d, family", [(5, "chordal"), (5, "cliques"), (6, "cliques")])
+def test_images_are_the_first_appearance_images(mode, d, family):
+    rng = random.Random(d)
+    g = random_graph(rng, 7, 10)
+    engine = Engine(mode, g, d, 2, universe(mode, d, family), to_nice(heuristic_td(g), g))
+    states = [key for t in kept_tables(engine).values() for key in t]
+    sigmas = list(permutations(range(1, d + 1)))
+    images = checked = 0
+    for xk, lk, i, gh in rng.sample(states, min(len(states), 25)):
+        # a stored state renumbers L by first appearance already; a moved
+        # copy of it does not
+        for lkey, gh2 in ((lk, gh), sigma_image(engine, rng.choice(sigmas), lk, gh)):
+            got = engine._images(lkey, gh2)
+            assert len(set(got)) == len(got)
+            assert set(got) == first_appearance_images(engine, lkey, gh2)
+            images += len(got)
+            checked += 1
+    # some orbits hold more than one image
+    assert images > checked
 
 
 def id_free(engine, key):
@@ -178,10 +255,13 @@ def test_canonization_only_merges_label_permutation_orbits(mode):
             orbit_of: dict = {}
             merged: dict[frozenset, set] = {}
             for key, fam in off_tables[node].items():
-                orbit = orbit_images(id_free(off, key), sigmas, relabel)
+                free = id_free(off, key)
+                orbit = orbit_of.get(free)
+                if orbit is None:
+                    orbit = orbit_images(free, sigmas, relabel)
+                    for image in orbit:
+                        orbit_of[image] = orbit
                 merged.setdefault(orbit, set()).update(fam)
-                for image in orbit:
-                    orbit_of[image] = orbit
             seen = set()
             for key, fam in on_tables[node].items():
                 orbit = orbit_of.get(id_free(on, key))

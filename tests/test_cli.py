@@ -256,6 +256,9 @@ class TestErrorPaths:
         assert out == ""
         assert len(err.splitlines()) == 1, err
         assert err.startswith("error:")
+        if "bin.gr" in args:
+            # the line names the file that is not UTF-8
+            assert "bin.gr" in err, err
 
 
     @pytest.mark.parametrize(

@@ -54,40 +54,40 @@ EXPECTED = {
     3: (False, 75, 75, None),
     4: (True, 214, 218, None),
     5: (True, 497, 497, None),
-    6: (True, 1373, 1373, None),
-    7: (False, 382, 382, None),
+    6: (True, 179, 179, None),
+    7: (False, 44, 44, None),
     8: (False, 116, 116, None),
     9: (True, 61, 61, (1,)),
     10: (True, 191, 191, ()),
     11: (False, 194, 194, None),
     12: (True, 76, 76, (6,)),
     13: (True, 203, 203, (0, 2)),
-    14: (True, 1809, 1809, (3,)),
-    15: (True, 650, 650, (2, 4)),
+    14: (True, 210, 210, (3,)),
+    15: (True, 75, 75, (2, 4)),
     16: (True, 144, 144, None),
     17: (True, 215, 215, None),
     18: (True, 205, 205, None),
     19: (True, 81, 81, None),
     20: (True, 66, 66, None),
     21: (False, 241, 241, None),
-    22: (True, 1559, 1559, None),
-    23: (True, 16951, 16951, None),
+    22: (True, 126, 126, None),
+    23: (True, 339, 339, None),
     24: (True, 73, 73, (3,)),
     25: (True, 159, 159, (1,)),
     26: (True, 118, 118, (2,)),
     27: (True, 77, 77, (0,)),
     28: (True, 179, 187, (6,)),
     29: (True, 640, 640, (5, 8)),
-    30: (True, 677, 677, (3,)),
-    31: (False, 2708, 2708, None),
+    30: (True, 91, 91, (3,)),
+    31: (False, 188, 188, None),
     32: (True, 207, 215, None),
     33: (True, 195, 195, None),
     34: (True, 89, 89, None),
     35: (True, 248, 248, None),
     36: (False, 208, 208, None),
     37: (True, 117, 117, None),
-    38: (True, 274, 274, None),
-    39: (True, 860, 860, None),
+    38: (True, 49, 49, None),
+    39: (True, 104, 104, None),
 }
 
 
