@@ -24,10 +24,14 @@ never runs.
 Hypothesis slots hold pattern *sets* rather than single patterns: a
 state with slot S stands for the union of the single-pattern states over
 S, which all carry the same family until some transition distinguishes
-them.  Transitions intersect and filter the sets, split them when an
-outcome (a propagated neighbor-label set) differs between candidates,
-and collapse them to singletons where two units become tied to one
-final shape (several blocks or components sinking together).  All
+them.  A slot is an int bitset over the pattern universe, bit q standing
+for ``Engine.patterns[q]``, so every operation on it is mask arithmetic
+against two per-engine tables: ``has[i]``, the patterns holding label
+i + 1, and ``edge[i][j]``, the patterns with the edge between labels
+i + 1 and j + 1.  Transitions intersect and filter the slots, split them
+when an outcome (a propagated neighbor-label set) differs between
+candidates, and collapse them to singletons where two units become tied
+to one final shape (several blocks or components sinking together).  All
 checks are per-unit and independent of the stored partitions, which is
 what makes the representative-set reduction valid.
 
@@ -59,6 +63,7 @@ the first witness of each partition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .decomposition import NiceTreeDecomposition
@@ -68,8 +73,30 @@ from .partitions import Partition, inc_is_forest, uplus
 from .repset import rep_partitions
 
 StateKey = tuple[tuple[int, ...], tuple[int, ...], int, tuple]
-GhEntry = tuple[tuple[int, ...], int, int]  # (unit vertices, pattern-set id, h mask)
+GhEntry = tuple[tuple[int, ...], int, int]  # (unit vertices, pattern mask, h mask)
 Witness = frozenset[int]
+
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask in increasing order.
+
+    Linear in the length of mask: its binary digits, lowest first, select
+    from the bit positions.  Clearing the lowest bit one at a time copies
+    the whole int per bit, which is quadratic on the slot masks of large
+    pattern universes.
+    """
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
+    return list(compress(range(len(digits)), digits))
+
+
+def _mask_of(bits: Iterable[int], size: int) -> int:
+    """The mask with the given bits set, all below size."""
+    buf = bytearray((size + 7) >> 3)
+    for q in bits:
+        buf[q >> 3] |= 1 << (q & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _permute_bits(bits: Sequence[int], code: int) -> int:
@@ -118,8 +145,6 @@ class Engine:
         self.track_witness = witness
         self.patterns = tuple(patterns)
 
-        # per-pattern adjacency masks: bit l-1 stands for label l
-        self.pat_adj: list[dict[int, int]] = []
         # integer codes: bit l-1 for label l, bit d + j for the j-th label
         # pair (a, b), a < b, in lexicographic order
         self._pair_bit = {
@@ -128,24 +153,28 @@ class Engine:
                 (a, b) for a in range(1, d + 1) for b in range(a + 1, d + 1)
             )
         }
+        # slot masks over the universe, indexed like h masks (position l - 1
+        # for label l): has[i] holds the patterns with label i + 1 and
+        # edge[i][j] those with the edge between labels i + 1 and j + 1
+        has: list[list[int]] = [[] for _ in range(d)]
+        edge: list[list[list[int]]] = [[[] for _ in range(d)] for _ in range(d)]
         codes = []
-        for p in self.patterns:
-            adj = {l: 0 for l in p.labels}
+        for q, p in enumerate(self.patterns):
             code = 0
             for l in p.labels:
+                has[l - 1].append(q)
                 code |= 1 << (l - 1)
             for a, b in p.edges:
-                adj[a] |= 1 << (b - 1)
-                adj[b] |= 1 << (a - 1)
+                edge[a - 1][b - 1].append(q)
+                edge[b - 1][a - 1].append(q)
                 code |= 1 << self._pair_bit[(a, b)]
-            self.pat_adj.append(adj)
             codes.append(code)
+        size = len(self.patterns)
+        self.full = (1 << size) - 1
+        self.has = [_mask_of(qs, size) for qs in has]
+        self.edge = [[_mask_of(qs, size) for qs in row] for row in edge]
         self._codes = tuple(codes)
         self._code_index = {code: q for q, code in enumerate(codes)}
-
-        # interned pattern sets (hypothesis slots)
-        self._sets: list[frozenset[int]] = []
-        self._set_ids: dict[frozenset[int], int] = {}
 
         # reference path: tests switch canonization off to compare against
         self.canonize = True
@@ -162,26 +191,10 @@ class Engine:
         self._canon_memo: dict[tuple, tuple] = {}
         self._compat_memo: dict[tuple, int] = {}
         self._view_memo: dict[tuple[int, ...], _View] = {}
-        self._adjset_memo: dict[tuple[int, int], int] = {}
+        self._linked_memo: dict[tuple[int, int], int] = {}
         # (p1, p2) -> uplus(p1, p2), or False when their joint has a cycle
         self._join_memo: dict[tuple[Partition, Partition], Partition | bool] = {}
         self.stats = {"states": 0, "retained": 0, "nodes": ntd.num_nodes}
-
-    # ------------------------------------------------------------------
-    # pattern-set interning
-
-    def intern(self, pats: Iterable[int]) -> int:
-        fs = frozenset(pats)
-        got = self._set_ids.get(fs)
-        if got is not None:
-            return got
-        sid = len(self._sets)
-        self._sets.append(fs)
-        self._set_ids[fs] = sid
-        return sid
-
-    def set_of(self, sid: int) -> frozenset[int]:
-        return self._sets[sid]
 
     # ------------------------------------------------------------------
     # small helpers
@@ -229,43 +242,37 @@ class Engine:
         unit: tuple[int, ...],
         edges: Sequence[tuple[int, int]],
         lab: Mapping[int, int],
-    ) -> int | None:
-        """Interned set of patterns hosting the unit's labeled shape, or None."""
-        labs = tuple(lab[u] for u in unit)
+    ) -> int:
+        """Mask of the patterns hosting the unit's labeled shape (0 if none)."""
+        labs = sorted(lab[u] for u in unit)
         if len(set(labs)) != len(labs):
-            return None
+            return 0
         mapped = frozenset((min(lab[a], lab[b]), max(lab[a], lab[b])) for a, b in edges)
-        key = (frozenset(labs), mapped)
+        key = (tuple(labs), mapped)
         got = self._compat_memo.get(key)
-        if got is not None:
-            return got if got >= 0 else None
-        labset = set(labs)
-        out = [
-            pi
-            for pi, p in enumerate(self.patterns)
-            if labset <= p.labels and p.induced(labset) == mapped
-        ]
-        if not out:
-            self._compat_memo[key] = -1
-            return None
-        sid = self.intern(out)
-        self._compat_memo[key] = sid
-        return sid
+        if got is None:
+            got = self.full
+            for j, a in enumerate(labs):
+                got &= self.has[a - 1]
+                row = self.edge[a - 1]
+                for b in labs[j + 1 :]:
+                    got &= row[b - 1] if (a, b) in mapped else ~row[b - 1]
+            self._compat_memo[key] = got
+        return got
 
-    def adj_union(self, q: int, mask: int) -> int:
-        """Union of pattern neighborhoods over the labels in the mask."""
-        got = self._adjset_memo.get((q, mask))
-        if got is not None:
-            return got
-        out = 0
-        m = mask
-        adj = self.pat_adj[q]
-        while m:
-            low = m & (-m)
-            out |= adj.get(low.bit_length(), 0)
-            m ^= low
-        self._adjset_memo[(q, mask)] = out
-        return out
+    def linked(self, amask: int, bmask: int) -> int:
+        """Mask of the patterns with an edge between a label in amask and
+        a label in bmask."""
+        key = (amask, bmask)
+        got = self._linked_memo.get(key)
+        if got is None:
+            got = 0
+            for i in _bits(amask):
+                row = self.edge[i]
+                for j in _bits(bmask):
+                    got |= row[j]
+            self._linked_memo[key] = got
+        return got
 
     # ------------------------------------------------------------------
     # canonization
@@ -286,16 +293,17 @@ class Engine:
         """Hypotheses under sigma; each slot relabels only the patterns it holds."""
         bits, pat_memo, slot_memo = self._sigma_action(sigma)
         out = []
-        for unit, sid, hm in gh:
-            got = slot_memo.get((sid, hm))
+        for unit, pats, hm in gh:
+            got = slot_memo.get((pats, hm))
             if got is None:
-                pats = []
-                for q in self._sets[sid]:
+                image = []
+                for q in _bits(pats):
                     r = pat_memo.get(q)
                     if r is None:
                         r = pat_memo[q] = self._code_index[_permute_bits(bits, self._codes[q])]
-                    pats.append(r)
-                got = slot_memo[(sid, hm)] = (self.intern(pats), _permute_bits(bits, hm))
+                    image.append(r)
+                got = (_mask_of(image, len(self.patterns)), _permute_bits(bits, hm))
+                slot_memo[(pats, hm)] = got
             out.append((unit, *got))
         return tuple(out)
 
@@ -373,11 +381,6 @@ class Engine:
             if fam is None:
                 fam = table[key] = {}
             fam[part] = wit
-
-    @staticmethod
-    def _state_order(key: StateKey):
-        # deletion sets by increasing size, then lexicographic everything
-        return (len(key[0]), key)
 
     def reduce_table(self, table: dict) -> None:
         for key, fam in table.items():
@@ -460,9 +463,8 @@ class Engine:
     def _introduce(self, bag: tuple[int, ...], v: int, child: dict) -> dict:
         table: dict = {}
         ctx_cache: dict[tuple[int, ...], dict] = {}
-        for key in sorted(child, key=self._state_order):
+        for key, fam in child.items():
             xk, lk, i, gh = key
-            fam = child[key]
             # v joins the deleted set: nothing else changes
             self.emit(table, tuple(sorted(xk + (v,))), lk, i, gh, fam.items())
             # v survives with some label; the family moves the same way
@@ -549,12 +551,11 @@ class Engine:
         inherited = []
         for unit, edges, subs in ctx["vunits"]:
             hm = 0
-            allowed: frozenset[int] | None = None
+            allowed = self.full
             for j in subs:
-                _, sid, shm = gh[j]
+                _, pats, shm = gh[j]
                 hm |= shm
-                cand = self.set_of(sid)
-                allowed = cand if allowed is None else (allowed & cand)
+                allowed &= pats
             inherited.append((unit, edges, hm, allowed))
         for lv in range(1, self.d + 1):
             lkey_p = lk[:vpos] + (lv,) + lk[vpos:]
@@ -566,17 +567,12 @@ class Engine:
                     unit_mask |= 1 << (labs[u] - 1)
                 if unit_mask.bit_count() < len(unit) or hm & unit_mask:
                     break
-                csid = self.compat_set(unit, edges, labs)
-                if csid is None:
-                    break
-                pats = self.set_of(csid)
-                if allowed is not None:
-                    pats = pats & allowed
+                pats = self.compat_set(unit, edges, labs) & allowed
                 if hm:
-                    pats = {q for q in pats if not (hm & self.pat_adj[q].get(lv, 0))}
+                    pats &= ~self.linked(1 << (lv - 1), hm)
                 if not pats:
                     break
-                entries.append((unit, self.intern(pats), hm))
+                entries.append((unit, pats, hm))
             else:
                 self.emit(table, xk, lkey_p, i, tuple(sorted(entries)), moved)
 
@@ -586,9 +582,8 @@ class Engine:
     def _forget(self, bag: tuple[int, ...], v: int, child: dict) -> dict:
         table: dict = {}
         ctx_cache: dict[tuple[int, ...], dict] = {}
-        for key in sorted(child, key=self._state_order):
+        for key, fam in child.items():
             xk, lk, i, gh = key
-            fam = child[key]
             if v in xk:
                 if i + 1 <= self.k:
                     items: Iterable = fam.items()
@@ -662,8 +657,8 @@ class Engine:
         labs = dict(zip(ctx["keep"], lk))
         branch_lists: list[list[GhEntry]] = [[gh[j] for j in ctx["carried"]]]
         for j, inside in ctx["pieces"]:
-            unit, sid, hm = gh[j]
-            options = self._sink_unit_branches(unit, sid, hm, lv, inside, labs)
+            unit, pats, hm = gh[j]
+            options = self._sink_unit_branches(unit, pats, hm, lv, inside, labs)
             branch_lists = [b + o for b in branch_lists for o in options]
         for branch in branch_lists:
             self.emit(table, xk, lkey_p, i, tuple(sorted(branch)), moved)
@@ -671,12 +666,12 @@ class Engine:
     def _sink_unit_branches(
         self,
         unit: tuple[int, ...],
-        sid: int,
+        cands: int,
         hm: int,
         lv: int,
         pieces: Sequence[tuple[int, ...]],
         labs: Mapping[int, int],
-    ) -> list[list[GhEntry]] | None:
+    ) -> list[list[GhEntry]]:
         """Hypothesis branches for a unit losing v to the region below.
 
         Every remaining piece inherits the sunk unit's pattern and learns
@@ -686,32 +681,32 @@ class Engine:
         can stay pooled; several pieces are tied to one final shape, so
         the pool must split into single-pattern branches.
         """
-        cands = self.set_of(sid)
-        piece_masks = []
+        lvbit = 1 << (lv - 1)
+        # per piece: attached-label mask -> the candidates inducing it
+        grouped = []
         for piece in pieces:
             amask = 0
             for u in piece:
                 amask |= 1 << (labs[u] - 1)
-            piece_masks.append(amask)
-        lvbit = 1 << (lv - 1)
+            groups = {lvbit: cands}
+            for j in _bits(hm & ~amask & ~lvbit):
+                near = self.linked(amask, 1 << j)
+                split = {}
+                for hv, qs in groups.items():
+                    inside, outside = qs & near, qs & ~near
+                    if inside:
+                        split[hv | 1 << j] = inside
+                    if outside:
+                        split[hv] = outside
+                groups = split
+            grouped.append(groups)
         if len(pieces) == 1:
-            amask = piece_masks[0]
-            groups: dict[int, list[int]] = {}
-            for q in sorted(cands):
-                hv = lvbit | (self.adj_union(q, amask) & ~amask & hm)
-                groups.setdefault(hv, []).append(q)
-            return [
-                [(pieces[0], self.intern(qs), hv)] for hv, qs in sorted(groups.items())
-            ]
-        out = []
-        for q in sorted(cands):
-            opt: list[GhEntry] = []
-            qid = self.intern((q,))
-            for piece, amask in zip(pieces, piece_masks):
-                hv = lvbit | (self.adj_union(q, amask) & ~amask & hm)
-                opt.append((piece, qid, hv))
-            out.append(opt)
-        return out
+            return [[(pieces[0], qs, hv)] for hv, qs in sorted(grouped[0].items())]
+        hv_of = [{q: hv for hv, qs in groups.items() for q in _bits(qs)} for groups in grouped]
+        return [
+            [(piece, 1 << q, hvs[q]) for piece, hvs in zip(pieces, hv_of)]
+            for q in _bits(cands)
+        ]
 
     # ------------------------------------------------------------------
     # join
@@ -719,9 +714,7 @@ class Engine:
     def _join(self, bag: tuple[int, ...], left: dict, right: dict) -> dict:
         table: dict = {}
         index = self._join_index(left)
-        for rkey in sorted(right, key=self._state_order):
-            rxk, rlk, ri, rgh = rkey
-            rfam = right[rkey]
+        for (rxk, rlk, ri, rgh), rfam in right.items():
             for lkey, lgh in index.get((rxk, rlk), ()):
                 i = lkey[2] + ri
                 if i > self.k:
@@ -734,7 +727,7 @@ class Engine:
     def _join_index(self, left: dict) -> dict[tuple, list]:
         """Left states by (X, L), each under every image with its own L."""
         index: dict[tuple, list[tuple[StateKey, tuple[GhEntry, ...]]]] = {}
-        for key in sorted(left, key=self._state_order):
+        for key in left:
             xk, lk, i, gh = key
             for l2, gh2 in self._images(lk, gh):
                 index.setdefault((xk, l2), []).append((key, gh2))
@@ -745,18 +738,16 @@ class Engine:
     ) -> tuple[GhEntry, ...] | None:
         """Per-unit combination of two sides' hypotheses, or None when dead."""
         entries: list[GhEntry] = []
-        for (u1, s1, h1), (u2, s2, h2) in zip(lgh, rgh):
+        for (u1, p1, h1), (u2, p2, h2) in zip(lgh, rgh):
             assert u1 == u2
             if h1 & h2:
                 return None
-            common = self.set_of(s1) & self.set_of(s2)
+            common = p1 & p2
+            if h1 and h2:
+                common &= ~self.linked(h1, h2)
             if not common:
                 return None
-            if h1 and h2:
-                common = {q for q in common if not (self.adj_union(q, h1) & h2)}
-                if not common:
-                    return None
-            entries.append((u1, self.intern(common), h1 | h2))
+            entries.append((u1, common, h1 | h2))
         return tuple(entries)
 
     def _joints(

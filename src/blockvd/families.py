@@ -7,7 +7,7 @@ questions reduce to set comparisons.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .errors import CapExceeded, IncompatibleBoundary, InvalidInput, NonChordalFamily
@@ -122,8 +122,6 @@ class PFamilySpec:
     """
 
     name: str
-    chordal_only: bool
-    block_hereditary: bool = field(default=True)
 
     def contains(self, vertices: frozenset[int], edges: frozenset[tuple[int, int]]) -> bool:
         n = len(vertices)
@@ -152,11 +150,11 @@ class PFamilySpec:
 
 
 FAMILIES: dict[str, PFamilySpec] = {
-    "k1k2": PFamilySpec("k1k2", chordal_only=True),
-    "cliques": PFamilySpec("cliques", chordal_only=True),
-    "chordal": PFamilySpec("chordal", chordal_only=True),
-    "cycles": PFamilySpec("cycles", chordal_only=False),
-    "all": PFamilySpec("all", chordal_only=False),
+    "k1k2": PFamilySpec("k1k2"),
+    "cliques": PFamilySpec("cliques"),
+    "chordal": PFamilySpec("chordal"),
+    "cycles": PFamilySpec("cycles"),
+    "all": PFamilySpec("all"),
 }
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import blockvd
+from blockvd.families import Pattern
 from blockvd.graph import Graph
 
 # the directory holding the blockvd package under test
@@ -67,3 +68,23 @@ def complete(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def members(mask: int) -> set[int]:
+    """The pattern indices whose bits are set in a slot mask."""
+    return {q for q in range(mask.bit_length()) if mask >> q & 1}
+
+
+def clique_patterns(d: int, min_labels: int) -> tuple[Pattern, ...]:
+    """The cliques family's patterns on label subsets of [d], in engine order.
+
+    Built directly, because enumerating a universe at d = 6 takes a second
+    or more whatever the family.
+    """
+    out = []
+    for mask in range(1, 1 << d):
+        labels = [l for l in range(1, d + 1) if mask >> (l - 1) & 1]
+        if len(labels) >= min_labels:
+            edges = frozenset((a, b) for a in labels for b in labels if a < b)
+            out.append(Pattern(frozenset(labels), edges))
+    return tuple(sorted(out, key=Pattern.sort_key))

@@ -22,7 +22,7 @@ from blockvd.decomposition import heuristic_td, to_nice
 from blockvd.families import Pattern, enumerate_component_patterns, enumerate_ud, get_family
 from blockvd.instance import Instance
 
-from conftest import random_graph
+from conftest import clique_patterns, members, random_graph
 
 BUILD = {"block": dp_block.build_engine, "component": dp_component.build_engine}
 FAMILIES = ("k1k2", "cliques", "chordal")
@@ -76,8 +76,8 @@ def sigma_image(engine, sigma: tuple[int, ...], lkey, gh):
     return (
         tuple(sigma[l - 1] for l in lkey),
         tuple(
-            (unit, engine.intern(map(image, engine.set_of(sid))), permute_mask(sigma, hm))
-            for unit, sid, hm in gh
+            (unit, sum(1 << image(q) for q in members(pats)), permute_mask(sigma, hm))
+            for unit, pats, hm in gh
         ),
     )
 
@@ -139,21 +139,6 @@ def test_join_index_holds_the_images_with_an_equal_label_key(mode):
     assert joins > 0
 
 
-def clique_patterns(d: int, min_labels: int) -> tuple[Pattern, ...]:
-    """The cliques family's patterns on label subsets of [d], in engine order.
-
-    Built directly, because enumerating a universe at d = 6 takes a second
-    or more whatever the family.
-    """
-    out = []
-    for mask in range(1, 1 << d):
-        labels = [l for l in range(1, d + 1) if mask >> (l - 1) & 1]
-        if len(labels) >= min_labels:
-            edges = frozenset((a, b) for a in labels for b in labels if a < b)
-            out.append(Pattern(frozenset(labels), edges))
-    return tuple(sorted(out, key=Pattern.sort_key))
-
-
 def test_clique_patterns_match_the_enumerated_universes():
     cliques = get_family("cliques")
     assert clique_patterns(5, 2) == enumerate_ud(5, cliques)
@@ -203,16 +188,16 @@ def test_images_are_the_first_appearance_images(mode, d, family):
     assert images > checked
 
 
-def id_free(engine, key):
-    """A state key with pattern sets in place of set ids."""
+def index_free(engine, key):
+    """A state key with pattern sets in place of pattern-index masks."""
     xk, lk, i, gh = key
     return (
         xk,
         lk,
         i,
         tuple(
-            (unit, frozenset(engine.patterns[q] for q in engine.set_of(sid)), hm)
-            for unit, sid, hm in gh
+            (unit, frozenset(engine.patterns[q] for q in members(pats)), hm)
+            for unit, pats, hm in gh
         ),
     )
 
@@ -255,7 +240,7 @@ def test_canonization_only_merges_label_permutation_orbits(mode):
             orbit_of: dict = {}
             merged: dict[frozenset, set] = {}
             for key, fam in off_tables[node].items():
-                free = id_free(off, key)
+                free = index_free(off, key)
                 orbit = orbit_of.get(free)
                 if orbit is None:
                     orbit = orbit_images(free, sigmas, relabel)
@@ -264,7 +249,7 @@ def test_canonization_only_merges_label_permutation_orbits(mode):
                 merged.setdefault(orbit, set()).update(fam)
             seen = set()
             for key, fam in on_tables[node].items():
-                orbit = orbit_of.get(id_free(on, key))
+                orbit = orbit_of.get(index_free(on, key))
                 assert orbit is not None, (node, key)
                 assert orbit not in seen, (node, key)
                 seen.add(orbit)

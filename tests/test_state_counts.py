@@ -62,8 +62,8 @@ EXPECTED = {
     11: (False, 194, 194, None),
     12: (True, 76, 76, (6,)),
     13: (True, 203, 203, (0, 2)),
-    14: (True, 210, 210, (3,)),
-    15: (True, 75, 75, (2, 4)),
+    14: (True, 210, 210, (6,)),
+    15: (True, 75, 75, (3, 4)),
     16: (True, 144, 144, None),
     17: (True, 215, 215, None),
     18: (True, 205, 205, None),
@@ -74,7 +74,7 @@ EXPECTED = {
     23: (True, 339, 339, None),
     24: (True, 73, 73, (3,)),
     25: (True, 159, 159, (1,)),
-    26: (True, 118, 118, (2,)),
+    26: (True, 118, 118, (4,)),
     27: (True, 77, 77, (0,)),
     28: (True, 179, 187, (6,)),
     29: (True, 640, 640, (5, 8)),

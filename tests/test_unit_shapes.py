@@ -12,6 +12,8 @@ from blockvd.graph import Graph
 from blockvd.instance import Instance
 from blockvd.partitions import Partition
 
+from conftest import members
+
 
 def _engine(module, g, mode):
     engine = module.build_engine(Instance(g, 4, 1, "chordal", mode))
@@ -35,11 +37,11 @@ def _assert_pieces_share_one_pattern(engine, out, pieces, cands, lv):
     seen = set()
     for (xk, lk, i, gh), fam in out.items():
         assert fam
-        slots = {unit: (sid, hm) for unit, sid, hm in gh}
+        slots = {unit: (mask, hm) for unit, mask, hm in gh}
         assert sorted(slots) == sorted(pieces)
-        sids = {slots[p][0] for p in pieces}
-        assert len(sids) == 1
-        (pats,) = [engine.set_of(sid) for sid in sids]
+        masks = {slots[p][0] for p in pieces}
+        assert len(masks) == 1
+        (pats,) = [members(mask) for mask in masks]
         assert len(pats) == 1
         seen |= pats
         assert all(slots[p][1] >> (lv - 1) & 1 for p in pieces)
@@ -52,7 +54,7 @@ def test_block_intro_vertex_in_two_blocks():
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     engine = _engine(dp_block, g, "block")
     pats = engine.patterns
-    full = engine.set_of(engine.compat_set((0, 1), [(0, 1)], {0: 1, 1: 2}))
+    full = members(engine.compat_set((0, 1), [(0, 1)], {0: 1, 1: 2}))
     tri = [q for q in sorted(full) if {(1, 2), (1, 4), (2, 4)} <= pats[q].edges]
     # hosts of the triangle on labels 1, 2, 4 that keep v's label 4 apart
     # from the attached label 3, and hosts that do not
@@ -61,9 +63,9 @@ def test_block_intro_vertex_in_two_blocks():
     others = [q for q in sorted(full) if q not in tri]
     assert len(hosts) >= 2 and touching and others
     # below the bag, the block {0,1} kept one of each
-    sid = engine.intern([hosts[0], touching[0], others[0]])
+    kept_below = (1 << hosts[0]) | (1 << touching[0]) | (1 << others[0])
     hm = 1 << 2  # label 3 is already attached to the block {0,1}
-    child = _child(engine, (1, 2, 1), (((0, 1), sid, hm),))
+    child = _child(engine, (1, 2, 1), (((0, 1), kept_below, hm),))
     out = engine._introduce((0, 1, 2, 3), 2, child)
     kept = [key for key in out if key[0] == ()]
     # labels 1 and 2 repeat a label of {0,1,2}; label 3 is attached to it
@@ -73,10 +75,10 @@ def test_block_intro_vertex_in_two_blocks():
     assert (u1, h1) == ((0, 1, 2), hm)
     assert (u2, h2) == ((2, 3), 0)
     # the absorbing block keeps only the child's candidate that hosts it
-    assert engine.set_of(s1) == {hosts[0]}
+    assert members(s1) == {hosts[0]}
     # the new block {2,3} is hosted on the edge between labels 1 and 4
-    assert engine.set_of(s2)
-    assert all(pats[q].has_edge(1, 4) for q in engine.set_of(s2))
+    assert members(s2)
+    assert all(pats[q].has_edge(1, 4) for q in members(s2))
 
 
 def test_block_forget_splits_block_into_two_pieces():
@@ -86,11 +88,11 @@ def test_block_forget_splits_block_into_two_pieces():
     engine = _engine(dp_block, Graph(4, edges), "block")
     unit = (0, 1, 2, 3)
     lab = {0: 1, 1: 2, 2: 3, 3: 4}
-    sid = engine.compat_set(unit, edges, lab)
-    child = _child(engine, (1, 2, 3, 4), ((unit, sid, 0),))
+    cands = engine.compat_set(unit, edges, lab)
+    child = _child(engine, (1, 2, 3, 4), ((unit, cands, 0),))
     out = engine._forget((1, 2, 3), 0, child)
     pieces = [(1, 2), (2, 3)]
-    _assert_pieces_share_one_pattern(engine, out, pieces, engine.set_of(sid), lv=1)
+    _assert_pieces_share_one_pattern(engine, out, pieces, members(cands), lv=1)
 
 
 def test_component_forget_splits_component_into_two_pieces():
@@ -98,9 +100,9 @@ def test_component_forget_splits_component_into_two_pieces():
     edges = [(0, 1), (0, 2)]
     engine = _engine(dp_component, Graph(3, edges), "component")
     unit = (0, 1, 2)
-    sid = engine.compat_set(unit, edges, {0: 1, 1: 2, 2: 3})
-    assert len(engine.set_of(sid)) > 1
-    child = _child(engine, (1, 2, 3), ((unit, sid, 0),))
+    cands = engine.compat_set(unit, edges, {0: 1, 1: 2, 2: 3})
+    assert len(members(cands)) > 1
+    child = _child(engine, (1, 2, 3), ((unit, cands, 0),))
     out = engine._forget((1, 2), 0, child)
     pieces = [(1,), (2,)]
-    _assert_pieces_share_one_pattern(engine, out, pieces, engine.set_of(sid), lv=1)
+    _assert_pieces_share_one_pattern(engine, out, pieces, members(cands), lv=1)
