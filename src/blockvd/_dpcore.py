@@ -203,7 +203,9 @@ class Engine:
         """Components and units of the graph induced by keep.
 
         The units are the non-trivial blocks in block mode and the
-        components in component mode.
+        components in component mode, in sorted order either way:
+        ``biconnected_blocks`` sorts blocks by their sorted tuples, and
+        components come ordered by their smallest vertex.
         """
         key = tuple(sorted(keep))
         got = self._view_memo.get(key)
@@ -483,16 +485,15 @@ class Engine:
         keep_child = tuple(u for u in keep_parent if u != v)
         pv = self.view(keep_parent)
         cv = self.view(keep_child)
-        # a child state holds the hypothesis of unit j of the sorted child
-        # units at position j of its gh; each parent unit through v absorbs
-        # the child units it contains, and the other child units carry over
-        child_units = sorted(cv.units)
+        # a child state holds the hypothesis of child unit j at position j
+        # of its gh; each parent unit through v absorbs the child units it
+        # contains, and the other child units carry over
         vunits = []
         absorbed: set[int] = set()
         for unit, edges in zip(pv.units, pv.unit_edges):
             if v in unit:
                 uset = set(unit)
-                subs = tuple(j for j, cu in enumerate(child_units) if uset.issuperset(cu))
+                subs = tuple(j for j, cu in enumerate(cv.units) if uset.issuperset(cu))
                 absorbed.update(subs)
                 vunits.append((unit, edges, subs))
         return {
@@ -501,7 +502,7 @@ class Engine:
             "comp_map": tuple(pv.comp_of[c[0]] for c in cv.comps),
             "vnew": pv.comp_of[v],
             "vunits": vunits,
-            "carried": tuple(j for j in range(len(child_units)) if j not in absorbed),
+            "carried": tuple(j for j in range(len(cv.units)) if j not in absorbed),
             "part_memo": {},
         }
 
@@ -613,7 +614,7 @@ class Engine:
         # it contains; the child units avoiding v carry over
         carried = []
         pieces = []
-        for j, unit in enumerate(sorted(cv.units)):
+        for j, unit in enumerate(cv.units):
             if v not in unit:
                 carried.append(j)
                 continue

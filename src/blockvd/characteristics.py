@@ -3,10 +3,9 @@
 A characteristic assigns to every non-trivial boundary block B a
 hypothesis g(B) for the final shape of the block that will contain B,
 plus the set h(B) of labels of outside neighbors already attached to
-that block.  This module computes admissible characteristics and the
-transition relations between them when the boundary gains or loses a
-vertex; the dynamic programs use the same relations in inverted,
-table-driven form.
+that block.  This module computes admissible characteristics; the
+dynamic programs apply the introduce, forget and join relations between
+them in table-driven form.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .families import Pattern, label_isomorphic, partial_label_isomorphic
 from .graph import (
     BoundariedGraph,
     Graph,
-    biconnected_blocks,
     induced_edges,
     nontrivial_boundary_blocks,
     s_blocks,
@@ -41,9 +39,6 @@ class Characteristic:
         mapping: Mapping[BlockKey, tuple[Pattern, frozenset[int]]],
     ) -> "Characteristic":
         return cls(tuple((k, mapping[k][0], mapping[k][1]) for k in sorted(mapping)))
-
-    def domain(self) -> tuple[BlockKey, ...]:
-        return tuple(k for k, _, _ in self.entries)
 
     def g(self, key: BlockKey) -> Pattern:
         for k, p, _ in self.entries:
@@ -187,229 +182,4 @@ def respects(
             return False
         if not label_isomorphic(sum_graph, x, labels, q):
             return False
-    return True
-
-
-def is_characteristic_of(
-    bg: BoundariedGraph,
-    labels: Mapping[int, int],
-    char: Characteristic,
-    ud: Sequence[Pattern],
-) -> bool:
-    """Exact membership test against the admissible set."""
-    try:
-        return char in compute_characteristics(bg, labels, ud)
-    except NoCharacteristic:
-        return False
-
-
-def _blocks_of(g: Graph, within: frozenset[int]) -> list[BlockKey]:
-    return [
-        tuple(sorted(b))
-        for b in biconnected_blocks(g, within).blocks
-        if len(b) >= 2
-    ]
-
-
-def restrictions(
-    g: Graph,
-    keep_parent: frozenset[int],
-    v: int,
-    labels: Mapping[int, int],
-    parent: Characteristic,
-    ud: Sequence[Pattern],
-) -> list[Characteristic]:
-    """Child characteristics compatible with introducing v into the bag.
-
-    ``keep_parent`` is the parent bag minus deletions (v included); the
-    child bag graph is the parent's minus v.  Rules, per parent block B2
-    and child block B1 with V(B1) inside V(B2):
-
-    - g'(B1) = g(B2);
-    - when v is in B2, no label of h'(B1) may be adjacent in g'(B1) to
-      the label of v;
-    - when v is outside B2, h'(B1) = h(B2);
-    - when v is in B2, h(B2) must equal the union of the h'(B1).
-    """
-    keep_child = keep_parent - {v}
-    child_blocks = _blocks_of(g, keep_child)
-    parent_blocks = _blocks_of(g, keep_parent)
-    if sorted(parent.domain()) != sorted(parent_blocks):
-        raise DomainMismatch("parent characteristic domain mismatch")
-    lv = labels[v]
-
-    fixed: dict[BlockKey, tuple[Pattern, frozenset[int]]] = {}
-    by_parent: dict[BlockKey, list[BlockKey]] = {b: [] for b in parent_blocks if v in b}
-    for b1 in child_blocks:
-        b2 = next(b for b in parent_blocks if set(b1) <= set(b))
-        if v in b2:
-            by_parent[b2].append(b1)
-        else:
-            fixed[b1] = (parent.g(b2), parent.h(b2))
-
-    choices: list[list[tuple[tuple[BlockKey, frozenset[int]], ...]]] = []
-    for b2 in sorted(by_parent):
-        subs = by_parent[b2]
-        q = parent.g(b2)
-        target = parent.h(b2)
-        if any(q.has_edge(l, lv) for l in target):
-            return []
-        block_choice = [tuple(zip(subs, assign)) for assign in _covers(target, len(subs))]
-        if not block_choice:
-            return []
-        choices.append(block_choice)
-
-    qmap = {
-        b1: parent.g(next(b for b in parent_blocks if set(b1) <= set(b)))
-        for b1 in child_blocks
-    }
-    out: list[Characteristic] = []
-    for combo in product(*choices):
-        mapping = dict(fixed)
-        for per_block in combo:
-            for b1, hh in per_block:
-                mapping[b1] = (qmap[b1], hh)
-        out.append(Characteristic.of(mapping))
-    return out
-
-
-def _covers(target: frozenset[int], slots: int) -> list[tuple[frozenset[int], ...]]:
-    """All tuples of label subsets whose union is exactly the target."""
-    if slots == 0:
-        return [()] if not target else []
-    items = sorted(target)
-    out: list[tuple[frozenset[int], ...]] = []
-    for assign in product(range(1 << slots), repeat=len(items)):
-        if any(a == 0 for a in assign):
-            continue
-        sets: list[set[int]] = [set() for _ in range(slots)]
-        for label, mask in zip(items, assign):
-            for s in range(slots):
-                if mask >> s & 1:
-                    sets[s].add(label)
-        out.append(tuple(frozenset(s) for s in sets))
-    # dedupe, deterministic order
-    seen = set()
-    uniq = []
-    for t in out:
-        if t not in seen:
-            seen.add(t)
-            uniq.append(t)
-    return uniq
-
-
-def extensions(
-    g: Graph,
-    keep_child: frozenset[int],
-    v: int,
-    labels_ext: Mapping[int, int],
-    parent: Characteristic,
-    ud: Sequence[Pattern],
-) -> list[Characteristic]:
-    """Child characteristics that extend the parent when v is forgotten.
-
-    ``keep_child`` is the child bag minus deletions (v included); the
-    parent bag graph is the child's minus v.  For parent block B1 inside
-    child block B2: g'(B2) = g(B1); when v is outside B2, h'(B2) = h(B1);
-    when v is in B2, h(B1) must equal {label of v} union the labels of
-    pattern neighbors of B1's image that appear in h'(B2).
-    """
-    keep_parent = keep_child - {v}
-    child_blocks = _blocks_of(g, keep_child)
-    parent_blocks = _blocks_of(g, keep_parent)
-    if sorted(parent.domain()) != sorted(parent_blocks):
-        raise DomainMismatch("parent characteristic domain mismatch")
-    lv = labels_ext[v]
-
-    fixed: dict[BlockKey, tuple[Pattern, frozenset[int]]] = {}
-    free_blocks: list[BlockKey] = []
-    constrained: list[tuple[BlockKey, Pattern, list[tuple[BlockKey, frozenset[int]]]]] = []
-    for b2 in child_blocks:
-        subs = [b1 for b1 in parent_blocks if set(b1) <= set(b2)]
-        if v not in b2:
-            assert len(subs) == 1 and subs[0] == b2
-            fixed[b2] = (parent.g(b2), parent.h(b2))
-            continue
-        if not subs:
-            free_blocks.append(b2)
-            continue
-        qs = {parent.g(b1) for b1 in subs}
-        if len(qs) != 1:
-            return []
-        q = next(iter(qs))
-        reqs = [(b1, parent.h(b1)) for b1 in subs]
-        constrained.append((b2, q, reqs))
-
-    out: list[Characteristic] = []
-    per_block_options: list[list[tuple[BlockKey, Pattern, frozenset[int]]]] = []
-    for b2, q, reqs in constrained:
-        if not partial_label_isomorphic(g, b2, labels_ext, q):
-            return []
-        opts = []
-        for hmask in range(1 << len(q.labels)):
-            hh = frozenset(l for i, l in enumerate(sorted(q.labels)) if hmask >> i & 1)
-            if hh & frozenset(labels_ext[u] for u in b2):
-                continue
-            good = True
-            for b1, target in reqs:
-                a = frozenset(labels_ext[u] for u in b1)
-                filt = frozenset(l for l in q.neighborhood_of(a) if l in hh)
-                if target != frozenset({lv}) | filt:
-                    good = False
-                    break
-            if good:
-                opts.append((b2, q, hh))
-        if not opts:
-            return []
-        per_block_options.append(opts)
-    for b2 in free_blocks:
-        opts = []
-        for q in ud:
-            if not partial_label_isomorphic(g, b2, labels_ext, q):
-                continue
-            for hmask in range(1 << len(q.labels)):
-                hh = frozenset(
-                    l for i, l in enumerate(sorted(q.labels)) if hmask >> i & 1
-                )
-                if hh & frozenset(labels_ext[u] for u in b2):
-                    continue
-                opts.append((b2, q, hh))
-        if not opts:
-            return []
-        per_block_options.append(opts)
-
-    for combo in product(*per_block_options):
-        mapping = dict(fixed)
-        for b2, q, hh in combo:
-            mapping[b2] = (q, hh)
-        out.append(Characteristic.of(mapping))
-    return out
-
-
-def join_compatible(
-    c1: Characteristic,
-    c2: Characteristic,
-    target_h: Mapping[BlockKey, frozenset[int]],
-) -> bool:
-    """Can two same-shape characteristics combine into the target h?
-
-    Per block: disjoint h sets whose union is the target, and no pattern
-    edge between labels contributed by the two sides.
-    """
-    if c1.domain() != c2.domain():
-        raise DomainMismatch("characteristics have different block domains")
-    for key in c1.domain():
-        if c1.g(key) != c2.g(key):
-            raise DomainMismatch(f"patterns differ on block {key}")
-    for key in c1.domain():
-        h1, h2 = c1.h(key), c2.h(key)
-        if h1 & h2:
-            return False
-        if h1 | h2 != target_h[key]:
-            return False
-        q = c1.g(key)
-        for l1 in h1:
-            for l2 in h2:
-                if q.has_edge(l1, l2):
-                    return False
     return True

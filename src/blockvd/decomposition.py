@@ -142,6 +142,42 @@ class NiceTreeDecomposition:
         )
 
 
+def validate_nice(g: Graph, ntd: NiceTreeDecomposition) -> Violation | None:
+    """Like validate_td, plus the nice shape the dynamic programs rely on.
+
+    Every node is reached once from the root, whose bag is empty; bags are
+    increasing tuples; a leaf has no children and an empty bag; an
+    introduce or forget node's bag is its child's plus or minus the acted
+    vertex; a join node has two children whose bags equal its own.
+    """
+    n = ntd.num_nodes
+    if not len(ntd.acted) == len(ntd.bags) == len(ntd.children) == n:
+        return Violation("shape", "node fields have different lengths")
+    bad = validate_td(g, ntd.to_tree_decomposition())
+    if bad is not None:
+        return bad
+    if not 0 <= ntd.root < n or ntd.bags[ntd.root]:
+        return Violation("nice", f"root {ntd.root} is not a node with an empty bag")
+    if sorted(ntd.postorder()) != list(range(n)):
+        return Violation("nice", "not every node is reached once from the root")
+    for t, (kind, v, kids) in enumerate(zip(ntd.kinds, ntd.acted, ntd.children)):
+        bag = set(ntd.bags[t])
+        below = [set(ntd.bags[c]) for c in kids]
+        if list(ntd.bags[t]) != sorted(bag):
+            ok = False
+        elif kind == "leaf":
+            ok = not kids and not bag
+        elif kind == "introduce":
+            ok = len(kids) == 1 and v not in below[0] and bag == below[0] | {v}
+        elif kind == "forget":
+            ok = len(kids) == 1 and v in below[0] and bag == below[0] - {v}
+        else:
+            ok = kind == "join" and len(kids) == 2 and below[0] == below[1] == bag
+        if not ok:
+            return Violation("nice", f"node {t} is not a valid {kind} node")
+    return None
+
+
 class _NiceBuilder:
     def __init__(self) -> None:
         self.kinds: list[str] = []
@@ -223,7 +259,7 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         tuple(b.children),
         root=top,
     )
-    bad = validate_td(g, nice.to_tree_decomposition())
+    bad = validate_nice(g, nice)
     if bad is not None:  # pragma: no cover - construction is total on valid input
         raise InvalidInput(f"nice conversion broke validity: {bad.detail}")
     return nice

@@ -10,7 +10,8 @@ every node.
 from __future__ import annotations
 
 from ._dpcore import Engine, SolveResult, StateKey
-from .decomposition import NiceTreeDecomposition, heuristic_td, to_nice
+from .decomposition import NiceTreeDecomposition, heuristic_td, to_nice, validate_nice
+from .errors import InvalidInput
 from .families import enumerate_ud, get_family
 from .instance import Instance
 from .oracle import verify_solution
@@ -27,6 +28,10 @@ def build_engine(
     if ntd is None:
         td = inst.td if inst.td is not None else heuristic_td(inst.graph)
         ntd = to_nice(td, inst.graph)
+    else:
+        bad = validate_nice(inst.graph, ntd)
+        if bad is not None:
+            raise InvalidInput(f"invalid nice decomposition: {bad.condition}: {bad.detail}")
     return Engine("block", inst.graph, inst.d, inst.k, patterns, ntd, witness=witness)
 
 

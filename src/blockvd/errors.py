@@ -42,7 +42,7 @@ class NotAClique(BlockvdError):
 
 
 class DomainMismatch(BlockvdError):
-    """Two characteristics disagree on their block domain or patterns."""
+    """A block is not in the domain of a characteristic."""
 
 
 class NoCharacteristic(BlockvdError):

@@ -10,16 +10,13 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .errors import CapExceeded, IncompatibleBoundary, InvalidInput, NonChordalFamily
+from .errors import CapExceeded, InvalidInput, NonChordalFamily
 from .graph import (
-    BoundariedGraph,
     Graph,
     biconnected_blocks,
     connected_components,
     induced_edges,
     is_chordal,
-    nontrivial_boundary_blocks,
-    s_blocks,
 )
 
 DEFAULT_UD_CAP = 6
@@ -51,17 +48,6 @@ class Pattern:
                 out.add(y)
             elif y == a:
                 out.add(x)
-        return frozenset(out)
-
-    def neighborhood_of(self, labels: Iterable[int]) -> frozenset[int]:
-        """Labels adjacent to the given set, excluding the set itself."""
-        ls = set(labels)
-        out: set[int] = set()
-        for a, b in self.edges:
-            if a in ls and b not in ls:
-                out.add(b)
-            elif b in ls and a not in ls:
-                out.add(a)
         return frozenset(out)
 
     def induced(self, labels: Iterable[int]) -> frozenset[tuple[int, int]]:
@@ -167,9 +153,7 @@ def get_family(name: str) -> PFamilySpec:
         ) from None
 
 
-def _ud_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
+def _ud_cap() -> int:
     env = os.environ.get("BLOCKVD_UD_CAP")
     if not env:
         return DEFAULT_UD_CAP
@@ -189,7 +173,6 @@ def _label_subsets(d: int, min_size: int):
 def _enumerate_patterns(
     d: int,
     family: PFamilySpec,
-    cap: int | None,
     min_labels: int,
     shape: Callable[[Pattern], bool],
 ) -> tuple[Pattern, ...]:
@@ -200,7 +183,7 @@ def _enumerate_patterns(
     """
     if d < 1:
         raise InvalidInput(f"d={d} must be at least 1")
-    if d > _ud_cap(cap):
+    if d > _ud_cap():
         raise CapExceeded(
             f"d={d} exceeds the pattern-universe cap; raise BLOCKVD_UD_CAP to override"
         )
@@ -227,18 +210,14 @@ def _enumerate_patterns(
     return tuple(out)
 
 
-def enumerate_ud(
-    d: int, family: PFamilySpec, cap: int | None = None
-) -> tuple[Pattern, ...]:
+def enumerate_ud(d: int, family: PFamilySpec) -> tuple[Pattern, ...]:
     """All biconnected family members on label subsets of [d], >= 2 labels."""
-    return _enumerate_patterns(d, family, cap, 2, pattern_is_biconnected)
+    return _enumerate_patterns(d, family, 2, pattern_is_biconnected)
 
 
-def enumerate_component_patterns(
-    d: int, family: PFamilySpec, cap: int | None = None
-) -> tuple[Pattern, ...]:
+def enumerate_component_patterns(d: int, family: PFamilySpec) -> tuple[Pattern, ...]:
     """Connected family members on label subsets of [d] (>= 1 label)."""
-    return _enumerate_patterns(d, family, cap, 1, pattern_is_connected)
+    return _enumerate_patterns(d, family, 1, pattern_is_connected)
 
 
 def is_block_labeling(g: Graph, labels: Mapping[int, int]) -> bool:
@@ -292,63 +271,3 @@ def label_isomorphic(
     if frozenset(labels[v] for v in vs) != q.labels or len(vs) != len(q.labels):
         return False
     return partial_label_isomorphic(g, vs, labels, q)
-
-
-def blockwise_q_compatible(
-    a: BoundariedGraph,
-    la: Mapping[int, int],
-    b: BoundariedGraph,
-    lb: Mapping[int, int],
-    q: Pattern,
-) -> bool:
-    """Local compatibility of two labeled boundaried graphs near q.
-
-    Checks that (1) every S-block of either side is partially
-    label-isomorphic to q and (2) at each non-trivial boundary block the
-    two sides' outside-neighbor labels are disjoint and pairwise
-    non-adjacent in q.
-    """
-    if a.boundary != b.boundary:
-        raise IncompatibleBoundary("boundary sets differ")
-    if a.boundary_edges() != b.boundary_edges():
-        raise IncompatibleBoundary("induced boundary subgraphs differ")
-    for l in a.boundary:
-        if la[l] != lb[l]:
-            raise IncompatibleBoundary("boundary labels differ")
-
-    for bg, lab in ((a, la), (b, lb)):
-        for blk in s_blocks(bg):
-            if not partial_label_isomorphic(bg.host, blk, lab, q):
-                return False
-
-    sblocks_a = s_blocks(a)
-    sblocks_b = s_blocks(b)
-    for blk in nontrivial_boundary_blocks(a):
-        b1 = next(x for x in sblocks_a if blk <= x)
-        b2 = next(x for x in sblocks_b if blk <= x)
-        n1 = {
-            la[v]
-            for v in _neighbors_in(a.host, b1, blk)
-            if v not in a.boundary
-        }
-        n2 = {
-            lb[v]
-            for v in _neighbors_in(b.host, b2, blk)
-            if v not in b.boundary
-        }
-        if n1 & n2:
-            return False
-        for l1 in n1:
-            for l2 in n2:
-                if q.has_edge(l1, l2):
-                    return False
-    return True
-
-
-def _neighbors_in(g: Graph, within: frozenset[int], of: frozenset[int]) -> set[int]:
-    out: set[int] = set()
-    for v in of:
-        for w in g.neighbors(v):
-            if w in within and w not in of:
-                out.add(w)
-    return out

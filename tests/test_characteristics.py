@@ -2,16 +2,8 @@ import random
 
 import pytest
 
-from blockvd.characteristics import (
-    Characteristic,
-    compute_characteristics,
-    extensions,
-    is_characteristic_of,
-    join_compatible,
-    respects,
-    restrictions,
-)
-from blockvd.errors import DomainMismatch, NoCharacteristic
+from blockvd.characteristics import Characteristic, compute_characteristics, respects
+from blockvd.errors import NoCharacteristic
 from blockvd.families import Pattern, enumerate_ud, get_family
 from blockvd.graph import BoundariedGraph, Graph
 
@@ -69,10 +61,10 @@ class TestCompute:
         g = Graph(3, [(0, 1), (0, 2), (1, 2)])
         bg = BoundariedGraph.whole(g, {0, 1, 2})
         labels = {0: 1, 1: 2, 2: 3}
-        char = compute_characteristics(bg, labels, UD3)[0]
-        assert is_characteristic_of(bg, labels, char, UD3)
+        chars = compute_characteristics(bg, labels, UD3)
+        assert Characteristic.of({(0, 1, 2): (K3, frozenset())}) in chars
         wrong = Characteristic.of({(0, 1, 2): (K3, frozenset({1}))})
-        assert not is_characteristic_of(bg, labels, wrong, UD3)
+        assert wrong not in chars
 
 
 class TestRespects:
@@ -85,112 +77,6 @@ class TestRespects:
         g = Graph(2, [(0, 1)])
         char = Characteristic.of({(0, 1): (K3, frozenset())})
         assert not respects(g, frozenset({0, 1}), {0: 1, 1: 2}, char)
-
-
-class TestRestrictions:
-    def test_v_in_no_block(self):
-        # introducing an isolated vertex leaves the characteristic alone
-        g = Graph(3, [(0, 1)])
-        parent = Characteristic.of({(0, 1): (K3, frozenset({3}))})
-        labels = {0: 1, 1: 2, 2: 3}
-        out = restrictions(g, frozenset({0, 1, 2}), 2, labels, parent, UD3)
-        assert out == [parent]
-
-    def test_union_must_be_empty(self):
-        # v completes an edge into a triangle with empty h: children get empty h
-        g = Graph(3, [(0, 1), (0, 2), (1, 2)])
-        parent = Characteristic.of({(0, 1, 2): (K3, frozenset())})
-        labels = {0: 1, 1: 2, 2: 3}
-        out = restrictions(g, frozenset({0, 1, 2}), 2, labels, parent, UD3)
-        assert out == [Characteristic.of({(0, 1): (K3, frozenset())})]
-
-    def test_split_enumeration_with_nonadjacency(self):
-        # two child edges absorb a two-label h set; label 5 adjacent to the
-        # introduced vertex's label kills everything
-        q = pat({1, 2, 3, 5, 6}, [(1, 2), (2, 3), (1, 3), (1, 5), (5, 2), (1, 6), (6, 2)])
-        # q is only a container here; use d=6-style universe of just q
-        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        parent = Characteristic.of({(0, 1, 2): (q, frozenset({5, 6}))})
-        labels = {0: 1, 1: 2, 2: 3}
-        out = restrictions(g, frozenset({0, 1, 2}), 2, labels, parent, [q])
-        # label 5 and 6 are both adjacent to nothing relating to label 3?
-        # vertex with label 3 is adjacent to 1,2 in q; 5 and 6 adjacent to 1,2
-        # but not to 3, so splits survive; the two child edge blocks {0,1}
-        # and with v: none -> all h mass lands on the single child block (0,1)
-        assert out == [
-            Characteristic.of({(0, 1): (q, frozenset({5, 6}))})
-        ]
-
-    def test_nonadjacent_requirement_rejects(self):
-        q = pat({1, 2, 3, 5}, [(1, 2), (2, 3), (1, 3), (5, 3), (5, 1)])
-        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        parent = Characteristic.of({(0, 1, 2): (q, frozenset({5}))})
-        labels = {0: 1, 1: 2, 2: 3}
-        # v is vertex 2 with label 3; 5 is adjacent to 3 in q: no restriction
-        out = restrictions(g, frozenset({0, 1, 2}), 2, labels, parent, [q])
-        assert out == []
-
-
-class TestExtensions:
-    def test_isolated_forget(self):
-        # forgetting an isolated vertex: children extend with any label for v
-        g = Graph(3, [(0, 1)])
-        parent = Characteristic.of({(0, 1): (K3, frozenset())})
-        child = extensions(
-            g, frozenset({0, 1, 2}), 2, {0: 1, 1: 2, 2: 3}, parent, UD3
-        )
-        assert Characteristic.of({(0, 1): (K3, frozenset())}) in child
-
-    def test_h_clause(self):
-        # worked h-relation: block K3 on labels {1,2,7}; forgetting v labeled 7
-        q = pat({1, 2, 7}, [(1, 2), (1, 7), (2, 7)])
-        g = Graph(3, [(0, 1), (0, 2), (1, 2)])
-        labels = {0: 1, 1: 2, 2: 7}
-        parent = Characteristic.of({(0, 1): (q, frozenset({7}))})
-        child = extensions(g, frozenset({0, 1, 2}), 2, labels, parent, [q])
-        assert Characteristic.of({(0, 1, 2): (q, frozenset())}) in child
-        # child h values that would leak a label adjacent to nothing valid
-        for c in child:
-            hh = c.h((0, 1, 2))
-            assert frozenset({7}) == frozenset({7}) | (
-                q.neighborhood_of({1, 2}) & hh
-            )
-
-    def test_pattern_mismatch_rejected(self):
-        q2 = pat({1, 2}, [(1, 2)])
-        g = Graph(3, [(0, 1), (0, 2), (1, 2)])
-        labels = {0: 1, 1: 2, 2: 3}
-        parent = Characteristic.of({(0, 1): (q2, frozenset())})
-        # the child block is the triangle {0,1,2}, which q2 cannot host
-        assert extensions(g, frozenset({0, 1, 2}), 2, labels, parent, [q2]) == []
-
-
-class TestJoinCompatible:
-    def test_empty_sides(self):
-        c1 = Characteristic.of({(0, 1): (K3, frozenset())})
-        assert join_compatible(c1, c1, {(0, 1): frozenset()})
-
-    def test_intersection_rejected(self):
-        c = Characteristic.of({(0, 1): (K3, frozenset({3}))})
-        assert not join_compatible(c, c, {(0, 1): frozenset({3})})
-
-    def test_adjacent_labels_rejected(self):
-        q = pat({1, 2, 3, 4}, [(1, 2), (3, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
-        c1 = Characteristic.of({(0, 1): (q, frozenset({3}))})
-        c2 = Characteristic.of({(0, 1): (q, frozenset({4}))})
-        assert not join_compatible(c1, c2, {(0, 1): frozenset({3, 4})})
-
-    def test_disjoint_nonadjacent_ok(self):
-        q = pat({1, 2, 3, 4}, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
-        c1 = Characteristic.of({(0, 1): (q, frozenset({3}))})
-        c2 = Characteristic.of({(0, 1): (q, frozenset({4}))})
-        assert join_compatible(c1, c2, {(0, 1): frozenset({3, 4})})
-
-    def test_domain_mismatch(self):
-        c1 = Characteristic.of({(0, 1): (K3, frozenset())})
-        c2 = Characteristic.of({(1, 2): (K3, frozenset())})
-        with pytest.raises(DomainMismatch):
-            join_compatible(c1, c2, {})
 
 
 def _split_final_graph(rng, n, d, ud):

@@ -78,6 +78,25 @@ class TestSolve:
         assert code == 2
 
 
+    def test_solve_imports_no_spec_code(self, c5):
+        """Spec-level code stays off the solver path: solving in either mode,
+        with or without a witness, imports neither module."""
+        script = f"""
+import sys
+from blockvd.cli import main
+for mode in ("block", "component"):
+    for extra in ([], ["--witness"]):
+        main(["solve", "--mode", mode, "--family", "chordal", "-d", "3",
+              "-k", "2", "--graph", {str(c5)!r}, *extra])
+print(sorted(m for m in ("blockvd.characteristics", "blockvd.selfcheck") if m in sys.modules))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=child_env(), text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class TestGenAndTd:
     def test_perm_is_roundtrip(self, tmp_path, capsys):
         prefix = str(tmp_path / "pi")

@@ -1,18 +1,23 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from blockvd import dp_block, dp_component
 from blockvd.decomposition import (
+    NiceTreeDecomposition,
     TreeDecomposition,
     exact_td_small,
     heuristic_td,
     read_td,
     to_nice,
+    validate_nice,
     validate_td,
     write_td,
 )
 from blockvd.errors import InvalidInput, TooLarge
 from blockvd.graph import Graph
+from blockvd.instance import Instance
 
 from conftest import complete, cycle, path, random_graph
 
@@ -78,6 +83,7 @@ class TestToNice:
             ntd = to_nice(td, g)
             assert ntd.width == td.width or ntd.width <= td.width
             assert validate_td(g, ntd.to_tree_decomposition()) is None
+            assert validate_nice(g, ntd) is None
             assert ntd.num_nodes <= max(1, 4 * (td.width + 1) * max(td.num_nodes, 1) + 2 * n + 2)
             for node in range(ntd.num_nodes):
                 kind = ntd.kinds[node]
@@ -106,6 +112,74 @@ class TestToNice:
         td = exact_td_small(g)
         assert td.width == 2
         assert to_nice(td, g).width == 2
+
+
+class TestValidateNice:
+    SOLVERS = {"block": dp_block.solve_block, "component": dp_component.solve_component}
+
+    def _assert_rejected(self, g, ntd):
+        assert validate_nice(g, ntd) is not None
+        for mode, solve in self.SOLVERS.items():
+            with pytest.raises(InvalidInput):
+                solve(Instance(g, 3, 1, "k1k2", mode), ntd=ntd)
+
+    def test_decomposition_of_another_graph(self):
+        # a valid nice decomposition, but of a 2-vertex path, not of C5
+        self._assert_rejected(cycle(5), to_nice(TD([{0, 1}], []), path(2)))
+
+    def test_root_bag_not_empty(self):
+        g = cycle(5)
+        ntd = to_nice(heuristic_td(g), g)
+        (below,) = ntd.children[ntd.root]
+        moved = replace(ntd, root=below)
+        assert moved.bags[moved.root]
+        self._assert_rejected(g, moved)
+        # every node reached, but the forget chain above the last bag is missing
+        g = path(2)
+        ntd = NiceTreeDecomposition(
+            ("leaf", "introduce", "introduce"),
+            (None, 0, 1),
+            ((), (0,), (0, 1)),
+            ((), (0,), (1,)),
+            root=2,
+        )
+        self._assert_rejected(g, ntd)
+
+    def test_leaf_bag_not_empty(self):
+        g = Graph(1, [])
+        ntd = NiceTreeDecomposition(
+            ("leaf", "forget"), (None, 0), ((0,), ()), ((), (0,)), root=1
+        )
+        assert validate_td(g, ntd.to_tree_decomposition()) is None
+        self._assert_rejected(g, ntd)
+
+    def test_node_unreached_from_root(self):
+        # a valid join over two empty bags hangs above the declared root
+        ntd = NiceTreeDecomposition(
+            ("leaf", "introduce", "forget", "leaf", "join"),
+            (None, 0, 0, None, None),
+            ((), (0,), (), (), ()),
+            ((), (0,), (1,), (), (2, 3)),
+            root=2,
+        )
+        self._assert_rejected(Graph(1, []), ntd)
+
+    def test_bad_node(self):
+        g = path(2)
+        ntd = to_nice(TD([{0, 1}], []), g)
+
+        def edit(field, node, value):
+            values = list(getattr(ntd, field))
+            values[node] = value
+            return replace(ntd, **{field: tuple(values)})
+
+        intro, forget = ntd.kinds.index("introduce"), ntd.kinds.index("forget")
+        self._assert_rejected(g, edit("acted", intro, 1 - ntd.acted[intro]))
+        self._assert_rejected(g, edit("acted", forget, 1 - ntd.acted[forget]))
+        self._assert_rejected(g, edit("kinds", intro, "join"))
+        full = ntd.bags.index((0, 1))
+        self._assert_rejected(g, edit("bags", full, (1, 0)))
+        self._assert_rejected(g, replace(ntd, acted=ntd.acted[:-1]))
 
 
 class TestHeuristic:

@@ -1,9 +1,4 @@
-from blockvd.dp_component import (
-    compute_component_characteristic,
-    solve_component,
-)
-from blockvd.families import enumerate_component_patterns, get_family
-from blockvd.graph import BoundariedGraph, Graph
+from blockvd.dp_component import solve_component
 from blockvd.instance import Instance
 from blockvd.oracle import brute_force_solve, verify_solution
 
@@ -54,60 +49,3 @@ class TestOracleAgreement:
             res = solve_component(inst, witness=True)
             if res.decision:
                 assert verify_solution(g, res.witness, 3, "chordal", "component")
-
-
-class TestComponentCharacteristic:
-    UD3 = enumerate_component_patterns(3, get_family("chordal"))
-
-    def test_isolated_boundary_vertex(self):
-        g = Graph(1, [])
-        bg = BoundariedGraph.whole(g, {0})
-        chars = compute_component_characteristic(bg, {0: 1}, self.UD3)
-        key = (0,)
-        assert any(
-            entry[0] == key and entry[2] == frozenset()
-            for c in chars
-            for entry in c
-        )
-
-    def test_outside_neighbor_label(self):
-        # boundary edge 0-1 with one attached outside vertex labeled 3
-        g = Graph(3, [(0, 1), (1, 2)])
-        bg = BoundariedGraph(g, frozenset({0, 1, 2}), frozenset({0, 1}))
-        chars = compute_component_characteristic(bg, {0: 1, 1: 2, 2: 3}, self.UD3)
-        assert chars
-        for c in chars:
-            (key, q, h) = c[0]
-            assert key == (0, 1)
-            assert h == frozenset({3})
-            # the attached vertex is finished: its pattern neighborhood is
-            # exactly the label of its only neighbor
-            assert q.neighbors(3) == frozenset({2})
-
-    def test_enumeration_count_small(self):
-        # patterns for a bare boundary edge under d=3: the host component is
-        # the single edge, extendable inside any pattern whose induced
-        # subgraph on its two labels is exactly that edge
-        g = Graph(2, [(0, 1)])
-        bg = BoundariedGraph.whole(g, {0, 1})
-        chars = compute_component_characteristic(bg, {0: 1, 1: 2}, self.UD3)
-        pats = {c[0][1] for c in chars}
-        for q in pats:
-            assert q.induced({1, 2}) == frozenset({(1, 2)})
-        assert len(pats) == len(
-            [
-                q
-                for q in self.UD3
-                if {1, 2} <= q.labels
-                and q.induced({1, 2}) == frozenset({(1, 2)})
-            ]
-        )
-
-    def test_square_has_no_characteristic(self):
-        g = cycle(4)
-        bg = BoundariedGraph.whole(g, {0, 1, 2, 3})
-        UD4 = enumerate_component_patterns(4, get_family("chordal"))
-        assert (
-            compute_component_characteristic(bg, {0: 1, 1: 2, 2: 3, 3: 4}, UD4)
-            == []
-        )

@@ -12,7 +12,7 @@ from blockvd.graph import Graph
 from blockvd.instance import Instance
 from blockvd.partitions import Partition
 
-from conftest import members
+from conftest import members, random_graph
 
 
 def _engine(module, g, mode):
@@ -106,3 +106,17 @@ def test_component_forget_splits_component_into_two_pieces():
     out = engine._forget((1, 2), 0, child)
     pieces = [(1,), (2,)]
     _assert_pieces_share_one_pattern(engine, out, pieces, members(cands), lv=1)
+
+
+def test_view_units_come_sorted(rng):
+    """The transitions index child units by position in ``view(keep).units``
+    without sorting them, so the view must hand them out sorted."""
+    for mode, module in (("block", dp_block), ("component", dp_component)):
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n, rng.randint(0, 2 * n))
+            engine = module.build_engine(Instance(g, 2, 1, "k1k2", mode))
+            for _ in range(10):
+                keep = rng.sample(range(n), rng.randint(0, n))
+                units = engine.view(keep).units
+                assert list(units) == sorted(units)
