@@ -15,9 +15,8 @@ import argparse
 import random
 import time
 
-from blockvd import _gf2
 from blockvd.partitions import Partition
-from blockvd.repset import cut_row
+from blockvd.repset import cut_row, gf2_independent_rows
 
 
 def random_partition(rng: random.Random, m: int) -> Partition:
@@ -57,7 +56,7 @@ def main() -> None:
     for m in range(6, args.max_m + 1):
         nbits = 1 << (m - 1)
         rows = [cut_row(random_partition(rng, m)) for _ in range(args.rows)]
-        secs, kept = bench(_gf2.gf2_independent_rows, rows, nbits, args.reps)
+        secs, kept = bench(gf2_independent_rows, rows, nbits, args.reps)
         print(f"{m:>3} {nbits:>6} {len(rows):>5} {kept:>5} {secs * 1e3:>10.2f}")
 
 

@@ -7,17 +7,11 @@ questions reduce to set comparisons.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, InvalidInput, NonChordalFamily
-from .graph import (
-    Graph,
-    biconnected_blocks,
-    connected_components,
-    induced_edges,
-    is_chordal,
-)
+from .graph import Graph, biconnected_blocks, induced_edges
 
 DEFAULT_UD_CAP = 6
 
@@ -72,30 +66,86 @@ class Pattern:
         return f"<{ls}: {es}>" if es else f"<{ls}>"
 
 
-def _pattern_graph(p: Pattern) -> tuple[Graph, dict[int, int]]:
-    order = sorted(p.labels)
-    idx = {l: i for i, l in enumerate(order)}
-    g = Graph(len(order), [(idx[a], idx[b]) for (a, b) in p.edges])
-    return g, idx
+def _connected(adj: Sequence[int], alive: int) -> bool:
+    """Is the subgraph induced by the vertex mask alive connected?
+
+    Vertex i carries adjacency mask adj[i]; bit BFS from the lowest vertex.
+    """
+    seen = frontier = alive & -alive
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & alive & ~seen
+        seen |= frontier
+    return seen == alive
 
 
-def pattern_is_connected(p: Pattern) -> bool:
-    g, _ = _pattern_graph(p)
-    return len(connected_components(g)) <= 1
+def _biconnected(adj: Sequence[int]) -> bool:
+    """At least two vertices, connected, and no cut vertex."""
+    n = len(adj)
+    if n == 2:
+        return adj[0] == 2
+    # past two vertices, a vertex of degree 0 or 1 leaves or cuts the rest;
+    # with none, every component has 3+ vertices, so if each G - v is
+    # connected then so is G
+    for a in adj:
+        if a.bit_count() < 2:
+            return False
+    full = (1 << n) - 1
+    for v in range(n):
+        if not _connected(adj, full ^ 1 << v):
+            return False
+    return True
 
 
-def pattern_is_biconnected(p: Pattern) -> bool:
-    if len(p.labels) < 2:
-        return False
-    g, _ = _pattern_graph(p)
-    if len(connected_components(g)) != 1:
-        return False
-    return len(biconnected_blocks(g).blocks) == 1
+def _chordal(adj: Sequence[int]) -> bool:
+    """Strip simplicial vertices; the graph is chordal iff none is left.
+
+    Vertex v is simplicial when every neighbor u sees all the others,
+    i.e. nb & ~adj[u] is u's own bit.  Stripping one keeps chordality
+    either way, and a chordless cycle's vertices are never simplicial.
+    """
+    alive = (1 << len(adj)) - 1
+    stripped = True
+    while alive and stripped:
+        stripped = False
+        for v, a in enumerate(adj):
+            if not alive >> v & 1:
+                continue
+            nb = rest = a & alive
+            while rest:
+                low = rest & -rest
+                if nb & ~adj[low.bit_length() - 1] != low:
+                    break
+                rest ^= low
+            else:
+                alive ^= 1 << v
+                stripped = True
+    return not alive
 
 
-def pattern_is_chordal(p: Pattern) -> bool:
-    g, _ = _pattern_graph(p)
-    return is_chordal(g)
+def _cycle_or_tiny(adj: Sequence[int]) -> bool:
+    return len(adj) <= 2 or all(a.bit_count() == 2 for a in adj)
+
+
+def _complete(adj: Sequence[int]) -> bool:
+    full = (1 << len(adj)) - 1
+    return all(a | 1 << v == full for v, a in enumerate(adj))
+
+
+# name: (membership predicate, max_order, complete_only).  The predicate
+# reads adjacency masks: vertex i of a graph on n vertices has neighbor
+# set adj[i], a mask over bits 0..n-1.
+_FAMILY_DATA: dict[str, tuple[Callable[[Sequence[int]], bool], int | None, bool]] = {
+    "k1k2": (lambda adj: len(adj) <= 2, 2, False),
+    "cliques": (_complete, None, True),
+    "chordal": (_chordal, None, False),
+    "cycles": (_cycle_or_tiny, None, False),
+    "all": (lambda adj: True, None, False),
+}
 
 
 @dataclass(frozen=True)
@@ -103,45 +153,32 @@ class PFamilySpec:
     """A named block family with its membership predicate.
 
     The predicate is evaluated on connected (for components) or
-    biconnected (for blocks) induced subgraphs handed over as a vertex
-    set plus edge set; it must be cheap on inputs with at most d vertices.
+    biconnected (for blocks) pieces with at most d vertices, handed over
+    as adjacency masks.  The two short-cuts, fixed by the name, only tell
+    the enumerator which candidates the predicate rejects anyway: no
+    member has more than max_order vertices, or every member is complete.
     """
 
     name: str
+    max_order: int | None = field(init=False)
+    complete_only: bool = field(init=False)
 
-    def contains(self, vertices: frozenset[int], edges: frozenset[tuple[int, int]]) -> bool:
-        n = len(vertices)
-        if self.name == "k1k2":
-            return n <= 2
-        if self.name == "cliques":
-            return len(edges) == n * (n - 1) // 2
-        if self.name == "chordal":
-            order = sorted(vertices)
-            idx = {v: i for i, v in enumerate(order)}
-            return is_chordal(Graph(n, [(idx[a], idx[b]) for a, b in edges]))
-        if self.name == "cycles":
-            if n <= 2:
-                return True
-            deg: dict[int, int] = {v: 0 for v in vertices}
-            for a, b in edges:
-                deg[a] += 1
-                deg[b] += 1
-            return all(d == 2 for d in deg.values()) and len(edges) == n
-        if self.name == "all":
-            return True
-        raise InvalidInput(f"unknown family {self.name!r}")
+    def __post_init__(self) -> None:
+        try:
+            _, max_order, complete_only = _FAMILY_DATA[self.name]
+        except KeyError:
+            raise InvalidInput(
+                f"unknown family {self.name!r}; choose from {sorted(_FAMILY_DATA)}"
+            ) from None
+        object.__setattr__(self, "max_order", max_order)
+        object.__setattr__(self, "complete_only", complete_only)
 
-    def contains_pattern(self, p: Pattern) -> bool:
-        return self.contains(p.labels, p.edges)
+    def contains(self, adj: Sequence[int]) -> bool:
+        """Is the graph with adjacency masks adj a member?"""
+        return _FAMILY_DATA[self.name][0](adj)
 
 
-FAMILIES: dict[str, PFamilySpec] = {
-    "k1k2": PFamilySpec("k1k2"),
-    "cliques": PFamilySpec("cliques"),
-    "chordal": PFamilySpec("chordal"),
-    "cycles": PFamilySpec("cycles"),
-    "all": PFamilySpec("all"),
-}
+FAMILIES: dict[str, PFamilySpec] = {name: PFamilySpec(name) for name in _FAMILY_DATA}
 
 
 def get_family(name: str) -> PFamilySpec:
@@ -163,20 +200,11 @@ def _ud_cap() -> int:
         raise InvalidInput(f"BLOCKVD_UD_CAP={env!r} is not an integer") from None
 
 
-def _label_subsets(d: int, min_size: int):
-    for mask in range(1 << d):
-        labels = [i + 1 for i in range(d) if mask >> i & 1]
-        if len(labels) >= min_size:
-            yield labels
-
-
 def _enumerate_patterns(
-    d: int,
-    family: PFamilySpec,
-    min_labels: int,
-    shape: Callable[[Pattern], bool],
+    d: int, family: PFamilySpec, biconnected: bool
 ) -> tuple[Pattern, ...]:
-    """Family members of the given shape on label subsets of [d].
+    """Family members on label subsets of [d]: biconnected ones with at
+    least two labels, or connected ones with at least one.
 
     Raises NonChordalFamily as soon as an accepted member is not chordal:
     the dynamic program is unsound for such families.
@@ -187,21 +215,38 @@ def _enumerate_patterns(
         raise CapExceeded(
             f"d={d} exceeds the pattern-universe cap; raise BLOCKVD_UD_CAP to override"
         )
+    min_labels = 2 if biconnected else 1
+    max_labels = d if family.max_order is None else min(d, family.max_order)
     out: list[Pattern] = []
-    for labels in _label_subsets(d, min_labels):
-        pairs = [
-            (labels[i], labels[j])
-            for i in range(len(labels))
-            for j in range(i + 1, len(labels))
-        ]
-        for emask in range(1 << len(pairs)):
-            edges = frozenset(pairs[i] for i in range(len(pairs)) if emask >> i & 1)
-            p = Pattern(frozenset(labels), edges)
-            if not shape(p):
+    for lmask in range(1 << d):
+        labels = [i + 1 for i in range(d) if lmask >> i & 1]
+        s = len(labels)
+        if not min_labels <= s <= max_labels:
+            continue
+        # candidate edge j joins local vertices ends[j], labels pairs[j];
+        # edge sets count up through the pairs in lexicographic order
+        ends = [(i, j) for i in range(s) for j in range(i + 1, s)]
+        pairs = [(labels[i], labels[j]) for i, j in ends]
+        npairs = len(ends)
+        first = (1 << npairs) - 1 if family.complete_only else 0
+        for emask in range(first, 1 << npairs):
+            adj = [0] * s
+            rest = emask
+            while rest:
+                low = rest & -rest
+                a, b = ends[low.bit_length() - 1]
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+                rest ^= low
+            if not (_biconnected(adj) if biconnected else _connected(adj, (1 << s) - 1)):
                 continue
-            if not family.contains_pattern(p):
+            if not family.contains(adj):
                 continue
-            if not pattern_is_chordal(p):
+            p = Pattern(
+                frozenset(labels),
+                frozenset(pairs[j] for j in range(npairs) if emask >> j & 1),
+            )
+            if not _chordal(adj):
                 raise NonChordalFamily(
                     f"family {family.name!r} admits the non-chordal pattern {p}"
                 )
@@ -212,12 +257,12 @@ def _enumerate_patterns(
 
 def enumerate_ud(d: int, family: PFamilySpec) -> tuple[Pattern, ...]:
     """All biconnected family members on label subsets of [d], >= 2 labels."""
-    return _enumerate_patterns(d, family, 2, pattern_is_biconnected)
+    return _enumerate_patterns(d, family, biconnected=True)
 
 
 def enumerate_component_patterns(d: int, family: PFamilySpec) -> tuple[Pattern, ...]:
     """Connected family members on label subsets of [d] (>= 1 label)."""
-    return _enumerate_patterns(d, family, 1, pattern_is_connected)
+    return _enumerate_patterns(d, family, biconnected=False)
 
 
 def is_block_labeling(g: Graph, labels: Mapping[int, int]) -> bool:

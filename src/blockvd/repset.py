@@ -14,9 +14,30 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._gf2 import gf2_independent_rows
 from .errors import BadBucket, TooLarge
 from .partitions import Partition, all_partitions, inc_is_forest, one_coarsenings, uplus
+
+
+def gf2_independent_rows(rows: Sequence[int], nbits: int) -> list[int]:
+    """Indices of a greedy maximal linearly independent subset of rows.
+
+    Row reduction over GF(2) on int bitsets.  The pivot rule is the lowest
+    set bit, and the first independent row wins, so the kept rows depend
+    only on the row order.
+    """
+    pivots: dict[int, int] = {}
+    out: list[int] = []
+    for idx, row in enumerate(rows):
+        r = row
+        while r:
+            p = r & (-r)
+            b = pivots.get(p)
+            if b is None:
+                pivots[p] = r
+                out.append(idx)
+                break
+            r ^= b
+    return out
 
 
 def cut_row(p: Partition) -> int:

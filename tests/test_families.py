@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import pytest
 
-from blockvd.errors import CapExceeded, NonChordalFamily
+from blockvd.errors import CapExceeded, InvalidInput, NonChordalFamily
 from blockvd.families import (
+    FAMILIES,
     Pattern,
+    PFamilySpec,
     enumerate_component_patterns,
     enumerate_ud,
     get_family,
@@ -14,11 +18,13 @@ from blockvd.graph import (
     BoundariedGraph,
     Graph,
     aux_partition,
+    biconnected_blocks,
     connected_components,
     is_chordal,
     s_blocks,
     sum_boundaried,
 )
+from blockvd.oracle import verify_solution
 from blockvd.partitions import inc_is_forest
 
 
@@ -41,11 +47,11 @@ class TestEnumerateUd:
         assert len(enumerate_ud(4, get_family("chordal"))) == 17
 
     def test_all_biconnected(self):
-        from blockvd.families import pattern_is_biconnected
-
         for p in enumerate_ud(4, get_family("chordal")):
-            assert pattern_is_biconnected(p)
             assert len(p.labels) >= 2
+            g = _as_graph(p)
+            assert len(connected_components(g)) == 1
+            assert len(biconnected_blocks(g).blocks) == 1
 
     def test_cycles_family_rejected_at_d4(self):
         with pytest.raises(NonChordalFamily):
@@ -71,6 +77,124 @@ class TestEnumerateUd:
         # 3 singletons + 3 edges + 3 paths per triple + 1 triangle
         pats = enumerate_component_patterns(3, get_family("chordal"))
         assert len(pats) == 3 + 3 + 3 + 1
+
+
+def _as_graph(p):
+    order = sorted(p.labels)
+    idx = {l: i for i, l in enumerate(order)}
+    return Graph(len(order), [(idx[a], idx[b]) for a, b in p.edges])
+
+
+def _reference_member(name, g):
+    n = g.n
+    if name == "k1k2":
+        return n <= 2
+    if name == "cliques":
+        return len(g.edges()) == n * (n - 1) // 2
+    if name == "chordal":
+        return is_chordal(g)
+    if name == "cycles":
+        return n <= 2 or all(len(g.neighbors(v)) == 2 for v in range(n))
+    assert name == "all"
+    return True
+
+
+def _reference_universe(d, name, biconnected):
+    """The universe by brute force over Graph objects, or the message of
+    the first accepted non-chordal pattern."""
+    out = []
+    for lmask in range(1 << d):
+        labels = [i + 1 for i in range(d) if lmask >> i & 1]
+        if len(labels) < (2 if biconnected else 1):
+            continue
+        pairs = list(combinations(range(len(labels)), 2))
+        for emask in range(1 << len(pairs)):
+            es = [pairs[j] for j in range(len(pairs)) if emask >> j & 1]
+            g = Graph(len(labels), es)
+            if len(connected_components(g)) != 1:
+                continue
+            if biconnected and len(biconnected_blocks(g).blocks) != 1:
+                continue
+            if not _reference_member(name, g):
+                continue
+            p = pat(labels, [(labels[a], labels[b]) for a, b in es])
+            if not is_chordal(g):
+                return f"family {name!r} admits the non-chordal pattern {p}"
+            out.append(p)
+    return tuple(sorted(out, key=Pattern.sort_key))
+
+
+def _universe_or_message(d, fam, biconnected):
+    enum = enumerate_ud if biconnected else enumerate_component_patterns
+    try:
+        return enum(d, fam)
+    except NonChordalFamily as exc:
+        return str(exc)
+
+
+class TestUniverseDifferential:
+    @pytest.mark.parametrize("biconnected", [True, False])
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_matches_reference_filter(self, name, biconnected):
+        for d in range(1, 6):
+            got = _universe_or_message(d, get_family(name), biconnected)
+            assert got == _reference_universe(d, name, biconnected), (d, name)
+
+    @pytest.mark.parametrize("biconnected", [True, False])
+    @pytest.mark.parametrize("name", ["cycles", "all"])
+    def test_first_non_chordal_pattern_named(self, name, biconnected):
+        for d in (4, 5):
+            got = _universe_or_message(d, get_family(name), biconnected)
+            assert got == (
+                f"family {name!r} admits the non-chordal pattern "
+                "<1,2,3,4: 1-3 1-4 2-3 2-4>"
+            )
+
+    @pytest.mark.parametrize(
+        "name, block, component",
+        [("k1k2", 15, 21), ("cliques", 57, 63), ("chordal", 3842, 17174)],
+    )
+    def test_d6_sizes(self, name, block, component):
+        fam = get_family(name)
+        assert len(enumerate_ud(6, fam)) == block
+        assert len(enumerate_component_patterns(6, fam)) == component
+
+    @pytest.mark.parametrize("biconnected", [True, False])
+    def test_unknown_family_rejected_at_d1(self, biconnected):
+        enum = enumerate_ud if biconnected else enumerate_component_patterns
+        with pytest.raises(InvalidInput, match="unknown family 'zzz'"):
+            enum(1, PFamilySpec("zzz"))
+
+
+def _all_graphs(max_n):
+    for n in range(max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for emask in range(1 << len(pairs)):
+            yield Graph(n, [pairs[j] for j in range(len(pairs)) if emask >> j & 1])
+
+
+def _masks(g):
+    return [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
+
+
+class TestMaskPredicate:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_contains_matches_reference_on_small_graphs(self, name):
+        fam = get_family(name)
+        for g in _all_graphs(5):
+            assert fam.contains(_masks(g)) == _reference_member(name, g), g.edges()
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_oracle_uses_the_predicate(self, name):
+        # with nothing deleted, a connected graph is one component and a
+        # biconnected one a single block
+        for g in _all_graphs(5):
+            if not g.n or len(connected_components(g)) != 1:
+                continue
+            want = _reference_member(name, g)
+            assert verify_solution(g, (), 5, name, "component") == want, g.edges()
+            if len(biconnected_blocks(g).blocks) == 1:
+                assert verify_solution(g, (), 5, name, "block") == want, g.edges()
 
 
 class TestLabelings:

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from blockvd._gf2 import gf2_independent_rows as pure_rows
 from blockvd.errors import BadBucket, TooLarge
 from blockvd.partitions import Partition, all_partitions, inc_is_forest, uplus
 from blockvd.repset import (
     cut_row,
+    gf2_independent_rows,
     reduce_connected,
     rep_partitions,
     verify_representative,
@@ -33,7 +33,7 @@ class TestCutMatrix:
 class TestKernels:
     def test_known_basis(self):
         rows = [0b0011, 0b0101, 0b0110, 0b1000, 0b0000]
-        keep = pure_rows(rows, 4)
+        keep = gf2_independent_rows(rows, 4)
         assert keep == [0, 1, 3]
 
 
