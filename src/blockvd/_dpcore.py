@@ -114,7 +114,6 @@ class SolveResult:
     decision: bool
     witness: frozenset[int] | None
     stats: dict
-    tables: list[dict] | None = None
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,6 @@ class Engine:
         self._linked_memo: dict[tuple[int, int], int] = {}
         # (p1, p2) -> uplus(p1, p2), or False when their joint has a cycle
         self._join_memo: dict[tuple[Partition, Partition], Partition | bool] = {}
-        self.stats = {"states": 0, "retained": 0, "nodes": ntd.num_nodes}
 
     # ------------------------------------------------------------------
     # small helpers
@@ -395,18 +393,19 @@ class Engine:
             kept = rep_partitions(m, list(fam))
             if len(kept) != len(fam):
                 table[key] = {p: fam[p] for p in kept}
-        self.stats["states"] += len(table)
-        self.stats["retained"] += sum(len(f) for f in table.values())
 
     # ------------------------------------------------------------------
     # main loop
 
-    _debug_keep_tables = False
+    def walk(self) -> Iterator[tuple[int, dict]]:
+        """Build the reduced table of every node in postorder.
 
-    def run(self) -> SolveResult:
+        Yields (node, table) as each table is finished.  A child's table
+        is dropped once its parent's is built, so only the tables of the
+        open subtrees are held unless the caller keeps them.
+        """
         ntd = self.ntd
         tables: dict[int, dict] = {}
-        keep_tables = self._debug_keep_tables
         for node in ntd.postorder():
             kind = ntd.kinds[node]
             bag = ntd.bags[node]
@@ -414,41 +413,36 @@ class Engine:
                 table = self._leaf_table()
             elif kind == "introduce":
                 (child,) = ntd.children[node]
-                table = self._introduce(bag, ntd.acted[node], tables[child])
-                if not keep_tables:
-                    del tables[child]
+                table = self._introduce(bag, ntd.acted[node], tables.pop(child))
             elif kind == "forget":
                 (child,) = ntd.children[node]
-                table = self._forget(bag, ntd.acted[node], tables[child])
-                if not keep_tables:
-                    del tables[child]
+                table = self._forget(bag, ntd.acted[node], tables.pop(child))
             elif kind == "join":
                 c1, c2 = ntd.children[node]
-                table = self._join(bag, tables[c1], tables[c2])
-                if not keep_tables:
-                    del tables[c1]
-                    del tables[c2]
+                table = self._join(bag, tables.pop(c1), tables.pop(c2))
             else:  # pragma: no cover
                 raise AssertionError(kind)
             self.reduce_table(table)
             tables[node] = table
+            yield node, table
 
-        root_table = tables[self.ntd.root]
+    def run(self) -> SolveResult:
+        states = retained = 0
+        table: dict = {}
+        for _, table in self.walk():
+            states += len(table)
+            retained += sum(len(f) for f in table.values())
+        # the last table walked is the root's
         decision = False
         wit: frozenset[int] | None = None
         for i in range(self.k + 1):
-            fam = root_table.get(((), (), i, ()))
+            fam = table.get(((), (), i, ()))
             if fam:
                 decision = True
                 if self.track_witness:
                     wit = next(iter(fam.values()))
                 break
-        return SolveResult(
-            decision,
-            wit,
-            dict(self.stats),
-            [tables[n] for n in self.ntd.postorder()] if keep_tables else None,
-        )
+        return SolveResult(decision, wit, {"states": states, "retained": retained})
 
     # ------------------------------------------------------------------
     # leaf

@@ -9,13 +9,12 @@ every node.
 
 from __future__ import annotations
 
-from ._dpcore import Engine, SolveResult, StateKey
+from ._dpcore import Engine, SolveResult
 from .decomposition import NiceTreeDecomposition, heuristic_td, to_nice, validate_nice
 from .errors import InvalidInput
 from .families import enumerate_ud, get_family
 from .instance import Instance
 from .oracle import verify_solution
-from .partitions import Partition
 
 
 def build_engine(
@@ -52,50 +51,8 @@ def solve_block(
     return result
 
 
-def intro_step(
-    engine: Engine,
-    bag: tuple[int, ...],
-    v: int,
-    child_table: dict,
-    parent_key: StateKey,
-) -> list[Partition]:
-    """Family of one introduce-node state, reduced; for testing."""
-    table = engine._introduce(bag, v, child_table)
-    engine.reduce_table(table)
-    return list(table.get(parent_key, {}))
-
-
-def forget_step(
-    engine: Engine,
-    bag: tuple[int, ...],
-    v: int,
-    child_table: dict,
-    parent_key: StateKey,
-) -> list[Partition]:
-    """Family of one forget-node state, reduced; for testing."""
-    table = engine._forget(bag, v, child_table)
-    engine.reduce_table(table)
-    return list(table.get(parent_key, {}))
-
-
-def join_step(
-    engine: Engine,
-    bag: tuple[int, ...],
-    left_table: dict,
-    right_table: dict,
-    parent_key: StateKey,
-) -> list[Partition]:
-    """Family of one join-node state, reduced; for testing."""
-    table = engine._join(bag, left_table, right_table)
-    engine.reduce_table(table)
-    return list(table.get(parent_key, {}))
-
-
 __all__ = [
     "SolveResult",
     "build_engine",
     "solve_block",
-    "intro_step",
-    "forget_step",
-    "join_step",
 ]

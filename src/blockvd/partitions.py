@@ -45,12 +45,6 @@ class Partition:
     def num_parts(self) -> int:
         return len(self.parts)
 
-    def part_of(self, x: int) -> tuple[int, ...]:
-        for p in self.parts:
-            if x in p:
-                return p
-        raise InvalidInput(f"element {x} not in ground set")
-
     def part_masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << x for x in p) for p in self.parts)
 

@@ -46,12 +46,6 @@ def instances(mode: str, count: int, seed: int):
     return out
 
 
-def kept_tables(engine) -> dict[int, dict]:
-    engine._debug_keep_tables = True
-    res = engine.run()
-    return dict(zip(engine.ntd.postorder(), res.tables))
-
-
 def permute_mask(sigma: tuple[int, ...], mask: int) -> int:
     return sum(1 << (s - 1) for l, s in enumerate(sigma) if mask >> l & 1)
 
@@ -96,7 +90,7 @@ def test_canon_is_the_least_image_over_all_permutations(mode):
     for inst in instances(mode, 4, seed=2):
         engine = BUILD[mode](inst)
         assert engine.canonize
-        states = [key for t in kept_tables(engine).values() for key in t]
+        states = [key for _, t in engine.walk() for key in t]
         sigmas = list(permutations(range(1, engine.d + 1)))
         for xk, lk, i, gh in rng.sample(states, min(len(states), 60)):
             # stored states are canonical, and so is every relabelling of them
@@ -113,7 +107,7 @@ def test_join_index_holds_the_images_with_an_equal_label_key(mode):
     for inst in instances(mode, 4, seed=3):
         engine = BUILD[mode](inst)
         ntd = engine.ntd
-        tables = kept_tables(engine)
+        tables = dict(engine.walk())
         sigmas = list(permutations(range(1, engine.d + 1)))
         for node in ntd.postorder():
             if ntd.kinds[node] != "join":
@@ -172,7 +166,7 @@ def test_images_are_the_first_appearance_images(mode, d, family):
     rng = random.Random(d)
     g = random_graph(rng, 7, 10)
     engine = Engine(mode, g, d, 2, universe(mode, d, family), to_nice(heuristic_td(g), g))
-    states = [key for t in kept_tables(engine).values() for key in t]
+    states = [key for _, t in engine.walk() for key in t]
     sigmas = list(permutations(range(1, d + 1)))
     images = checked = 0
     for xk, lk, i, gh in rng.sample(states, min(len(states), 25)):
@@ -233,7 +227,7 @@ def test_canonization_only_merges_label_permutation_orbits(mode):
         on = BUILD[mode](inst)
         off = BUILD[mode](inst, on.ntd)
         off.canonize = False
-        on_tables, off_tables = kept_tables(on), kept_tables(off)
+        on_tables, off_tables = dict(on.walk()), dict(off.walk())
         sigmas = list(permutations(range(1, inst.d + 1)))
         for node in on.ntd.postorder():
             # union of the canonize-off families over each orbit

@@ -1,7 +1,7 @@
 import pytest
 
 from blockvd.decomposition import exact_td_small
-from blockvd.dp_block import build_engine, forget_step, intro_step, join_step, solve_block
+from blockvd.dp_block import build_engine, solve_block
 from blockvd.graph import BoundariedGraph, Graph, aux_partition
 from blockvd.instance import Instance
 from blockvd.oracle import brute_force_solve, verify_solution
@@ -63,10 +63,7 @@ class TestTableInvariants:
         g = random_graph(rng, 9, 11)
         inst = Instance(g, 3, 3, "chordal", "block")
         engine = build_engine(inst)
-        engine._debug_keep_tables = True
-        res = engine.run()
-        assert res.tables is not None
-        for table in res.tables:
+        for _, table in engine.walk():
             for key, fam in table.items():
                 if not fam:
                     continue
@@ -100,20 +97,12 @@ class TestTableInvariants:
             g = random_graph(rng, 8, 10)
             inst = Instance(g, 3, 2, "chordal", "block")
             engine = build_engine(inst, witness=True)
-            engine._debug_keep_tables = True
             ntd = engine.ntd
-            res = engine.run()
-            order = ntd.postorder()
-            # reconstruct, per node, the set of vertices seen below it
+            # per node, the set of vertices seen below it
             below: dict[int, set[int]] = {}
-            for node in order:
-                kind = ntd.kinds[node]
-                acc = set(ntd.bags[node])
-                for c in ntd.children[node]:
-                    acc |= below[c]
-                below[node] = acc
-            for node, table in zip(order, res.tables):
+            for node, table in engine.walk():
                 bag = set(ntd.bags[node])
+                below[node] = bag.union(*(below[c] for c in ntd.children[node]))
                 for (xk, lk, i, gh), fam in table.items():
                     keep = [v for v in sorted(bag) if v not in set(xk)]
                     for part, wit in fam.items():
@@ -179,33 +168,27 @@ class TestSteps:
         out2 = engine._introduce((0, 1, 2), 2, child2)
         assert any(key[0] == () and out2[key] for key in out2)
 
-    def test_step_wrappers_run(self):
+    def test_reduced_introduce_forget_and_join(self):
         g = path(3)
         inst = Instance(g, 3, 1, "chordal", "block")
         engine = build_engine(inst)
-        leaf = engine._leaf_table()
-        t0 = engine._introduce((1,), 1, leaf)
-        key = sorted(t0)[0]
-        fams = intro_step(engine, (1,), 1, leaf, key)
-        assert fams == list(t0[key])
-
-    def test_forget_and_join_steps(self):
-        g = path(3)
-        inst = Instance(g, 3, 1, "chordal", "block")
-        engine = build_engine(inst)
-        leaf = engine._leaf_table()
-        t0 = engine._introduce((1,), 1, leaf)
+        t0 = engine._introduce((1,), 1, engine._leaf_table())
+        unreduced = {key: list(fam) for key, fam in t0.items()}
+        engine.reduce_table(t0)
+        # families within the representative-set bound stay whole
+        assert {key: list(fam) for key, fam in t0.items()} == unreduced
         t1 = engine._introduce((0, 1), 0, t0)
+        engine.reduce_table(t1)
         # forget vertex 0: the partition collapses back to one component
         t2 = engine._forget((1,), 0, t1)
-        key = next(k for k in sorted(t2) if k[0] == ())
-        fams = forget_step(engine, (1,), 0, t1, key)
-        assert fams and all(p.m == 1 for p in fams)
+        engine.reduce_table(t2)
+        fam = t2[next(k for k in sorted(t2) if k[0] == ())]
+        assert fam and all(p.m == 1 for p in fam)
         # joining a branch with itself keeps the single-component family
         t3 = engine._join((1,), t2, t2)
-        jkey = next(k for k in sorted(t3) if k[0] == () and k[2] == 0)
-        jfams = join_step(engine, (1,), t2, t2, jkey)
-        assert jfams and all(p.m == 1 for p in jfams)
+        engine.reduce_table(t3)
+        jfam = t3[next(k for k in sorted(t3) if k[0] == () and k[2] == 0)]
+        assert jfam and all(p.m == 1 for p in jfam)
 
 
 class TestDegenerate:

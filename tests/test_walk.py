@@ -1,0 +1,56 @@
+"""The engine's node walk and the solve folded over it.
+
+``Engine.walk`` yields each node's reduced table in postorder and
+``Engine.run`` sums its counters over the walk and reads the decision
+from the last (root) table, so a run keeps no state on the engine.
+"""
+
+import random
+
+import pytest
+
+from blockvd import dp_block, dp_component
+from blockvd.instance import Instance
+
+from conftest import cycle, random_graph
+
+BUILD = {"block": dp_block.build_engine, "component": dp_component.build_engine}
+
+
+def instances(mode: str) -> list[tuple[Instance, bool]]:
+    """C5 with k1k2 at d=3, k=1, then seeded random instances, each with
+    and without witnesses."""
+    rng = random.Random(12)
+    out = [Instance(cycle(5), 3, 1, "k1k2", mode)]
+    for _ in range(10):
+        n = rng.randint(5, 8)
+        g = random_graph(rng, n, rng.randint(n - 1, n * 3 // 2))
+        family = rng.choice(["k1k2", "cliques", "chordal"])
+        out.append(Instance(g, rng.choice([2, 3, 4]), rng.randint(0, 2), family, mode))
+    return [(inst, witness) for inst in out for witness in (False, True)]
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_a_second_run_reports_the_same_counts(mode):
+    for inst, witness in instances(mode):
+        engine = BUILD[mode](inst, witness=witness)
+        first, second = engine.run(), engine.run()
+        assert first.stats["states"] > 0
+        assert second.stats == first.stats
+        assert (second.decision, second.witness) == (first.decision, first.witness)
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_walk_visits_the_postorder_and_ends_at_the_root(mode):
+    decisions = set()
+    for inst, witness in instances(mode):
+        engine = BUILD[mode](inst, witness=witness)
+        walked = list(engine.walk())
+        assert [node for node, _ in walked] == engine.ntd.postorder()
+        assert len({node for node, _ in walked}) == engine.ntd.num_nodes
+        root = walked[-1][1]
+        accepted = any(root.get(((), (), i, ())) for i in range(inst.k + 1))
+        decision = engine.run().decision
+        assert accepted == decision
+        decisions.add(decision)
+    assert decisions == {True, False}
