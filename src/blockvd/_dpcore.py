@@ -11,15 +11,16 @@ one component.  A table entry is keyed by
     (X, L, i, gh)
 
 where X is the deleted bag subset, L the labeling of the rest, i the
-number of vertices already deleted below the bag, and gh one hypothesis
-per unit: a set of candidate final patterns plus the labels of outside
-neighbors already attached.  The value is the family of partitions of
-the bag components realized by some partial solution.  After every node
-each family is held to the representative-set bound of m * 2^(m-1)
-partitions over m bag components: the rank-based reduction runs only on
-a family above that bound.  Bell(m) <= m * 2^(m-1) for every m <= 5, so
-on bags of width at most 4 no family can exceed it and the reduction
-never runs.
+number of vertices already deleted below the bag, and gh[j] the
+hypothesis of unit j of ``view(bag - X)``: a set of candidate final
+patterns plus the labels of outside neighbors already attached, held as
+the pair (pattern mask, h mask).  The units depend only on the bag and
+X, so no key stores them.  The value is the family of partitions of the
+bag components realized by some partial solution.  After every node each
+family is held to the representative-set bound of m * 2^(m-1) partitions
+over m bag components: the rank-based reduction runs only on a family
+above that bound.  Bell(m) <= m * 2^(m-1) for every m <= 5, so on bags
+of width at most 4 no family can exceed it and the reduction never runs.
 
 Hypothesis slots hold pattern *sets* rather than single patterns: a
 state with slot S stands for the union of the single-pattern states over
@@ -73,7 +74,7 @@ from .partitions import Partition, inc_is_forest, uplus
 from .repset import rep_partitions
 
 StateKey = tuple[tuple[int, ...], tuple[int, ...], int, tuple]
-GhEntry = tuple[tuple[int, ...], int, int]  # (unit vertices, pattern mask, h mask)
+GhEntry = tuple[int, int]  # (pattern mask, h mask)
 Witness = frozenset[int]
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -118,6 +119,7 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class _View:
+    """A bag graph's components and units; gh[j] is the hypothesis of units[j]."""
     keep: tuple[int, ...]
     comps: tuple[tuple[int, ...], ...]
     comp_of: dict[int, int] = field(hash=False, compare=False)
@@ -293,18 +295,18 @@ class Engine:
         """Hypotheses under sigma; each slot relabels only the patterns it holds."""
         bits, pat_memo, slot_memo = self._sigma_action(sigma)
         out = []
-        for unit, pats, hm in gh:
-            got = slot_memo.get((pats, hm))
+        for entry in gh:
+            got = slot_memo.get(entry)
             if got is None:
                 image = []
-                for q in _bits(pats):
+                for q in _bits(entry[0]):
                     r = pat_memo.get(q)
                     if r is None:
                         r = pat_memo[q] = self._code_index[_permute_bits(bits, self._codes[q])]
                     image.append(r)
-                got = (_mask_of(image, len(self.patterns)), _permute_bits(bits, hm))
-                slot_memo[(pats, hm)] = got
-            out.append((unit, *got))
+                got = (_mask_of(image, len(self.patterns)), _permute_bits(bits, entry[1]))
+                slot_memo[entry] = got
+            out.append(got)
         return tuple(out)
 
     def _images(self, lkey: tuple[int, ...], gh: tuple[GhEntry, ...]) -> list[tuple]:
@@ -496,7 +498,7 @@ class Engine:
             "comp_map": tuple(pv.comp_of[c[0]] for c in cv.comps),
             "vnew": pv.comp_of[v],
             "vunits": vunits,
-            "carried": tuple(j for j in range(len(cv.units)) if j not in absorbed),
+            "carried": tuple((cu, j) for j, cu in enumerate(cv.units) if j not in absorbed),
             "part_memo": {},
         }
 
@@ -542,13 +544,14 @@ class Engine:
         xk, lk, i, gh = key
         pv: _View = ctx["pv"]
         vpos = ctx["vpos"]
-        carried = [gh[j] for j in ctx["carried"]]
+        # sorting (unit, entry) pairs puts the entries in the parent's unit order
+        carried = [(cu, gh[j]) for cu, j in ctx["carried"]]
         inherited = []
         for unit, edges, subs in ctx["vunits"]:
             hm = 0
             allowed = self.full
             for j in subs:
-                _, pats, shm = gh[j]
+                pats, shm = gh[j]
                 hm |= shm
                 allowed &= pats
             inherited.append((unit, edges, hm, allowed))
@@ -567,9 +570,9 @@ class Engine:
                     pats &= ~self.linked(1 << (lv - 1), hm)
                 if not pats:
                     break
-                entries.append((unit, pats, hm))
+                entries.append((unit, (pats, hm)))
             else:
-                self.emit(table, xk, lkey_p, i, tuple(sorted(entries)), moved)
+                self.emit(table, xk, lkey_p, i, tuple(e for _, e in sorted(entries)), moved)
 
     # ------------------------------------------------------------------
     # forget
@@ -610,7 +613,7 @@ class Engine:
         pieces = []
         for j, unit in enumerate(cv.units):
             if v not in unit:
-                carried.append(j)
+                carried.append((unit, j))
                 continue
             uset = set(unit)
             inside = tuple(pu for pu in pv.units if uset.issuperset(pu))
@@ -650,17 +653,16 @@ class Engine:
         lv = lk[vpos]
         lkey_p = lk[:vpos] + lk[vpos + 1 :]
         labs = dict(zip(ctx["keep"], lk))
-        branch_lists: list[list[GhEntry]] = [[gh[j] for j in ctx["carried"]]]
+        branch_lists = [[(cu, gh[j]) for cu, j in ctx["carried"]]]
         for j, inside in ctx["pieces"]:
-            unit, pats, hm = gh[j]
-            options = self._sink_unit_branches(unit, pats, hm, lv, inside, labs)
-            branch_lists = [b + o for b in branch_lists for o in options]
+            pats, hm = gh[j]
+            options = self._sink_unit_branches(pats, hm, lv, inside, labs)
+            branch_lists = [b + list(zip(inside, o)) for b in branch_lists for o in options]
         for branch in branch_lists:
-            self.emit(table, xk, lkey_p, i, tuple(sorted(branch)), moved)
+            self.emit(table, xk, lkey_p, i, tuple(e for _, e in sorted(branch)), moved)
 
     def _sink_unit_branches(
         self,
-        unit: tuple[int, ...],
         cands: int,
         hm: int,
         lv: int,
@@ -674,7 +676,8 @@ class Engine:
         previously attached labels its pattern keeps adjacent.  With one
         piece, candidate patterns inducing the same attached-label set
         can stay pooled; several pieces are tied to one final shape, so
-        the pool must split into single-pattern branches.
+        the pool must split into single-pattern branches.  Each branch
+        holds one (pattern mask, h mask) entry per piece, in piece order.
         """
         lvbit = 1 << (lv - 1)
         # per piece: attached-label mask -> the candidates inducing it
@@ -696,12 +699,9 @@ class Engine:
                 groups = split
             grouped.append(groups)
         if len(pieces) == 1:
-            return [[(pieces[0], qs, hv)] for hv, qs in sorted(grouped[0].items())]
+            return [[(qs, hv)] for hv, qs in sorted(grouped[0].items())]
         hv_of = [{q: hv for hv, qs in groups.items() for q in _bits(qs)} for groups in grouped]
-        return [
-            [(piece, 1 << q, hvs[q]) for piece, hvs in zip(pieces, hv_of)]
-            for q in _bits(cands)
-        ]
+        return [[(1 << q, hvs[q]) for hvs in hv_of] for q in _bits(cands)]
 
     # ------------------------------------------------------------------
     # join
@@ -733,8 +733,7 @@ class Engine:
     ) -> tuple[GhEntry, ...] | None:
         """Per-unit combination of two sides' hypotheses, or None when dead."""
         entries: list[GhEntry] = []
-        for (u1, p1, h1), (u2, p2, h2) in zip(lgh, rgh):
-            assert u1 == u2
+        for (p1, h1), (p2, h2) in zip(lgh, rgh):
             if h1 & h2:
                 return None
             common = p1 & p2
@@ -742,7 +741,7 @@ class Engine:
                 common &= ~self.linked(h1, h2)
             if not common:
                 return None
-            entries.append((u1, common, h1 | h2))
+            entries.append((common, h1 | h2))
         return tuple(entries)
 
     def _joints(

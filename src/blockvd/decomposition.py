@@ -420,7 +420,8 @@ def read_td(text: str) -> TreeDecomposition:
     """Parse a PACE-style ``.td`` file (1-based bags and node ids)."""
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
-    header = None
+    headers: list[tuple[int, ...]] = []
+    repeated: list[int] = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("c"):
@@ -429,13 +430,15 @@ def read_td(text: str) -> TreeDecomposition:
             parts = line.split()
             if len(parts) != 5 or parts[1] != "td":
                 raise InvalidInput(f"bad solution line: {line!r}")
-            header = tuple(parse_ints(parts[2:], line))
+            headers.append(tuple(parse_ints(parts[2:], line)))
             continue
         if line.startswith("b"):
             parts = line.split()
             if len(parts) < 2:
                 raise InvalidInput(f"bad bag line: {line!r}")
             bid, *members = parse_ints(parts[1:], line)
+            if bid - 1 in bags:
+                repeated.append(bid)
             bags[bid - 1] = frozenset(x - 1 for x in members)
             continue
         fields = line.split()
@@ -443,15 +446,24 @@ def read_td(text: str) -> TreeDecomposition:
             raise InvalidInput(f"bad edge line: {line!r}")
         a, b = parse_ints(fields, line)
         edges.append((a - 1, b - 1))
-    if header is None:
+    if not headers:
         raise InvalidInput("missing 's td' line")
-    nbags = header[0]
+    if len(headers) > 1:
+        raise InvalidInput("more than one 's td' line")
+    if repeated:
+        raise InvalidInput(f"bag id {repeated[0]} appears more than once")
+    nbags, max_bag, _ = headers[0]
     if set(bags) != set(range(nbags)):
         raise InvalidInput("bag ids must be 1..#bags")
-    return TreeDecomposition(
+    td = TreeDecomposition(
         tuple(bags[i] for i in range(nbags)),
         tuple((min(a, b), max(a, b)) for a, b in edges),
     )
+    if max_bag != td.width + 1:
+        raise InvalidInput(
+            f"solution line says the largest bag has {max_bag} vertices, not {td.width + 1}"
+        )
+    return td
 
 
 def write_td(td: TreeDecomposition, n: int) -> str:

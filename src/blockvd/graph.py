@@ -45,9 +45,6 @@ class Graph:
             u, v = v, u
         return (u, v) in self._edges
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     @property
     def m(self) -> int:
         return len(self._edges)
@@ -371,11 +368,14 @@ def read_gr(text: str) -> Graph:
     n = None
     m_expected = None
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if n is not None:
+                raise InvalidInput(f"second problem line: {line!r}")
             parts = line.split()
             if len(parts) < 4 or parts[1] != "tw":
                 raise InvalidInput(f"bad problem line: {line!r}")
@@ -385,6 +385,10 @@ def read_gr(text: str) -> Graph:
         if len(fields) != 2:
             raise InvalidInput(f"bad edge line: {line!r}")
         u, v = parse_ints(fields, line)
+        edge = (min(u, v), max(u, v))
+        if edge in seen:
+            raise InvalidInput(f"repeated edge: {line!r}")
+        seen.add(edge)
         edges.append((u - 1, v - 1))
     if n is None:
         raise InvalidInput("missing 'p tw n m' line")

@@ -58,9 +58,6 @@ class Partition:
     def __hash__(self) -> int:
         return self._hash
 
-    def __lt__(self, other: "Partition") -> bool:
-        return (self.m, self.parts) < (other.m, other.parts)
-
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, p)) + "}" for p in self.parts)
         return "{" + inner + "}"

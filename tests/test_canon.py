@@ -70,8 +70,8 @@ def sigma_image(engine, sigma: tuple[int, ...], lkey, gh):
     return (
         tuple(sigma[l - 1] for l in lkey),
         tuple(
-            (unit, sum(1 << image(q) for q in members(pats)), permute_mask(sigma, hm))
-            for unit, pats, hm in gh
+            (sum(1 << image(q) for q in members(pats)), permute_mask(sigma, hm))
+            for pats, hm in gh
         ),
     )
 
@@ -190,8 +190,8 @@ def index_free(engine, key):
         lk,
         i,
         tuple(
-            (unit, frozenset(engine.patterns[q] for q in members(pats)), hm)
-            for unit, pats, hm in gh
+            (frozenset(engine.patterns[q] for q in members(pats)), hm)
+            for pats, hm in gh
         ),
     )
 
@@ -204,8 +204,8 @@ def orbit_images(free_key, sigmas, relabel) -> frozenset:
             tuple(sigma[l - 1] for l in lk),
             i,
             tuple(
-                (unit, frozenset(relabel(p, sigma) for p in pats), permute_mask(sigma, hm))
-                for unit, pats, hm in gh
+                (frozenset(relabel(p, sigma) for p in pats), permute_mask(sigma, hm))
+                for pats, hm in gh
             ),
         )
         for sigma in sigmas

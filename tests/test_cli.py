@@ -9,6 +9,9 @@ from blockvd.cli import main
 from conftest import child_env
 
 
+TRIANGLE = "p tw 3 3\n1 2\n2 3\n3 1\n"
+
+
 def run_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "blockvd.cli", *args],
@@ -232,6 +235,31 @@ class TestErrorPaths:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "graph, td, reason",
+        [
+            ("p tw 3 2\n1 2\n2 1\n", None, "repeated edge"),
+            ("p tw 3 2\np tw 4 2\n1 2\n2 3\n", None, "second problem line"),
+            (TRIANGLE, "s td 1 3 3\nb 1 1 2 3\nb 1 1 2\n", "bag id 1 appears"),
+            (TRIANGLE, "s td 1 3 3\ns td 1 3 3\nb 1 1 2 3\n", "more than one 's td'"),
+            (TRIANGLE, "s td 1 9 3\nb 1 1 2 3\n", "largest bag has 9"),
+        ],
+        ids=["gr-repeated-edge", "gr-second-p-line", "td-repeated-bag",
+             "td-second-s-line", "td-largest-bag-field"],
+    )
+    def test_inconsistent_file_exit_two_one_line(self, tmp_path, graph, td, reason):
+        (tmp_path / "g.gr").write_text(graph)
+        args = ["solve", "--mode", "block", "--family", "k1k2",
+                "-d", "3", "-k", "1", "--graph", "g.gr"]
+        if td is not None:
+            (tmp_path / "g.td").write_text(td)
+            args += ["--td", "g.td"]
+        proc = run_cli(args, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error:") and reason in proc.stderr
 
     @pytest.mark.parametrize(
         "args",

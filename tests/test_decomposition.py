@@ -258,6 +258,10 @@ class TestTdIO:
             "s td 2 2 3\nb 1 1\nb 2 2\n1\n",  # tree edge with one token
             "s td 2 2 3\nb 1 1\nb 2 2\n1 2 3\n",  # tree edge with three tokens
             "s td 2 2 3\nb 1 1\nb 2 2\n1 z\n",  # non-integer tree edge
+            "s td 1 3 3\nb 1 1 2 3\nb 1 1 2\n",  # repeated bag id
+            "s td 1 3 3\ns td 1 3 3\nb 1 1 2 3\n",  # second solution line
+            "s td 1 9 3\nb 1 1 2 3\n",  # largest-bag field above the largest bag
+            "s td 1 2 3\nb 1 1 2 3\n",  # largest-bag field below the largest bag
         ],
     )
     def test_malformed_raises_invalid_input(self, text):

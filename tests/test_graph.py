@@ -294,6 +294,9 @@ class TestGrIO:
             "p tw 3 1\n1\n",  # edge line with one token
             "p tw 3 1\n1 2 3\n",  # edge line with three tokens
             "p tw 3 1\n1 x\n",  # non-integer vertex
+            "p tw 3 2\n1 2\n1 2\n",  # repeated edge
+            "p tw 3 2\n1 2\n2 1\n",  # repeated edge, reversed
+            "p tw 3 2\np tw 4 2\n1 2\n2 3\n",  # second problem line
         ],
     )
     def test_malformed_raises_invalid_input(self, text):

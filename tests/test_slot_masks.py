@@ -146,8 +146,8 @@ def test_sink_branches_group_candidates_by_attached_labels(engine):
         pieces = [tuple(rest[a:b]) for a, b in zip([0] + cuts, cuts + [len(rest)])]
         cands = random_slot(rng, engine)
         hm = rng.getrandbits(d)
-        got = engine._sink_unit_branches(unit, cands, hm, labs[0], pieces, labs)
-        got = [[(piece, members(mask), hv) for piece, mask, hv in b] for b in got]
+        got = engine._sink_unit_branches(cands, hm, labs[0], pieces, labs)
+        got = [[(piece, members(mask), hv) for piece, (mask, hv) in zip(pieces, b)] for b in got]
         assert got == reference_sink(engine, cands, hm, labs[0], pieces, labs)
         pooled += len(pieces) == 1 and any(len(b[0][1]) > 1 for b in got)
         split += len(pieces) > 1 and len(got) > 1

@@ -54,3 +54,27 @@ def test_walk_visits_the_postorder_and_ends_at_the_root(mode):
         assert accepted == decision
         decisions.add(decision)
     assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_each_hypothesis_sits_at_its_units_position(mode):
+    """gh[j] of every walked state is the (pattern mask, h mask) pair of
+    unit j of the view of the surviving bag vertices: the slot hosts that
+    unit's labeled shape and no attached label is one of the unit's."""
+    slots = 0
+    for inst, _ in instances(mode)[::2]:
+        engine = BUILD[mode](inst)
+        assert engine.canonize
+        for node, table in engine.walk():
+            bag = engine.ntd.bags[node]
+            for xk, lk, _, gh in table:
+                view = engine.view(v for v in bag if v not in xk)
+                assert len(gh) == len(view.units)
+                labs = dict(zip(view.keep, lk))
+                for entry, unit, edges in zip(gh, view.units, view.unit_edges):
+                    assert type(entry) is tuple and [type(x) for x in entry] == [int, int]
+                    pats, hm = entry
+                    assert pats and not pats & ~engine.compat_set(unit, edges, labs)
+                    assert not hm & sum(1 << (labs[u] - 1) for u in unit)
+                    slots += 1
+    assert slots > 0
