@@ -8,19 +8,24 @@ of its components.  Every transition is written for blocks and covers
 components unchanged; a vertex may lie in several blocks but in exactly
 one component.  A table entry is keyed by
 
-    (X, L, i, gh)
+    (X, L, gh)
 
-where X is the deleted bag subset, L the labeling of the rest, i the
-number of vertices already deleted below the bag, and gh[j] the
-hypothesis of unit j of ``view(bag - X)``: a set of candidate final
+where X is the deleted bag subset, L the labeling of the rest, and gh[j]
+the hypothesis of unit j of ``view(bag - X)``: a set of candidate final
 patterns plus the labels of outside neighbors already attached, held as
 the pair (pattern mask, h mask).  The units depend only on the bag and
 X, so no key stores them.  The value is the family of partitions of the
-bag components realized by some partial solution.  After every node each
-family is held to the representative-set bound of m * 2^(m-1) partitions
-over m bag components: the rank-based reduction runs only on a family
-above that bound.  Bell(m) <= m * 2^(m-1) for every m <= 5, so on bags
-of width at most 4 no family can exceed it and the reduction never runs.
+bag components realized by some partial solution, each with the least
+number i of vertices deleted below the bag by a partial solution
+realizing it; a partition needing more than k deletions is dropped.
+After every node each family is held to the representative-set bound of
+m * 2^(m-1) partitions over m bag components: the rank-based reduction
+runs only on a family above that bound.  It is given the family in
+ascending i, so its greedy basis keeps, for every complement, a member
+of least i (the weighted reduction of Bodlaender, Cygan, Kratsch and
+Nederlof).  Bell(m) <= m * 2^(m-1) for every m <= 5, so on bags of width
+at most 4 no family can exceed it and the reduction never runs.  The
+root's one state ((), (), ()) then holds the minimum deletion size.
 
 Hypothesis slots hold pattern *sets* rather than single patterns: a
 state with slot S stands for the union of the single-pattern states over
@@ -53,12 +58,13 @@ with equal (X, L) may agree only after the left one's absent labels are
 renamed.  The join therefore indexes each left state under every image
 with its own L; pairing the canonical keys directly loses states.
 
-A family maps each partition to its witness: the set of vertices deleted
-below the bag by one partial solution realizing it, or None when
-witnesses are off.  Witnesses carry no labels, so canonization leaves
-them alone.  Every transition adds its produced states through
-``Engine.emit``, which canonizes the target key once per state and keeps
-the first witness of each partition.
+A family maps each partition to the pair (i, witness), where the
+witness is the set of i vertices deleted below the bag by one partial
+solution realizing it, or None when witnesses are off.  Witnesses carry
+no labels, so canonization leaves them alone.  Every transition adds its
+produced states through ``Engine.emit``, which canonizes the target key
+once per state and replaces a partition's entry only by one of strictly
+lower i, so of equal counts the first witness stays.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ from .graph import Graph, biconnected_blocks, connected_components
 from .partitions import Partition, inc_is_forest, uplus
 from .repset import rep_partitions
 
-StateKey = tuple[tuple[int, ...], tuple[int, ...], int, tuple]
+StateKey = tuple[tuple[int, ...], tuple[int, ...], tuple]
 GhEntry = tuple[int, int]  # (pattern mask, h mask)
 Witness = frozenset[int]
 
@@ -115,6 +121,8 @@ class SolveResult:
     decision: bool
     witness: frozenset[int] | None
     stats: dict
+    # the least deletion size, at most k; None when the answer is NO
+    minimum: int | None = None
 
 
 @dataclass(frozen=True)
@@ -363,26 +371,30 @@ class Engine:
         table: dict,
         xk: tuple[int, ...],
         lkey: tuple[int, ...],
-        i: int,
         gh: tuple[GhEntry, ...],
-        items: Iterable[tuple[Partition | None, Witness | None]],
+        items: Iterable[tuple[Partition | None, int, Witness | None]],
     ) -> None:
-        """Add (partition, witness) pairs to one produced state.
+        """Add (partition, i, witness) items to one produced state.
 
         The target key is canonized once.  A None partition was rejected
-        by the transition and is skipped; so is a partition the family
-        already holds, which keeps the first witness.  The family is
-        created on its first new partition, so no empty family is stored.
+        by the transition and is skipped.  A partition the family already
+        holds is replaced only at a strictly lower i, so of equal counts
+        the first witness stays.  The family is created on its first
+        partition, so no empty family is stored.
         """
         lc, ghc = self.canon(lkey, gh)
-        key = (xk, lc, i, ghc)
+        key = (xk, lc, ghc)
         fam = table.get(key)
-        for part, wit in items:
-            if part is None or (fam is not None and part in fam):
+        for part, i, wit in items:
+            if part is None:
                 continue
             if fam is None:
                 fam = table[key] = {}
-            fam[part] = wit
+            else:
+                old = fam.get(part)
+                if old is not None and old[0] <= i:
+                    continue
+            fam[part] = (i, wit)
 
     def reduce_table(self, table: dict) -> None:
         for key, fam in table.items():
@@ -392,7 +404,9 @@ class Engine:
             # a family within the representative-set bound already meets it
             if len(fam) <= m << (m - 1):
                 continue
-            kept = rep_partitions(m, list(fam))
+            # ascending i, stable: the greedy basis keeps for every
+            # complement a member of least i
+            kept = rep_partitions(m, sorted(fam, key=lambda p: fam[p][0]))
             if len(kept) != len(fam):
                 table[key] = {p: fam[p] for p in kept}
 
@@ -434,17 +448,14 @@ class Engine:
         for _, table in self.walk():
             states += len(table)
             retained += sum(len(f) for f in table.values())
-        # the last table walked is the root's
-        decision = False
-        wit: frozenset[int] | None = None
-        for i in range(self.k + 1):
-            fam = table.get(((), (), i, ()))
-            if fam:
-                decision = True
-                if self.track_witness:
-                    wit = next(iter(fam.values()))
-                break
-        return SolveResult(decision, wit, {"states": states, "retained": retained})
+        # the last table walked is the root's; its one state holds the
+        # one partition of no bag components
+        stats = {"states": states, "retained": retained}
+        fam = table.get(((), (), ()))
+        if not fam:
+            return SolveResult(False, None, stats)
+        ((minimum, wit),) = fam.values()
+        return SolveResult(True, wit, stats, minimum)
 
     # ------------------------------------------------------------------
     # leaf
@@ -452,7 +463,7 @@ class Engine:
     def _leaf_table(self) -> dict:
         table: dict = {}
         wit: Witness | None = frozenset() if self.track_witness else None
-        self.emit(table, (), (), 0, (), [(Partition(0, ()), wit)])
+        self.emit(table, (), (), (), [(Partition(0, ()), 0, wit)])
         return table
 
     # ------------------------------------------------------------------
@@ -462,16 +473,17 @@ class Engine:
         table: dict = {}
         ctx_cache: dict[tuple[int, ...], dict] = {}
         for key, fam in child.items():
-            xk, lk, i, gh = key
+            xk, lk, gh = key
             # v joins the deleted set: nothing else changes
-            self.emit(table, tuple(sorted(xk + (v,))), lk, i, gh, fam.items())
+            items = [(p, i, w) for p, (i, w) in fam.items()]
+            self.emit(table, tuple(sorted(xk + (v,))), lk, gh, items)
             # v survives with some label; the family moves the same way
             # whatever the label
             ctx = ctx_cache.get(xk)
             if ctx is None:
                 ctx = self._intro_ctx(bag, v, xk)
                 ctx_cache[xk] = ctx
-            moved = [(self._intro_partition(ctx, p), w) for p, w in fam.items()]
+            moved = [(self._intro_partition(ctx, p), i, w) for p, (i, w) in fam.items()]
             self._introduce_state(table, ctx, key, moved)
         return table
 
@@ -541,7 +553,7 @@ class Engine:
         must host its labeled shape and keep v apart from the attached
         labels.
         """
-        xk, lk, i, gh = key
+        xk, lk, gh = key
         pv: _View = ctx["pv"]
         vpos = ctx["vpos"]
         # sorting (unit, entry) pairs puts the entries in the parent's unit order
@@ -572,7 +584,7 @@ class Engine:
                     break
                 entries.append((unit, (pats, hm)))
             else:
-                self.emit(table, xk, lkey_p, i, tuple(e for _, e in sorted(entries)), moved)
+                self.emit(table, xk, lkey_p, tuple(e for _, e in sorted(entries)), moved)
 
     # ------------------------------------------------------------------
     # forget
@@ -580,21 +592,25 @@ class Engine:
     def _forget(self, bag: tuple[int, ...], v: int, child: dict) -> dict:
         table: dict = {}
         ctx_cache: dict[tuple[int, ...], dict] = {}
+        k = self.k
+        track = self.track_witness
         for key, fam in child.items():
-            xk, lk, i, gh = key
+            xk, lk, gh = key
             if v in xk:
-                if i + 1 <= self.k:
-                    items: Iterable = fam.items()
-                    if self.track_witness:
-                        items = [(p, w | {v}) for p, w in items]
-                    xk2 = tuple(u for u in xk if u != v)
-                    self.emit(table, xk2, lk, i + 1, gh, items)
+                # v is deleted below the parent: one more deletion, within k
+                items = [
+                    (p, i + 1, w | {v} if track else None)
+                    for p, (i, w) in fam.items()
+                    if i < k
+                ]
+                xk2 = tuple(u for u in xk if u != v)
+                self.emit(table, xk2, lk, gh, items)
                 continue
             ctx = ctx_cache.get(xk)
             if ctx is None:
                 ctx = self._forget_ctx(bag, v, xk)
                 ctx_cache[xk] = ctx
-            moved = [(self._forget_partition(ctx, p), w) for p, w in fam.items()]
+            moved = [(self._forget_partition(ctx, p), i, w) for p, (i, w) in fam.items()]
             self._forget_state(table, ctx, key, moved)
         return table
 
@@ -648,7 +664,7 @@ class Engine:
 
     def _forget_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
         """Emit the moved family once per hypothesis branch for v's units."""
-        xk, lk, i, gh = key
+        xk, lk, gh = key
         vpos = ctx["vpos"]
         lv = lk[vpos]
         lkey_p = lk[:vpos] + lk[vpos + 1 :]
@@ -659,7 +675,7 @@ class Engine:
             options = self._sink_unit_branches(pats, hm, lv, inside, labs)
             branch_lists = [b + list(zip(inside, o)) for b in branch_lists for o in options]
         for branch in branch_lists:
-            self.emit(table, xk, lkey_p, i, tuple(e for _, e in sorted(branch)), moved)
+            self.emit(table, xk, lkey_p, tuple(e for _, e in sorted(branch)), moved)
 
     def _sink_unit_branches(
         self,
@@ -709,21 +725,18 @@ class Engine:
     def _join(self, bag: tuple[int, ...], left: dict, right: dict) -> dict:
         table: dict = {}
         index = self._join_index(left)
-        for (rxk, rlk, ri, rgh), rfam in right.items():
+        for (rxk, rlk, rgh), rfam in right.items():
             for lkey, lgh in index.get((rxk, rlk), ()):
-                i = lkey[2] + ri
-                if i > self.k:
-                    continue
                 gh_p = self._join_gh(lgh, rgh)
                 if gh_p is not None:
-                    self.emit(table, rxk, rlk, i, gh_p, self._joints(left[lkey], rfam))
+                    self.emit(table, rxk, rlk, gh_p, self._joints(left[lkey], rfam))
         return table
 
     def _join_index(self, left: dict) -> dict[tuple, list]:
         """Left states by (X, L), each under every image with its own L."""
         index: dict[tuple, list[tuple[StateKey, tuple[GhEntry, ...]]]] = {}
         for key in left:
-            xk, lk, i, gh = key
+            xk, lk, gh = key
             for l2, gh2 in self._images(lk, gh):
                 index.setdefault((xk, l2), []).append((key, gh2))
         return index
@@ -746,16 +759,21 @@ class Engine:
 
     def _joints(
         self, lfam: dict, rfam: dict
-    ) -> Iterator[tuple[Partition, Witness | None]]:
-        """Acyclic joints of two families, each with the union witness."""
+    ) -> Iterator[tuple[Partition, int, Witness | None]]:
+        """Acyclic joints of two families within the budget, each with the
+        summed deletion count and the union witness."""
         memo = self._join_memo
         track = self.track_witness
-        for p1, w1 in lfam.items():
-            for p2, w2 in rfam.items():
+        k = self.k
+        for p1, (i1, w1) in lfam.items():
+            for p2, (i2, w2) in rfam.items():
+                i = i1 + i2
+                if i > k:
+                    continue
                 pair = (p1, p2)
                 joint = memo.get(pair)
                 if joint is None:
                     joint = uplus(p1, p2) if inc_is_forest(p1.m, pair) else False
                     memo[pair] = joint
                 if joint is not False:
-                    yield joint, (w1 | w2 if track else None)
+                    yield joint, i, (w1 | w2 if track else None)

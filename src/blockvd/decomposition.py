@@ -437,6 +437,8 @@ def read_td(text: str) -> TreeDecomposition:
             if len(parts) < 2:
                 raise InvalidInput(f"bad bag line: {line!r}")
             bid, *members = parse_ints(parts[1:], line)
+            if len(set(members)) != len(members):
+                raise InvalidInput(f"bag {bid} repeats a vertex: {line!r}")
             if bid - 1 in bags:
                 repeated.append(bid)
             bags[bid - 1] = frozenset(x - 1 for x in members)

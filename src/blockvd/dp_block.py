@@ -1,10 +1,10 @@
 """Bounded block vertex deletion on a nice tree decomposition.
 
 ``build_engine`` runs the one engine of ``_dpcore`` in block mode.  Its
-states combine a bag deletion set, a labeling of the rest, a used
-budget, and one shape hypothesis per non-trivial block of the bag graph;
-families of boundary-component partitions are kept representative after
-every node.
+states combine a bag deletion set, a labeling of the rest, and one shape
+hypothesis per non-trivial block of the bag graph; families of
+boundary-component partitions, each with its least deletion count, are
+kept representative after every node.
 """
 
 from __future__ import annotations

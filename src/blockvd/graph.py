@@ -367,7 +367,8 @@ def read_gr(text: str) -> Graph:
     """Parse a PACE-style ``.gr`` file (1-based vertices, ``c`` comments)."""
     n = None
     m_expected = None
-    edges: list[tuple[int, int]] = []
+    # (u, v, line) with the file's 1-based ids, range-checked once n is known
+    edges: list[tuple[int, int, str]] = []
     seen: set[tuple[int, int]] = set()
     for line in text.splitlines():
         line = line.strip()
@@ -385,18 +386,23 @@ def read_gr(text: str) -> Graph:
         if len(fields) != 2:
             raise InvalidInput(f"bad edge line: {line!r}")
         u, v = parse_ints(fields, line)
+        if u == v:
+            raise InvalidInput(f"self-loop: {line!r}")
         edge = (min(u, v), max(u, v))
         if edge in seen:
             raise InvalidInput(f"repeated edge: {line!r}")
         seen.add(edge)
-        edges.append((u - 1, v - 1))
+        edges.append((u, v, line))
     if n is None:
         raise InvalidInput("missing 'p tw n m' line")
+    for u, v, line in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise InvalidInput(f"edge {line!r} names a vertex outside 1..{n}")
     if m_expected is not None and m_expected != len(edges):
         raise InvalidInput(
             f"edge count mismatch: header says {m_expected}, found {len(edges)}"
         )
-    return Graph(n, edges)
+    return Graph(n, [(u - 1, v - 1) for u, v, _ in edges])
 
 
 def write_gr(g: Graph) -> str:

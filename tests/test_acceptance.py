@@ -62,9 +62,11 @@ class TestCriterion1BlockOracleEquivalence:
         agree = 0
         for g, td, d, k, fam in corpus:
             inst = Instance(g, d, k, fam, "block", td=td)
-            want = brute_force_solve(inst) is not None
-            got = solve_block(inst).decision
-            assert got == want, (g.n, d, k, fam, sorted(g.edges()))
+            want = brute_force_solve(inst)
+            res = solve_block(inst)
+            case = (g.n, d, k, fam, sorted(g.edges()))
+            assert res.decision == (want is not None), case
+            assert res.minimum == want, case
             agree += 1
         dt = time.time() - t0
         assert dt < 600
@@ -80,9 +82,11 @@ class TestCriterion2ComponentOracleEquivalence:
         agree = 0
         for g, td, d, k, fam in corpus:
             inst = Instance(g, d, k, fam, "component", td=td)
-            want = brute_force_solve(inst) is not None
-            got = solve_component(inst).decision
-            assert got == want, (g.n, d, k, fam, sorted(g.edges()))
+            want = brute_force_solve(inst)
+            res = solve_component(inst)
+            case = (g.n, d, k, fam, sorted(g.edges()))
+            assert res.decision == (want is not None), case
+            assert res.minimum == want, case
             agree += 1
         dt = time.time() - t0
         assert dt < 600

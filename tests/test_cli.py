@@ -244,9 +244,12 @@ class TestErrorPaths:
             (TRIANGLE, "s td 1 3 3\nb 1 1 2 3\nb 1 1 2\n", "bag id 1 appears"),
             (TRIANGLE, "s td 1 3 3\ns td 1 3 3\nb 1 1 2 3\n", "more than one 's td'"),
             (TRIANGLE, "s td 1 9 3\nb 1 1 2 3\n", "largest bag has 9"),
+            ("p tw 3 1\n0 1\n", None, "edge '0 1' names a vertex outside 1..3"),
+            (TRIANGLE, "s td 1 3 3\nb 1 1 2 3 3\n", "bag 1 repeats a vertex"),
         ],
         ids=["gr-repeated-edge", "gr-second-p-line", "td-repeated-bag",
-             "td-second-s-line", "td-largest-bag-field"],
+             "td-second-s-line", "td-largest-bag-field", "gr-vertex-out-of-range",
+             "td-repeated-member"],
     )
     def test_inconsistent_file_exit_two_one_line(self, tmp_path, graph, td, reason):
         (tmp_path / "g.gr").write_text(graph)

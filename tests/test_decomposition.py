@@ -262,6 +262,7 @@ class TestTdIO:
             "s td 1 3 3\ns td 1 3 3\nb 1 1 2 3\n",  # second solution line
             "s td 1 9 3\nb 1 1 2 3\n",  # largest-bag field above the largest bag
             "s td 1 2 3\nb 1 1 2 3\n",  # largest-bag field below the largest bag
+            "s td 1 3 3\nb 1 1 2 3 3\n",  # repeated bag member
         ],
     )
     def test_malformed_raises_invalid_input(self, text):

@@ -32,9 +32,13 @@ class TestOracleAgreement:
             k = rng.randint(0, 4)
             fam = rng.choice(["k1k2", "cliques", "chordal"])
             inst = Instance(g, d, k, fam, "block")
-            want = brute_force_solve(inst) is not None
-            got = solve_block(inst).decision
-            assert got == want, (trial, n, d, k, fam, sorted(g.edges()))
+            want = brute_force_solve(inst)
+            res, tracked = solve_block(inst), solve_block(inst, witness=True)
+            case = (trial, n, d, k, fam, sorted(g.edges()))
+            assert res.decision == (want is not None), case
+            assert res.minimum == tracked.minimum == want, case
+            if want is not None:
+                assert len(tracked.witness) == want, case
 
     def test_canonize_off_matches(self, rng):
         for _ in range(12):
@@ -70,25 +74,50 @@ class TestTableInvariants:
                 m = next(iter(fam)).m
                 assert len(fam) <= max(1, m * (1 << max(m - 1, 0)))
 
-    def test_reduce_table_runs_only_above_the_bound(self):
+    def test_reduce_table_runs_only_above_the_bound(self, rng):
         # m=6 has Bell(6) = 203 > 6 * 2^5 partitions, so the family is
         # reduced; every m=5 family fits under 5 * 2^4 and stays whole
-        from blockvd.partitions import all_partitions
+        from blockvd.partitions import all_partitions, inc_is_forest
         from blockvd.repset import verify_representative
 
         engine = build_engine(Instance(path(3), 3, 1, "chordal", "block"))
         six, five = list(all_partitions(6)), list(all_partitions(5))
         assert (len(six), len(five)) == (203, 52)
-        big, small = ((), (1,) * 6, 0, ()), ((), (1,) * 5, 0, ())
+        budget = {p: rng.randint(0, 3) for p in six}
+        big, small = ((), (1,) * 6, ()), ((), (1,) * 5, ())
         table = {
-            big: {p: None for p in six},
-            small: {p: None for p in five},
+            big: {p: (budget[p], None) for p in six},
+            small: {p: (0, None) for p in five},
         }
         engine.reduce_table(table)
-        assert len(table[big]) <= 6 * (1 << 5)
-        assert set(table[big]) <= set(six)
-        assert verify_representative(6, six, list(table[big]))
+        kept = table[big]
+        assert len(kept) <= 6 * (1 << 5)
+        assert set(kept) <= set(six)
+        assert all(kept[p] == (budget[p], None) for p in kept)
+        assert verify_representative(6, six, list(kept))
+        # weighted: every complement keeps its least budget
+        for y in all_partitions(6):
+            want = [budget[x] for x in six if inc_is_forest(6, [x, y])]
+            got = [kept[x][0] for x in kept if inc_is_forest(6, [x, y])]
+            assert min(got, default=None) == min(want, default=None), y
         assert list(table[small]) == five
+
+    def test_emit_keeps_the_least_budget_and_its_first_witness(self):
+        from blockvd.partitions import Partition
+
+        engine = build_engine(Instance(path(3), 3, 1, "chordal", "block"))
+        part = Partition.singletons(1)
+        first, second = frozenset({5, 6}), frozenset({7})
+        lowered: dict = {}
+        engine.emit(lowered, (), (1,), (), [(part, 2, first)])
+        engine.emit(lowered, (), (1,), (), [(part, 1, second)])
+        assert list(lowered.values()) == [{part: (1, second)}]
+        kept: dict = {}
+        engine.emit(kept, (), (1,), (), [(part, 1, first), (part, 2, second)])
+        assert list(kept.values()) == [{part: (1, first)}]
+        # of equal budgets the first witness stays
+        engine.emit(kept, (), (1,), (), [(part, 1, second)])
+        assert list(kept.values()) == [{part: (1, first)}]
 
     def test_witness_tables_consistent(self, rng):
         # stored witnesses replay: the partition matches the components of
@@ -103,12 +132,12 @@ class TestTableInvariants:
             for node, table in engine.walk():
                 bag = set(ntd.bags[node])
                 below[node] = bag.union(*(below[c] for c in ntd.children[node]))
-                for (xk, lk, i, gh), fam in table.items():
+                for (xk, lk, gh), fam in table.items():
                     keep = [v for v in sorted(bag) if v not in set(xk)]
-                    for part, wit in fam.items():
+                    for part, (i, wit) in fam.items():
                         assert wit is not None
                         deleted = wit
-                        assert len(deleted) == i
+                        assert len(deleted) == i <= inst.k
                         assert deleted <= below[node] - bag
                         live = below[node] - deleted - set(xk)
                         # partition mirrors component containment
@@ -157,14 +186,14 @@ class TestSteps:
         # child table: bag {0,1}, components {0} and {1} linked below
         linked = Partition.from_parts(2, [[0, 1]])
         child = {}
-        engine.emit(child, (), (1, 1), 1, (), [(linked, None)])
+        engine.emit(child, (), (1, 1), (), [(linked, 1, None)])
         out = engine._introduce((0, 1, 2), 2, child)
         for key, fam in out.items():
             if key[0] == ():  # vertex 2 not deleted
                 assert not fam
         # the unlinked partition survives
         child2 = {}
-        engine.emit(child2, (), (1, 1), 0, (), [(Partition.singletons(2), None)])
+        engine.emit(child2, (), (1, 1), (), [(Partition.singletons(2), 0, None)])
         out2 = engine._introduce((0, 1, 2), 2, child2)
         assert any(key[0] == () and out2[key] for key in out2)
 
@@ -187,8 +216,9 @@ class TestSteps:
         # joining a branch with itself keeps the single-component family
         t3 = engine._join((1,), t2, t2)
         engine.reduce_table(t3)
-        jfam = t3[next(k for k in sorted(t3) if k[0] == () and k[2] == 0)]
+        jfam = next(t3[k] for k in sorted(t3) if k[0] == ())
         assert jfam and all(p.m == 1 for p in jfam)
+        assert 0 in {i for i, _ in jfam.values()}
 
 
 class TestDegenerate:

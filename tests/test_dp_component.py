@@ -38,9 +38,13 @@ class TestOracleAgreement:
             k = rng.randint(0, 4)
             fam = rng.choice(["k1k2", "cliques", "chordal"])
             inst = Instance(g, d, k, fam, "component")
-            want = brute_force_solve(inst) is not None
-            got = solve_component(inst).decision
-            assert got == want, (trial, n, d, k, fam, sorted(g.edges()))
+            want = brute_force_solve(inst)
+            res, tracked = solve_component(inst), solve_component(inst, witness=True)
+            case = (trial, n, d, k, fam, sorted(g.edges()))
+            assert res.decision == (want is not None), case
+            assert res.minimum == tracked.minimum == want, case
+            if want is not None:
+                assert len(tracked.witness) == want, case
 
     def test_witness_verifies(self, rng):
         for _ in range(10):

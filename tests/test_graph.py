@@ -297,6 +297,10 @@ class TestGrIO:
             "p tw 3 2\n1 2\n1 2\n",  # repeated edge
             "p tw 3 2\n1 2\n2 1\n",  # repeated edge, reversed
             "p tw 3 2\np tw 4 2\n1 2\n2 3\n",  # second problem line
+            "p tw 3 1\n0 1\n",  # vertex 0 below the 1-based range
+            "p tw 3 1\n1 4\n",  # vertex above n
+            "1 4\np tw 3 1\n",  # vertex above n, edge before the problem line
+            "p tw 3 1\n2 2\n",  # self-loop
         ],
     )
     def test_malformed_raises_invalid_input(self, text):

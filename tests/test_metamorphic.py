@@ -2,8 +2,9 @@
 
 Each property relates two solves, so it needs no oracle: tracking
 witnesses must not change the search, relabelling vertices, the tree
-decomposition or its root must not change the answer, a larger budget
-cannot turn YES into NO, and a witness never exceeds the budget.
+decomposition or its root must not change the answer or the minimum
+deletion size, a larger budget cannot turn YES into NO, and a witness
+never exceeds the budget.
 """
 
 from dataclasses import replace
@@ -47,6 +48,7 @@ def solve(inst: Instance, witness: bool = False):
 def test_witness_tracking_leaves_the_search_unchanged(inst):
     plain, tracked = solve(inst), solve(inst, witness=True)
     assert tracked.decision == plain.decision
+    assert tracked.minimum == plain.minimum
     assert tracked.stats["states"] == plain.stats["states"]
     assert tracked.stats["retained"] == plain.stats["retained"]
 
@@ -57,14 +59,16 @@ def test_relabelling_keeps_the_decision(inst, rnd):
     perm = list(range(inst.graph.n))
     rnd.shuffle(perm)
     moved = Graph(inst.graph.n, [(perm[u], perm[v]) for u, v in inst.graph.edges()])
-    assert solve(replace(inst, graph=moved)).decision == solve(inst).decision
+    got, want = solve(replace(inst, graph=moved)), solve(inst)
+    assert (got.decision, got.minimum) == (want.decision, want.minimum)
 
 
 @CASES
 @given(instances())
 def test_decomposition_choice_keeps_the_decision(inst):
     exact = replace(inst, td=exact_td_small(inst.graph))
-    assert solve(exact).decision == solve(inst).decision
+    got, want = solve(exact), solve(inst)
+    assert (got.decision, got.minimum) == (want.decision, want.minimum)
 
 
 @CASES
@@ -79,7 +83,8 @@ def test_another_root_keeps_the_decision(inst, shift):
         tuple(((a - r) % n, (b - r) % n) for a, b in td.tree_edges),
     )
     res = solve(replace(inst, td=rerooted), witness=True)
-    assert res.decision == solve(replace(inst, td=td)).decision
+    want = solve(replace(inst, td=td))
+    assert (res.decision, res.minimum) == (want.decision, want.minimum)
     if res.decision:
         assert verify_solution(inst.graph, res.witness, inst.d, inst.family, inst.mode)
 

@@ -6,7 +6,7 @@ without witness recovery.  ``EXPECTED`` holds, per case, the decision,
 the ``states`` and ``retained`` counters and the sorted witness (None when
 witnesses are off or the answer is NO).  A refactor of the engine must
 leave every row as it is.  A change that alters the counts by design
-(taking the budget off the state key, a different reduction) regenerates
+(a different state key, a different reduction) regenerates
 the table with ``PYTHONPATH=src python tests/test_state_counts.py`` and
 says so in CHANGES.md.
 """
@@ -48,46 +48,46 @@ def observe(idx: int) -> tuple:
 
 # case -> (decision, states, retained, witness)
 EXPECTED = {
-    0: (True, 260, 260, None),
-    1: (False, 66, 66, None),
-    2: (True, 295, 303, None),
-    3: (False, 75, 75, None),
-    4: (True, 214, 218, None),
-    5: (True, 497, 497, None),
-    6: (True, 179, 179, None),
-    7: (False, 44, 44, None),
-    8: (False, 116, 116, None),
-    9: (True, 61, 61, (1,)),
-    10: (True, 191, 191, ()),
-    11: (False, 194, 194, None),
-    12: (True, 76, 76, (6,)),
-    13: (True, 203, 203, (0, 2)),
-    14: (True, 210, 210, (6,)),
-    15: (True, 75, 75, (3, 4)),
-    16: (True, 144, 144, None),
-    17: (True, 215, 215, None),
-    18: (True, 205, 205, None),
-    19: (True, 81, 81, None),
-    20: (True, 66, 66, None),
-    21: (False, 241, 241, None),
-    22: (True, 126, 126, None),
-    23: (True, 339, 339, None),
-    24: (True, 73, 73, (3,)),
-    25: (True, 159, 159, (1,)),
-    26: (True, 118, 118, (4,)),
-    27: (True, 77, 77, (0,)),
-    28: (True, 179, 187, (6,)),
-    29: (True, 640, 640, (5, 8)),
-    30: (True, 91, 91, (3,)),
-    31: (False, 188, 188, None),
-    32: (True, 207, 215, None),
-    33: (True, 195, 195, None),
-    34: (True, 89, 89, None),
-    35: (True, 248, 248, None),
-    36: (False, 208, 208, None),
-    37: (True, 117, 117, None),
-    38: (True, 49, 49, None),
-    39: (True, 104, 104, None),
+    0: (True, 134, 134, None),
+    1: (False, 62, 62, None),
+    2: (True, 163, 193, None),
+    3: (False, 68, 68, None),
+    4: (True, 110, 114, None),
+    5: (True, 266, 266, None),
+    6: (True, 74, 74, None),
+    7: (False, 40, 40, None),
+    8: (False, 82, 82, None),
+    9: (True, 49, 49, (1,)),
+    10: (True, 70, 70, ()),
+    11: (False, 171, 171, None),
+    12: (True, 57, 61, (1,)),
+    13: (True, 152, 152, (0, 2)),
+    14: (True, 111, 123, (6,)),
+    15: (True, 56, 56, (3, 4)),
+    16: (True, 76, 78, None),
+    17: (True, 150, 150, None),
+    18: (True, 111, 111, None),
+    19: (True, 54, 54, None),
+    20: (True, 32, 32, None),
+    21: (False, 213, 213, None),
+    22: (True, 69, 69, None),
+    23: (True, 287, 287, None),
+    24: (True, 52, 52, (3,)),
+    25: (True, 78, 78, (1,)),
+    26: (True, 63, 63, (4,)),
+    27: (True, 47, 47, (0,)),
+    28: (True, 115, 123, (6,)),
+    29: (True, 349, 349, (4, 7)),
+    30: (True, 54, 54, (3,)),
+    31: (False, 140, 140, None),
+    32: (True, 128, 132, None),
+    33: (True, 107, 107, None),
+    34: (True, 56, 64, None),
+    35: (True, 157, 157, None),
+    36: (False, 145, 145, None),
+    37: (True, 92, 92, None),
+    38: (True, 28, 28, None),
+    39: (True, 72, 72, None),
 }
 
 

@@ -26,7 +26,7 @@ def _engine(module, g, mode):
 
 def _child(engine, lk, gh):
     child: dict = {}
-    engine.emit(child, (), lk, 0, gh, [(Partition.singletons(1), None)])
+    engine.emit(child, (), lk, gh, [(Partition.singletons(1), 0, None)])
     return child
 
 
@@ -38,7 +38,7 @@ def _assert_pieces_share_one_pattern(engine, bag, out, pieces, cands, lv):
     """
     assert out
     seen = set()
-    for (xk, lk, i, gh), fam in out.items():
+    for (xk, lk, gh), fam in out.items():
         assert fam
         units = engine.view(v for v in bag if v not in xk).units
         assert list(units) == pieces and len(gh) == len(units)
@@ -73,8 +73,8 @@ def test_block_intro_vertex_in_two_blocks():
     out = engine._introduce((0, 1, 2, 3), 2, child)
     kept = [key for key in out if key[0] == ()]
     # labels 1 and 2 repeat a label of {0,1,2}; label 3 is attached to it
-    assert [lk for _, lk, _, _ in kept] == [(1, 2, 4, 1)]
-    ((_, _, _, gh),) = kept
+    assert [lk for _, lk, _ in kept] == [(1, 2, 4, 1)]
+    ((_, _, gh),) = kept
     assert engine.view((0, 1, 2, 3)).units == ((0, 1, 2), (2, 3))
     (s1, h1), (s2, h2) = gh
     assert (h1, h2) == (hm, 0)

@@ -49,9 +49,13 @@ def test_walk_visits_the_postorder_and_ends_at_the_root(mode):
         assert [node for node, _ in walked] == engine.ntd.postorder()
         assert len({node for node, _ in walked}) == engine.ntd.num_nodes
         root = walked[-1][1]
-        accepted = any(root.get(((), (), i, ())) for i in range(inst.k + 1))
-        decision = engine.run().decision
-        assert accepted == decision
+        fam = root.get(((), (), ()))
+        res = engine.run()
+        assert bool(fam) == res.decision
+        if fam:
+            ((minimum, _),) = fam.values()
+            assert minimum == res.minimum <= inst.k
+        decision = res.decision
         decisions.add(decision)
     assert decisions == {True, False}
 
@@ -67,7 +71,7 @@ def test_each_hypothesis_sits_at_its_units_position(mode):
         assert engine.canonize
         for node, table in engine.walk():
             bag = engine.ntd.bags[node]
-            for xk, lk, _, gh in table:
+            for xk, lk, gh in table:
                 view = engine.view(v for v in bag if v not in xk)
                 assert len(gh) == len(view.units)
                 labs = dict(zip(view.keep, lk))
