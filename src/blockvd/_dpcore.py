@@ -15,17 +15,18 @@ the hypothesis of unit j of ``view(bag - X)``: a set of candidate final
 patterns plus the labels of outside neighbors already attached, held as
 the pair (pattern mask, h mask).  The units depend only on the bag and
 X, so no key stores them.  The value is the family of partitions of the
-bag components realized by some partial solution, each with the least
-number i of vertices deleted below the bag by a partial solution
-realizing it; a partition needing more than k deletions is dropped.
-After every node each family is held to the representative-set bound of
-m * 2^(m-1) partitions over m bag components: the rank-based reduction
-runs only on a family above that bound.  It is given the family in
-ascending i, so its greedy basis keeps, for every complement, a member
-of least i (the weighted reduction of Bodlaender, Cygan, Kratsch and
-Nederlof).  Bell(m) <= m * 2^(m-1) for every m <= 5, so on bags of width
-at most 4 no family can exceed it and the reduction never runs.  The
-root's one state ((), (), ()) then holds the minimum deletion size.
+bag components realized by some partial solution, each mapped to the
+least set of vertices deleted below the bag by a partial solution
+realizing it; its size is the partition's budget, and a partition
+needing more than k deletions is dropped.  After every node each family
+is held to the representative-set bound of m * 2^(m-1) partitions over
+m bag components: the rank-based reduction runs only on a family above
+that bound.  It is given the family in ascending set size, so its greedy
+basis keeps, for every complement, a member of least size (the weighted
+reduction of Bodlaender, Cygan, Kratsch and Nederlof).  Bell(m) <=
+m * 2^(m-1) for every m <= 5, so on bags of width at most 4 no family
+can exceed it and the reduction never runs.  The root's one state
+((), (), ()) then holds a least deletion set.
 
 Hypothesis slots hold pattern *sets* rather than single patterns: a
 state with slot S stands for the union of the single-pattern states over
@@ -58,13 +59,10 @@ with equal (X, L) may agree only after the left one's absent labels are
 renamed.  The join therefore indexes each left state under every image
 with its own L; pairing the canonical keys directly loses states.
 
-A family maps each partition to the pair (i, witness), where the
-witness is the set of i vertices deleted below the bag by one partial
-solution realizing it, or None when witnesses are off.  Witnesses carry
-no labels, so canonization leaves them alone.  Every transition adds its
-produced states through ``Engine.emit``, which canonizes the target key
-once per state and replaces a partition's entry only by one of strictly
-lower i, so of equal counts the first witness stays.
+Deletion sets carry no labels, so canonization leaves them alone.
+Every transition adds its produced states through ``Engine.emit``, which
+canonizes the target key once per state and replaces a partition's set
+only by a strictly smaller one, so of equal sizes the first set stays.
 """
 
 from __future__ import annotations
@@ -144,14 +142,12 @@ class Engine:
         k: int,
         patterns: Sequence[Pattern],
         ntd: NiceTreeDecomposition,
-        witness: bool = False,
     ):
         self.mode = mode  # "block" or "component"; read only by view
         self.g = g
         self.d = d
         self.k = k
         self.ntd = ntd
-        self.track_witness = witness
         self.patterns = tuple(patterns)
 
         # integer codes: bit l-1 for label l, bit d + j for the j-th label
@@ -372,29 +368,29 @@ class Engine:
         xk: tuple[int, ...],
         lkey: tuple[int, ...],
         gh: tuple[GhEntry, ...],
-        items: Iterable[tuple[Partition | None, int, Witness | None]],
+        items: Iterable[tuple[Partition | None, Witness]],
     ) -> None:
-        """Add (partition, i, witness) items to one produced state.
+        """Add (partition, deletion set) items to one produced state.
 
         The target key is canonized once.  A None partition was rejected
         by the transition and is skipped.  A partition the family already
-        holds is replaced only at a strictly lower i, so of equal counts
-        the first witness stays.  The family is created on its first
+        holds is replaced only by a strictly smaller set, so of equal
+        sizes the first set stays.  The family is created on its first
         partition, so no empty family is stored.
         """
         lc, ghc = self.canon(lkey, gh)
         key = (xk, lc, ghc)
         fam = table.get(key)
-        for part, i, wit in items:
+        for part, wit in items:
             if part is None:
                 continue
             if fam is None:
                 fam = table[key] = {}
             else:
                 old = fam.get(part)
-                if old is not None and old[0] <= i:
+                if old is not None and len(old) <= len(wit):
                     continue
-            fam[part] = (i, wit)
+            fam[part] = wit
 
     def reduce_table(self, table: dict) -> None:
         for key, fam in table.items():
@@ -404,9 +400,9 @@ class Engine:
             # a family within the representative-set bound already meets it
             if len(fam) <= m << (m - 1):
                 continue
-            # ascending i, stable: the greedy basis keeps for every
-            # complement a member of least i
-            kept = rep_partitions(m, sorted(fam, key=lambda p: fam[p][0]))
+            # ascending set size, stable: the greedy basis keeps for every
+            # complement a member of least size
+            kept = rep_partitions(m, sorted(fam, key=lambda p: len(fam[p])))
             if len(kept) != len(fam):
                 table[key] = {p: fam[p] for p in kept}
 
@@ -454,16 +450,15 @@ class Engine:
         fam = table.get(((), (), ()))
         if not fam:
             return SolveResult(False, None, stats)
-        ((minimum, wit),) = fam.values()
-        return SolveResult(True, wit, stats, minimum)
+        (wit,) = fam.values()
+        return SolveResult(True, wit, stats, len(wit))
 
     # ------------------------------------------------------------------
     # leaf
 
     def _leaf_table(self) -> dict:
         table: dict = {}
-        wit: Witness | None = frozenset() if self.track_witness else None
-        self.emit(table, (), (), (), [(Partition(0, ()), 0, wit)])
+        self.emit(table, (), (), (), [(Partition(0, ()), frozenset())])
         return table
 
     # ------------------------------------------------------------------
@@ -475,15 +470,14 @@ class Engine:
         for key, fam in child.items():
             xk, lk, gh = key
             # v joins the deleted set: nothing else changes
-            items = [(p, i, w) for p, (i, w) in fam.items()]
-            self.emit(table, tuple(sorted(xk + (v,))), lk, gh, items)
+            self.emit(table, tuple(sorted(xk + (v,))), lk, gh, fam.items())
             # v survives with some label; the family moves the same way
             # whatever the label
             ctx = ctx_cache.get(xk)
             if ctx is None:
                 ctx = self._intro_ctx(bag, v, xk)
                 ctx_cache[xk] = ctx
-            moved = [(self._intro_partition(ctx, p), i, w) for p, (i, w) in fam.items()]
+            moved = [(self._intro_partition(ctx, p), w) for p, w in fam.items()]
             self._introduce_state(table, ctx, key, moved)
         return table
 
@@ -593,16 +587,11 @@ class Engine:
         table: dict = {}
         ctx_cache: dict[tuple[int, ...], dict] = {}
         k = self.k
-        track = self.track_witness
         for key, fam in child.items():
             xk, lk, gh = key
             if v in xk:
                 # v is deleted below the parent: one more deletion, within k
-                items = [
-                    (p, i + 1, w | {v} if track else None)
-                    for p, (i, w) in fam.items()
-                    if i < k
-                ]
+                items = [(p, w | {v}) for p, w in fam.items() if len(w) < k]
                 xk2 = tuple(u for u in xk if u != v)
                 self.emit(table, xk2, lk, gh, items)
                 continue
@@ -610,7 +599,7 @@ class Engine:
             if ctx is None:
                 ctx = self._forget_ctx(bag, v, xk)
                 ctx_cache[xk] = ctx
-            moved = [(self._forget_partition(ctx, p), i, w) for p, (i, w) in fam.items()]
+            moved = [(self._forget_partition(ctx, p), w) for p, w in fam.items()]
             self._forget_state(table, ctx, key, moved)
         return table
 
@@ -757,18 +746,19 @@ class Engine:
             entries.append((common, h1 | h2))
         return tuple(entries)
 
-    def _joints(
-        self, lfam: dict, rfam: dict
-    ) -> Iterator[tuple[Partition, int, Witness | None]]:
+    def _joints(self, lfam: dict, rfam: dict) -> Iterator[tuple[Partition, Witness]]:
         """Acyclic joints of two families within the budget, each with the
-        summed deletion count and the union witness."""
+        union of the two deletion sets.
+
+        The sets come from different subtrees below the bag, so they are
+        disjoint and the union's size is the sum of theirs.
+        """
         memo = self._join_memo
-        track = self.track_witness
         k = self.k
-        for p1, (i1, w1) in lfam.items():
-            for p2, (i2, w2) in rfam.items():
-                i = i1 + i2
-                if i > k:
+        for p1, w1 in lfam.items():
+            n1 = len(w1)
+            for p2, w2 in rfam.items():
+                if n1 + len(w2) > k:
                     continue
                 pair = (p1, p2)
                 joint = memo.get(pair)
@@ -776,4 +766,4 @@ class Engine:
                     joint = uplus(p1, p2) if inc_is_forest(p1.m, pair) else False
                     memo[pair] = joint
                 if joint is not False:
-                    yield joint, i, (w1 | w2 if track else None)
+                    yield joint, w1 | w2

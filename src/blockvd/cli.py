@@ -60,7 +60,7 @@ def _read_input(path: str) -> str:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = read_gr(_read_input(args.graph))
-    td = read_td(_read_input(args.td)) if args.td else None
+    td = read_td(_read_input(args.td), g.n) if args.td else None
     inst = Instance(g, args.d, args.k, args.family, args.mode, td=td)
     t0 = time.perf_counter()
     payload: dict = {"schema": SCHEMA, "version": __version__, "mode": args.mode}
@@ -186,7 +186,7 @@ def _cmd_td(args: argparse.Namespace) -> int:
     if args.action == "validate":
         if args.td is None:
             raise InvalidInput("td validate needs --td")
-        td = read_td(_read_input(args.td))
+        td = read_td(_read_input(args.td), g.n)
         bad = validate_td(g, td)
         if bad is None:
             print(f"ok: {td.num_nodes} bags, width {td.width}")
@@ -198,9 +198,7 @@ def _cmd_td(args: argparse.Namespace) -> int:
     elif args.action == "exact":
         td = exact_td_small(g, limit=args.limit)
     else:  # nice
-        base = (
-            read_td(_read_input(args.td)) if args.td else heuristic_td(g)
-        )
+        base = read_td(_read_input(args.td), g.n) if args.td else heuristic_td(g)
         ntd = to_nice(base, g)
         print(
             f"nice decomposition: {ntd.num_nodes} nodes, width {ntd.width}, "

@@ -416,12 +416,14 @@ def exact_td_small(g: Graph, limit: int = 14) -> TreeDecomposition:
     return _bags_from_elimination(g, order)
 
 
-def read_td(text: str) -> TreeDecomposition:
-    """Parse a PACE-style ``.td`` file (1-based bags and node ids)."""
-    bags: dict[int, frozenset[int]] = {}
-    edges: list[tuple[int, int]] = []
+def read_td(text: str, n: int) -> TreeDecomposition:
+    """Parse a PACE-style ``.td`` file (1-based bags and node ids) for a
+    graph of n vertices."""
+    # (bag id, members, line) and (a, b, line) with the file's 1-based ids,
+    # range-checked once the header is known
+    bags: list[tuple[int, list[int], str]] = []
+    edges: list[tuple[int, int, str]] = []
     headers: list[tuple[int, ...]] = []
-    repeated: list[int] = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("c"):
@@ -439,27 +441,35 @@ def read_td(text: str) -> TreeDecomposition:
             bid, *members = parse_ints(parts[1:], line)
             if len(set(members)) != len(members):
                 raise InvalidInput(f"bag {bid} repeats a vertex: {line!r}")
-            if bid - 1 in bags:
-                repeated.append(bid)
-            bags[bid - 1] = frozenset(x - 1 for x in members)
+            bags.append((bid, members, line))
             continue
         fields = line.split()
         if len(fields) != 2:
             raise InvalidInput(f"bad edge line: {line!r}")
         a, b = parse_ints(fields, line)
-        edges.append((a - 1, b - 1))
+        edges.append((a, b, line))
     if not headers:
         raise InvalidInput("missing 's td' line")
     if len(headers) > 1:
         raise InvalidInput("more than one 's td' line")
-    if repeated:
-        raise InvalidInput(f"bag id {repeated[0]} appears more than once")
-    nbags, max_bag, _ = headers[0]
-    if set(bags) != set(range(nbags)):
+    nbags, max_bag, nverts = headers[0]
+    if nverts != n:
+        raise InvalidInput(f"solution line says the graph has {nverts} vertices, not {n}")
+    by_id: dict[int, frozenset[int]] = {}
+    for bid, members, line in bags:
+        if bid in by_id:
+            raise InvalidInput(f"bag id {bid} appears more than once")
+        if not all(1 <= x <= n for x in members):
+            raise InvalidInput(f"bag line {line!r} names a vertex outside 1..{n}")
+        by_id[bid] = frozenset(x - 1 for x in members)
+    if set(by_id) != set(range(1, nbags + 1)):
         raise InvalidInput("bag ids must be 1..#bags")
+    for a, b, line in edges:
+        if not (1 <= a <= nbags and 1 <= b <= nbags):
+            raise InvalidInput(f"tree edge {line!r} names a bag outside 1..{nbags}")
     td = TreeDecomposition(
-        tuple(bags[i] for i in range(nbags)),
-        tuple((min(a, b), max(a, b)) for a, b in edges),
+        tuple(by_id[i] for i in range(1, nbags + 1)),
+        tuple((min(a, b) - 1, max(a, b) - 1) for a, b, _ in edges),
     )
     if max_bag != td.width + 1:
         raise InvalidInput(

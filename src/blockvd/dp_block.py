@@ -3,7 +3,7 @@
 ``build_engine`` runs the one engine of ``_dpcore`` in block mode.  Its
 states combine a bag deletion set, a labeling of the rest, and one shape
 hypothesis per non-trivial block of the bag graph; families of
-boundary-component partitions, each with its least deletion count, are
+boundary-component partitions, each with its least deletion set, are
 kept representative after every node.
 """
 
@@ -17,11 +17,7 @@ from .instance import Instance
 from .oracle import verify_solution
 
 
-def build_engine(
-    inst: Instance,
-    ntd: NiceTreeDecomposition | None = None,
-    witness: bool = False,
-) -> Engine:
+def build_engine(inst: Instance, ntd: NiceTreeDecomposition | None = None) -> Engine:
     fam = get_family(inst.family)
     patterns = enumerate_ud(inst.d, fam)
     if ntd is None:
@@ -31,7 +27,7 @@ def build_engine(
         bad = validate_nice(inst.graph, ntd)
         if bad is not None:
             raise InvalidInput(f"invalid nice decomposition: {bad.condition}: {bad.detail}")
-    return Engine("block", inst.graph, inst.d, inst.k, patterns, ntd, witness=witness)
+    return Engine("block", inst.graph, inst.d, inst.k, patterns, ntd)
 
 
 def solve_block(
@@ -42,12 +38,13 @@ def solve_block(
     """Decide the block variant; optionally recover a verified deletion set."""
     if inst.mode != "block":
         raise ValueError("instance mode must be 'block'")
-    result = build_engine(inst, ntd, witness=witness).run()
-    if witness and result.decision:
-        if result.witness is None or not verify_solution(
-            inst.graph, result.witness, inst.d, inst.family, "block"
-        ):
-            raise AssertionError("recovered witness failed verification")
+    result = build_engine(inst, ntd).run()
+    if not witness:
+        result.witness = None
+    elif result.decision and not verify_solution(
+        inst.graph, result.witness, inst.d, inst.family, "block"
+    ):
+        raise AssertionError("recovered witness failed verification")
     return result
 
 

@@ -18,11 +18,7 @@ from .instance import Instance
 from .oracle import verify_solution
 
 
-def build_engine(
-    inst: Instance,
-    ntd: NiceTreeDecomposition | None = None,
-    witness: bool = False,
-) -> Engine:
+def build_engine(inst: Instance, ntd: NiceTreeDecomposition | None = None) -> Engine:
     fam = get_family(inst.family)
     patterns = enumerate_component_patterns(inst.d, fam)
     if ntd is None:
@@ -32,7 +28,7 @@ def build_engine(
         bad = validate_nice(inst.graph, ntd)
         if bad is not None:
             raise InvalidInput(f"invalid nice decomposition: {bad.condition}: {bad.detail}")
-    return Engine("component", inst.graph, inst.d, inst.k, patterns, ntd, witness=witness)
+    return Engine("component", inst.graph, inst.d, inst.k, patterns, ntd)
 
 
 def solve_component(
@@ -43,12 +39,13 @@ def solve_component(
     """Decide the component variant; optionally recover a verified set."""
     if inst.mode != "component":
         raise ValueError("instance mode must be 'component'")
-    result = build_engine(inst, ntd, witness=witness).run()
-    if witness and result.decision:
-        if result.witness is None or not verify_solution(
-            inst.graph, result.witness, inst.d, inst.family, "component"
-        ):
-            raise AssertionError("recovered witness failed verification")
+    result = build_engine(inst, ntd).run()
+    if not witness:
+        result.witness = None
+    elif result.decision and not verify_solution(
+        inst.graph, result.witness, inst.d, inst.family, "component"
+    ):
+        raise AssertionError("recovered witness failed verification")
     return result
 
 

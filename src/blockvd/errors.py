@@ -22,7 +22,7 @@ class NonChordalFamily(BlockvdError):
 
 
 class CapExceeded(BlockvdError):
-    """Pattern-universe enumeration beyond the configured label cap."""
+    """Pattern-universe enumeration beyond the label cap ``families.UD_CAP``."""
 
 
 class BadBucket(BlockvdError):

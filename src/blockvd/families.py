@@ -6,14 +6,14 @@ questions reduce to set comparisons.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, InvalidInput, NonChordalFamily
 from .graph import Graph, biconnected_blocks, induced_edges
 
-DEFAULT_UD_CAP = 6
+# the largest d whose pattern universe is built
+UD_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -190,16 +190,6 @@ def get_family(name: str) -> PFamilySpec:
         ) from None
 
 
-def _ud_cap() -> int:
-    env = os.environ.get("BLOCKVD_UD_CAP")
-    if not env:
-        return DEFAULT_UD_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidInput(f"BLOCKVD_UD_CAP={env!r} is not an integer") from None
-
-
 def _enumerate_patterns(
     d: int, family: PFamilySpec, biconnected: bool
 ) -> tuple[Pattern, ...]:
@@ -211,10 +201,8 @@ def _enumerate_patterns(
     """
     if d < 1:
         raise InvalidInput(f"d={d} must be at least 1")
-    if d > _ud_cap():
-        raise CapExceeded(
-            f"d={d} exceeds the pattern-universe cap; raise BLOCKVD_UD_CAP to override"
-        )
+    if d > UD_CAP:
+        raise CapExceeded(f"d={d} exceeds the pattern-universe cap of {UD_CAP}")
     min_labels = 2 if biconnected else 1
     max_labels = d if family.max_order is None else min(d, family.max_order)
     # a family whose predicate is the chordality test needs no second one

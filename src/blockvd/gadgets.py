@@ -607,21 +607,16 @@ class ColoredGraph:
 
 
 def gen_clique_instance(
-    colored: "ColoredGraph | Mapping",
-    t: int | None = None,
-    edges_by_pair: Mapping[tuple[int, int], Sequence[tuple[int, int]]] | None = None,
+    k: int,
+    t: int,
+    edges_by_pair: Mapping[tuple[int, int], Sequence[tuple[int, int]]],
     planted: Sequence[int] | None = None,
 ) -> GeneratedInstance:
-    """Clique-variant entry point.
-
-    Accepts a ColoredGraph, or (for convenience) the legacy call shape
-    ``gen_clique_instance(k, t, edges_by_pair, planted=...)``.
-    """
-    if not isinstance(colored, ColoredGraph):
-        colored = ColoredGraph.from_pair_lists(int(colored), int(t), edges_by_pair)
-    return gen_unbounded_d(
-        colored.k, colored.t, colored.pair_lists(), planted=planted
-    )
+    """Clique-variant entry point: the colored graph with classes 1..k of
+    members 1..t and the edges ``edges_by_pair[(i, j)]`` between classes
+    i < j, which ``ColoredGraph`` validates."""
+    colored = ColoredGraph.from_pair_lists(k, t, edges_by_pair)
+    return gen_unbounded_d(k, t, colored.pair_lists(), planted=planted)
 
 
 def gen_subgraph_iso_instance(

@@ -1,8 +1,8 @@
 """Built-in quick checks behind the ``selftest`` CLI command.
 
-A trimmed version of the test suite: solver-vs-oracle agreement on
-random small instances, representative-set verification, and the
-chordal-sum equivalence.
+A trimmed version of the test suite: solver-vs-oracle agreement on the
+minimum deletion size of random small instances, representative-set
+verification, and the chordal-sum equivalence.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .graph import (
     Graph,
     aux_partition,
     is_chordal,
+    s_blocks,
     sum_boundaried,
 )
 from .instance import Instance
@@ -68,8 +69,7 @@ def check_oracle_agreement(rng: random.Random, trials: int) -> int:
         fam = rng.choice(["k1k2", "cliques", "chordal"])
         for mode, solver in (("block", solve_block), ("component", solve_component)):
             inst = Instance(g, d, k, fam, mode)
-            want = brute_force_solve(inst) is not None
-            if solver(inst).decision != want:
+            if solver(inst).minimum != brute_force_solve(inst):
                 fails += 1
     return fails
 
@@ -89,8 +89,6 @@ def check_representative_sets(rng: random.Random, trials: int) -> int:
 
 
 def check_chordal_sum(rng: random.Random, trials: int) -> int:
-    from .graph import biconnected_blocks, induced_edges
-
     fails = 0
     done = 0
     while done < trials:
@@ -100,14 +98,7 @@ def check_chordal_sum(rng: random.Random, trials: int) -> int:
         a, b = pair
         total = sum_boundaried(a, b)
         whole = BoundariedGraph.whole(total, a.boundary)
-        bd = biconnected_blocks(total)
-        bedges = induced_edges(total, a.boundary)
-        sblocks = [
-            blk
-            for blk in bd.blocks
-            if any(u in blk and v in blk for (u, v) in bedges)
-        ]
-        if not all(is_chordal(total, blk) for blk in sblocks):
+        if not all(is_chordal(total, blk) for blk in s_blocks(whole)):
             continue
         done += 1
         m = len(whole.boundary_components())

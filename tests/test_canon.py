@@ -230,7 +230,7 @@ def test_canonization_only_merges_label_permutation_orbits(mode):
         sigmas = list(permutations(range(1, inst.d + 1)))
         for node in on.ntd.postorder():
             # union of the canonize-off families over each orbit, each
-            # partition with its least deletion count
+            # partition with the size of its least deletion set
             orbit_of: dict = {}
             merged: dict[frozenset, dict] = {}
             for key, fam in off_tables[node].items():
@@ -241,15 +241,15 @@ def test_canonization_only_merges_label_permutation_orbits(mode):
                     for image in orbit:
                         orbit_of[image] = orbit
                 least = merged.setdefault(orbit, {})
-                for part, (i, _) in fam.items():
-                    least[part] = min(i, least.get(part, i))
+                for part, wit in fam.items():
+                    least[part] = min(len(wit), least.get(part, len(wit)))
             seen = set()
             for key, fam in on_tables[node].items():
                 orbit = orbit_of.get(index_free(on, key))
                 assert orbit is not None, (node, key)
                 assert orbit not in seen, (node, key)
                 seen.add(orbit)
-                assert {p: i for p, (i, _) in fam.items()} == merged[orbit], (node, key)
+                assert {p: len(w) for p, w in fam.items()} == merged[orbit], (node, key)
             assert len(seen) == len(merged), node
             nodes += 1
     assert nodes > 0

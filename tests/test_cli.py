@@ -11,6 +11,15 @@ from conftest import child_env
 
 TRIANGLE = "p tw 3 3\n1 2\n2 3\n3 1\n"
 
+# .td files for TRIANGLE whose ids fall outside the graph or the tree,
+# each with the part of the error line that names the file's own ids
+TD_OUT_OF_RANGE = [
+    ("s td 1 3 3\nb 1 0 1 2\n", "bag line 'b 1 0 1 2' names a vertex outside 1..3"),
+    ("s td 2 3 3\nb 1 1 2 3\nb 2 1\n1 3\n", "tree edge '1 3' names a bag outside 1..2"),
+    ("s td 1 3 5\nb 1 1 2 3\n", "graph has 5 vertices, not 3"),
+]
+TD_OUT_OF_RANGE_IDS = ["td-vertex-out-of-range", "td-edge-out-of-range", "td-vertex-count"]
+
 
 def run_cli(args, cwd):
     return subprocess.run(
@@ -246,10 +255,11 @@ class TestErrorPaths:
             (TRIANGLE, "s td 1 9 3\nb 1 1 2 3\n", "largest bag has 9"),
             ("p tw 3 1\n0 1\n", None, "edge '0 1' names a vertex outside 1..3"),
             (TRIANGLE, "s td 1 3 3\nb 1 1 2 3 3\n", "bag 1 repeats a vertex"),
+            *((TRIANGLE, td, reason) for td, reason in TD_OUT_OF_RANGE),
         ],
         ids=["gr-repeated-edge", "gr-second-p-line", "td-repeated-bag",
              "td-second-s-line", "td-largest-bag-field", "gr-vertex-out-of-range",
-             "td-repeated-member"],
+             "td-repeated-member", *TD_OUT_OF_RANGE_IDS],
     )
     def test_inconsistent_file_exit_two_one_line(self, tmp_path, graph, td, reason):
         (tmp_path / "g.gr").write_text(graph)
@@ -263,6 +273,21 @@ class TestErrorPaths:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error:") and reason in proc.stderr
+
+    @pytest.mark.parametrize("action", ["validate", "nice"])
+    @pytest.mark.parametrize("td, reason", TD_OUT_OF_RANGE, ids=TD_OUT_OF_RANGE_IDS)
+    def test_td_commands_reject_out_of_range_ids(
+        self, tmp_path, monkeypatch, capsys, action, td, reason
+    ):
+        (tmp_path / "g.gr").write_text(TRIANGLE)
+        (tmp_path / "g.td").write_text(td)
+        monkeypatch.chdir(tmp_path)
+        code = main(["td", action, "--graph", "g.gr", "--td", "g.td"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error:") and reason in err
 
     @pytest.mark.parametrize(
         "args",
@@ -309,26 +334,6 @@ class TestErrorPaths:
         if "bin.gr" in args:
             # the line names the file that is not UTF-8
             assert "bin.gr" in err, err
-
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["solve", "--mode", "block", "--family", "k1k2",
-             "-d", "3", "-k", "1", "--graph", "c5.gr"],
-            ["enum-ud", "-d", "3", "--family", "k1k2"],
-        ],
-        ids=["solve", "enum-ud"],
-    )
-    def test_malformed_ud_cap_exit_two_one_line(self, args, c5, monkeypatch, capsys):
-        monkeypatch.chdir(c5.parent)
-        monkeypatch.setenv("BLOCKVD_UD_CAP", "x")
-        code = main(args)
-        out, err = capsys.readouterr()
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1, err
-        assert err.startswith("error:") and "BLOCKVD_UD_CAP" in err
 
 
 class TestHashSeedIndependence:

@@ -243,7 +243,7 @@ class TestTdIO:
     def test_round_trip(self):
         g = cycle(5)
         td = heuristic_td(g)
-        again = read_td(write_td(td, g.n))
+        again = read_td(write_td(td, g.n), g.n)
         assert again.bags == td.bags
         assert sorted(again.tree_edges) == sorted(td.tree_edges)
         assert validate_td(g, again) is None
@@ -263,8 +263,13 @@ class TestTdIO:
             "s td 1 9 3\nb 1 1 2 3\n",  # largest-bag field above the largest bag
             "s td 1 2 3\nb 1 1 2 3\n",  # largest-bag field below the largest bag
             "s td 1 3 3\nb 1 1 2 3 3\n",  # repeated bag member
+            "s td 1 3 3\nb 1 0 1 2\n",  # bag member below 1
+            "s td 1 3 3\nb 1 2 3 4\n",  # bag member above n
+            "s td 2 3 3\nb 1 1 2 3\nb 2 1\n1 3\n",  # tree edge to a missing bag
+            "s td 2 3 3\nb 1 1 2 3\nb 2 1\n0 1\n",  # tree edge to bag 0
+            "s td 1 3 5\nb 1 1 2 3\n",  # vertex count is not n
         ],
     )
     def test_malformed_raises_invalid_input(self, text):
         with pytest.raises(InvalidInput):
-            read_td(text)
+            read_td(text, 3)

@@ -84,21 +84,22 @@ class TestTableInvariants:
         six, five = list(all_partitions(6)), list(all_partitions(5))
         assert (len(six), len(five)) == (203, 52)
         budget = {p: rng.randint(0, 3) for p in six}
+        deleted = {p: frozenset(range(10, 10 + budget[p])) for p in six}
         big, small = ((), (1,) * 6, ()), ((), (1,) * 5, ())
         table = {
-            big: {p: (budget[p], None) for p in six},
-            small: {p: (0, None) for p in five},
+            big: dict(deleted),
+            small: {p: frozenset() for p in five},
         }
         engine.reduce_table(table)
         kept = table[big]
         assert len(kept) <= 6 * (1 << 5)
         assert set(kept) <= set(six)
-        assert all(kept[p] == (budget[p], None) for p in kept)
+        assert all(kept[p] is deleted[p] for p in kept)
         assert verify_representative(6, six, list(kept))
         # weighted: every complement keeps its least budget
         for y in all_partitions(6):
             want = [budget[x] for x in six if inc_is_forest(6, [x, y])]
-            got = [kept[x][0] for x in kept if inc_is_forest(6, [x, y])]
+            got = [len(kept[x]) for x in kept if inc_is_forest(6, [x, y])]
             assert min(got, default=None) == min(want, default=None), y
         assert list(table[small]) == five
 
@@ -107,17 +108,17 @@ class TestTableInvariants:
 
         engine = build_engine(Instance(path(3), 3, 1, "chordal", "block"))
         part = Partition.singletons(1)
-        first, second = frozenset({5, 6}), frozenset({7})
+        pair, one, other = frozenset({5, 6}), frozenset({7}), frozenset({8})
         lowered: dict = {}
-        engine.emit(lowered, (), (1,), (), [(part, 2, first)])
-        engine.emit(lowered, (), (1,), (), [(part, 1, second)])
-        assert list(lowered.values()) == [{part: (1, second)}]
+        engine.emit(lowered, (), (1,), (), [(part, pair)])
+        engine.emit(lowered, (), (1,), (), [(part, one)])
+        assert list(lowered.values()) == [{part: one}]
         kept: dict = {}
-        engine.emit(kept, (), (1,), (), [(part, 1, first), (part, 2, second)])
-        assert list(kept.values()) == [{part: (1, first)}]
+        engine.emit(kept, (), (1,), (), [(part, one), (part, pair)])
+        assert list(kept.values()) == [{part: one}]
         # of equal budgets the first witness stays
-        engine.emit(kept, (), (1,), (), [(part, 1, second)])
-        assert list(kept.values()) == [{part: (1, first)}]
+        engine.emit(kept, (), (1,), (), [(part, other)])
+        assert list(kept.values()) == [{part: one}]
 
     def test_witness_tables_consistent(self, rng):
         # stored witnesses replay: the partition matches the components of
@@ -125,7 +126,7 @@ class TestTableInvariants:
         for _ in range(6):
             g = random_graph(rng, 8, 10)
             inst = Instance(g, 3, 2, "chordal", "block")
-            engine = build_engine(inst, witness=True)
+            engine = build_engine(inst)
             ntd = engine.ntd
             # per node, the set of vertices seen below it
             below: dict[int, set[int]] = {}
@@ -134,10 +135,9 @@ class TestTableInvariants:
                 below[node] = bag.union(*(below[c] for c in ntd.children[node]))
                 for (xk, lk, gh), fam in table.items():
                     keep = [v for v in sorted(bag) if v not in set(xk)]
-                    for part, (i, wit) in fam.items():
-                        assert wit is not None
-                        deleted = wit
-                        assert len(deleted) == i <= inst.k
+                    for part, deleted in fam.items():
+                        assert type(deleted) is frozenset
+                        assert len(deleted) <= inst.k
                         assert deleted <= below[node] - bag
                         live = below[node] - deleted - set(xk)
                         # partition mirrors component containment
@@ -186,14 +186,14 @@ class TestSteps:
         # child table: bag {0,1}, components {0} and {1} linked below
         linked = Partition.from_parts(2, [[0, 1]])
         child = {}
-        engine.emit(child, (), (1, 1), (), [(linked, 1, None)])
+        engine.emit(child, (), (1, 1), (), [(linked, frozenset())])
         out = engine._introduce((0, 1, 2), 2, child)
         for key, fam in out.items():
             if key[0] == ():  # vertex 2 not deleted
                 assert not fam
         # the unlinked partition survives
         child2 = {}
-        engine.emit(child2, (), (1, 1), (), [(Partition.singletons(2), 0, None)])
+        engine.emit(child2, (), (1, 1), (), [(Partition.singletons(2), frozenset())])
         out2 = engine._introduce((0, 1, 2), 2, child2)
         assert any(key[0] == () and out2[key] for key in out2)
 
@@ -218,7 +218,7 @@ class TestSteps:
         engine.reduce_table(t3)
         jfam = next(t3[k] for k in sorted(t3) if k[0] == ())
         assert jfam and all(p.m == 1 for p in jfam)
-        assert 0 in {i for i, _ in jfam.values()}
+        assert frozenset() in jfam.values()
 
 
 class TestDegenerate:

@@ -301,7 +301,7 @@ class TestColoredGraph:
                 (2, 3): [(2, 1), (1, 2)],
             },
         )
-        gen = gen_clique_instance(cg, planted=[1, 2, 1])
+        gen = gen_clique_instance(cg.k, cg.t, cg.pair_lists(), planted=[1, 2, 1])
         assert gen.instance.graph.n == 180
         assert len(gen.planted) == 12
 
@@ -314,9 +314,8 @@ class TestLargerInstances:
         for i in range(1, 6):
             for j in range(i + 1, 6):
                 ev[(i, j)] = [(1, 1), (2, 2), (3, 3)]
-        gen = gen_clique_instance(
-            ColoredGraph.from_pair_lists(5, 3, ev), planted=[3, 3, 3, 3, 3]
-        )
+        cg = ColoredGraph.from_pair_lists(5, 3, ev)
+        gen = gen_clique_instance(cg.k, cg.t, cg.pair_lists(), planted=[3, 3, 3, 3, 3])
         g = gen.instance.graph
         d = gen.instance.d
         assert d == 3 * 9 + 3 * 3 + 3

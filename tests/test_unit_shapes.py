@@ -26,7 +26,7 @@ def _engine(module, g, mode):
 
 def _child(engine, lk, gh):
     child: dict = {}
-    engine.emit(child, (), lk, gh, [(Partition.singletons(1), 0, None)])
+    engine.emit(child, (), lk, gh, [(Partition.singletons(1), frozenset())])
     return child
 
 

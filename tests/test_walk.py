@@ -3,6 +3,8 @@
 ``Engine.walk`` yields each node's reduced table in postorder and
 ``Engine.run`` sums its counters over the walk and reads the decision
 from the last (root) table, so a run keeps no state on the engine.
+A family maps each partition to its least deletion set, so the root's
+one value is both the minimum (its size) and the witness.
 """
 
 import random
@@ -11,15 +13,16 @@ import pytest
 
 from blockvd import dp_block, dp_component
 from blockvd.instance import Instance
+from blockvd.oracle import verify_solution
 
 from conftest import cycle, random_graph
 
 BUILD = {"block": dp_block.build_engine, "component": dp_component.build_engine}
+SOLVE = {"block": dp_block.solve_block, "component": dp_component.solve_component}
 
 
-def instances(mode: str) -> list[tuple[Instance, bool]]:
-    """C5 with k1k2 at d=3, k=1, then seeded random instances, each with
-    and without witnesses."""
+def instances(mode: str) -> list[Instance]:
+    """C5 with k1k2 at d=3, k=1, then seeded random instances."""
     rng = random.Random(12)
     out = [Instance(cycle(5), 3, 1, "k1k2", mode)]
     for _ in range(10):
@@ -27,13 +30,13 @@ def instances(mode: str) -> list[tuple[Instance, bool]]:
         g = random_graph(rng, n, rng.randint(n - 1, n * 3 // 2))
         family = rng.choice(["k1k2", "cliques", "chordal"])
         out.append(Instance(g, rng.choice([2, 3, 4]), rng.randint(0, 2), family, mode))
-    return [(inst, witness) for inst in out for witness in (False, True)]
+    return out
 
 
 @pytest.mark.parametrize("mode", ["block", "component"])
 def test_a_second_run_reports_the_same_counts(mode):
-    for inst, witness in instances(mode):
-        engine = BUILD[mode](inst, witness=witness)
+    for inst in instances(mode):
+        engine = BUILD[mode](inst)
         first, second = engine.run(), engine.run()
         assert first.stats["states"] > 0
         assert second.stats == first.stats
@@ -43,8 +46,8 @@ def test_a_second_run_reports_the_same_counts(mode):
 @pytest.mark.parametrize("mode", ["block", "component"])
 def test_walk_visits_the_postorder_and_ends_at_the_root(mode):
     decisions = set()
-    for inst, witness in instances(mode):
-        engine = BUILD[mode](inst, witness=witness)
+    for inst in instances(mode):
+        engine = BUILD[mode](inst)
         walked = list(engine.walk())
         assert [node for node, _ in walked] == engine.ntd.postorder()
         assert len({node for node, _ in walked}) == engine.ntd.num_nodes
@@ -53,11 +56,51 @@ def test_walk_visits_the_postorder_and_ends_at_the_root(mode):
         res = engine.run()
         assert bool(fam) == res.decision
         if fam:
-            ((minimum, _),) = fam.values()
-            assert minimum == res.minimum <= inst.k
-        decision = res.decision
-        decisions.add(decision)
+            (wit,) = fam.values()
+            assert wit == res.witness
+            assert len(wit) == res.minimum <= inst.k
+        decisions.add(res.decision)
     assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_every_family_value_is_a_deletion_set_within_the_budget(mode):
+    """Each value is a frozenset of at most k vertices deleted below the
+    bag: none of them lies in the bag."""
+    values = 0
+    for inst in instances(mode):
+        engine = BUILD[mode](inst)
+        for node, table in engine.walk():
+            bag = set(engine.ntd.bags[node])
+            for fam in table.values():
+                for wit in fam.values():
+                    assert type(wit) is frozenset
+                    assert len(wit) <= inst.k
+                    assert wit <= set(range(inst.graph.n)) - bag
+                    values += 1
+    assert values > 0
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_run_reads_a_verified_least_deletion_set(mode):
+    yes = 0
+    for inst in instances(mode):
+        res = BUILD[mode](inst).run()
+        if res.decision:
+            assert verify_solution(inst.graph, res.witness, inst.d, inst.family, mode)
+            assert len(res.witness) == res.minimum
+            yes += 1
+        else:
+            assert res.witness is None and res.minimum is None
+    assert yes > 0
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_a_solve_without_witness_returns_none(mode):
+    for inst in instances(mode):
+        res = SOLVE[mode](inst)
+        assert res.witness is None
+        assert res.minimum == SOLVE[mode](inst, witness=True).minimum
 
 
 @pytest.mark.parametrize("mode", ["block", "component"])
@@ -66,7 +109,7 @@ def test_each_hypothesis_sits_at_its_units_position(mode):
     unit j of the view of the surviving bag vertices: the slot hosts that
     unit's labeled shape and no attached label is one of the unit's."""
     slots = 0
-    for inst, _ in instances(mode)[::2]:
+    for inst in instances(mode):
         engine = BUILD[mode](inst)
         assert engine.canonize
         for node, table in engine.walk():
