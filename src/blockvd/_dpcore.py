@@ -59,6 +59,14 @@ with equal (X, L) may agree only after the left one's absent labels are
 renamed.  The join therefore indexes each left state under every image
 with its own L; pairing the canonical keys directly loses states.
 
+The same symmetry lets introduce guess fewer labels.  A stored L numbers
+its u labels 1..u, so labels u+1..d are absent.  When the swap (j j+1)
+of two absent labels fixes gh, it fixes the whole state, and giving the
+new vertex label j+1 yields the image under it of giving it label j:
+the same canonical key and the same family.  Introduce therefore skips
+every absent label j+1 whose swap with j fixes gh.  Without
+canonization it guesses every label.
+
 Deletion sets carry no labels, so canonization leaves them alone.
 Every transition adds its produced states through ``Engine.emit``, which
 canonizes the target key once per state and replaces a partition's set
@@ -346,6 +354,18 @@ class Engine:
                     orbit.append(gh3)
         return [(lc, gh2) for gh2 in orbit]
 
+    def _tied_absent_labels(self, u: int, gh: tuple[GhEntry, ...]) -> set[int]:
+        """Labels lv in u+2..d such that (lv-1 lv) fixes gh.
+
+        For an L that numbers its u labels 1..u, both labels of such a
+        swap are absent from L, so the swap fixes the whole state.
+        """
+        return {
+            j + 1
+            for j in range(u + 1, self.d)
+            if self._sigma_gh(self._swaps[j - 1], gh) == gh
+        }
+
     def canon(
         self, lkey: tuple[int, ...], gh: tuple[GhEntry, ...]
     ) -> tuple[tuple[int, ...], tuple[GhEntry, ...]]:
@@ -539,15 +559,23 @@ class Engine:
         return res
 
     def _introduce_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
-        """Emit the moved family once per label v can survive with.
+        """Emit the moved family once per label v can survive with, up to
+        the symmetry of the child state.
 
         A unit through v keeps the candidate patterns common to the child
         units it absorbs and inherits their attached labels.  Its labels
         must be distinct and none of them attached already; its patterns
         must host its labeled shape and keep v apart from the attached
         labels.
+
+        With canonization, an absent label lv whose swap with lv - 1 fixes
+        gh is skipped (``_tied_absent_labels``).  The swap fixes L and gh,
+        the checks above and ``compat_set``/``linked`` commute with it,
+        and the moved family does not depend on lv, so label lv would put
+        the same partitions under the same canonical key as label lv - 1.
         """
         xk, lk, gh = key
+        tied = self._tied_absent_labels(len(set(lk)), gh) if self.canonize else ()
         pv: _View = ctx["pv"]
         vpos = ctx["vpos"]
         # sorting (unit, entry) pairs puts the entries in the parent's unit order
@@ -562,6 +590,8 @@ class Engine:
                 allowed &= pats
             inherited.append((unit, edges, hm, allowed))
         for lv in range(1, self.d + 1):
+            if lv in tied:
+                continue
             lkey_p = lk[:vpos] + (lv,) + lk[vpos:]
             labs = dict(zip(pv.keep, lkey_p))
             entries = list(carried)

@@ -78,6 +78,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "states": res.stats["states"],
             "retained": res.stats["retained"],
         }
+        if decision:
+            payload["stats"]["minimum"] = res.minimum
         if args.witness and res.witness is not None:
             payload["witness"] = sorted(res.witness)
     payload["decision"] = "YES" if decision else "NO"

@@ -79,6 +79,25 @@ class TestSolve:
         capsys.readouterr()
         assert code == 0
 
+    @pytest.mark.parametrize("mode", ["block", "component"])
+    def test_dp_and_oracle_print_the_same_minimum(self, c5, capsys, mode):
+        """On YES both engines put the least deletion size in ``stats``;
+        on NO the DP engine prints none."""
+        args = [
+            "solve", "--mode", mode, "--family", "k1k2",
+            "-d", "3", "--graph", str(c5), "--json",
+        ]
+        minima = []
+        for engine in ("dp", "oracle"):
+            code = main([*args, "-k", "2", "--engine", engine])
+            out = json.loads(capsys.readouterr().out)
+            assert code == 0 and out["decision"] == "YES"
+            minima.append(out["stats"]["minimum"])
+        assert minima[0] == minima[1] is not None
+        code = main([*args, "-k", "0"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1 and "minimum" not in out["stats"]
+
     def test_usage_error(self, tmp_path, capsys):
         code = main(
             [

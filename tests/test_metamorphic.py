@@ -3,8 +3,8 @@
 Each property relates two solves, so it needs no oracle: tracking
 witnesses must not change the search, relabelling vertices, the tree
 decomposition or its root must not change the answer or the minimum
-deletion size, a larger budget cannot turn YES into NO, and a witness
-never exceeds the budget.
+deletion size, a larger budget cannot turn YES into NO, deleting a
+vertex never raises the minimum, and a witness never exceeds the budget.
 """
 
 from dataclasses import replace
@@ -94,6 +94,25 @@ def test_another_root_keeps_the_decision(inst, shift):
 def test_yes_stays_yes_with_a_larger_budget(inst):
     if solve(inst).decision:
         assert solve(replace(inst, k=inst.k + 1)).decision
+
+
+@CASES
+@given(instances(), st.integers(0, 63))
+def test_deleting_a_vertex_never_raises_the_minimum(inst, pick):
+    # k1k2, cliques and chordal are hereditary, and every block or component
+    # of an induced subgraph is an induced subgraph of one of the whole
+    # graph's, so a least deletion set of G, less v, solves G - v
+    want = solve(inst)
+    if not want.decision:
+        return
+    g = inst.graph
+    v = pick % g.n
+    rest = [u for u in range(g.n) if u != v]
+    new = {u: i for i, u in enumerate(rest)}
+    smaller = Graph(g.n - 1, [(new[a], new[b]) for a, b in g.edges() if v not in (a, b)])
+    got = solve(replace(inst, graph=smaller))
+    assert got.decision
+    assert got.minimum <= want.minimum
 
 
 @CASES

@@ -12,6 +12,9 @@ import random
 import pytest
 
 from blockvd import dp_block, dp_component
+from blockvd._dpcore import Engine
+from blockvd.decomposition import TreeDecomposition
+from blockvd.graph import Graph
 from blockvd.instance import Instance
 from blockvd.oracle import verify_solution
 
@@ -125,3 +128,52 @@ def test_each_hypothesis_sits_at_its_units_position(mode):
                     assert not hm & sum(1 << (labs[u] - 1) for u in unit)
                     slots += 1
     assert slots > 0
+
+
+def symmetric_instances(mode: str) -> list[Instance]:
+    """Instances at d = 4 and 5, where several labels are absent from most
+    bags' L.
+
+    The first of each d introduces vertex 0, next to vertex 1, into the
+    bag {1, 2, 3} of a decomposition given with the graph.  That bag
+    holds no unit in block mode, so its gh is () and every label swap
+    fixes it, including swaps of the labels present in L, which the skip
+    must not touch.  Seeded random instances follow.
+    """
+    rng = random.Random(16)
+    out = []
+    for d in (4, 5):
+        td = TreeDecomposition((frozenset({0, 1, 2, 3}), frozenset({1, 2, 3})), ((0, 1),))
+        out.append(Instance(Graph(4, [(0, 1)]), d, 1, "k1k2", mode, td))
+        for _ in range(6):
+            n = rng.randint(5, 9)
+            g = random_graph(rng, n, rng.randint(n - 1, n * 3 // 2))
+            family = rng.choice(["k1k2", "cliques", "chordal"])
+            out.append(Instance(g, d, rng.randint(1, 3), family, mode))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_skipping_tied_absent_labels_leaves_every_table_unchanged(mode, monkeypatch):
+    """Introduce skips an absent label whose swap with the label below it
+    fixes the child's hypotheses.  Every walked table, with its keys,
+    partitions and deletion sets, equals the one built when no label is
+    skipped, and the skip fires on some instance."""
+    tied = Engine._tied_absent_labels
+    fired = 0
+
+    def counted(self, u, gh):
+        nonlocal fired
+        got = tied(self, u, gh)
+        fired += bool(got)
+        return got
+
+    for inst in symmetric_instances(mode):
+        monkeypatch.setattr(Engine, "_tied_absent_labels", counted)
+        skipped = list(BUILD[mode](inst).walk())
+        monkeypatch.setattr(Engine, "_tied_absent_labels", lambda self, u, gh: set())
+        every = list(BUILD[mode](inst).walk())
+        assert [node for node, _ in skipped] == [node for node, _ in every]
+        for (node, got), (_, want) in zip(skipped, every):
+            assert got == want, (inst, node)
+    assert fired > 0
