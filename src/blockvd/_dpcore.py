@@ -33,7 +33,7 @@ state with slot S stands for the union of the single-pattern states over
 S, which all carry the same family until some transition distinguishes
 them.  A slot is an int bitset over the pattern universe, bit q standing
 for ``Engine.patterns[q]``, so every operation on it is mask arithmetic
-against two per-engine tables: ``has[i]``, the patterns holding label
+against two universe tables: ``has[i]``, the patterns holding label
 i + 1, and ``edge[i][j]``, the patterns with the edge between labels
 i + 1 and j + 1.  Transitions intersect and filter the slots, split them
 when an outcome (a propagated neighbor-label set) differs between
@@ -71,11 +71,23 @@ Deletion sets carry no labels, so canonization leaves them alone.
 Every transition adds its produced states through ``Engine.emit``, which
 canonizes the target key once per state and replaces a partition's set
 only by a strictly smaller one, so of equal sizes the first set stays.
+
+The pattern universe depends on d, the family and the mode, never on the
+graph.  A process therefore builds each universe once (``_universe``,
+keyed by d and the pattern tuple) and keeps with it every memo that reads
+nothing else: the pattern codes and slot masks, the label-permutation
+actions, canonical forms, ``compat_set`` and ``linked`` masks, and the
+joins of partition pairs.  Every engine on that universe shares them, so
+these memos only grow with the distinct states canonized over the
+process.  An engine keeps to itself only its mode, graph, k,
+decomposition, bag views and canonization switch.  A single CLI solve
+builds one engine and behaves exactly as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -141,6 +153,70 @@ class _View:
     unit_edges: tuple[tuple[tuple[int, int], ...], ...] = ()
 
 
+class _Universe:
+    """A pattern universe with its graph-independent tables and memos.
+
+    Everything here reads only d and the patterns, so every engine on the
+    same (d, patterns) shares one instance (``_universe``).  The memos
+    grow with the distinct keys looked up over all of those engines.
+    """
+
+    def __init__(self, d: int, patterns: tuple[Pattern, ...]):
+        self.patterns = patterns
+        # integer codes: bit l-1 for label l, bit d + j for the j-th label
+        # pair (a, b), a < b, in lexicographic order
+        self.pair_bit = {
+            pair: d + j
+            for j, pair in enumerate(
+                (a, b) for a in range(1, d + 1) for b in range(a + 1, d + 1)
+            )
+        }
+        # slot masks over the universe, indexed like h masks (position l - 1
+        # for label l): has[i] holds the patterns with label i + 1 and
+        # edge[i][j] those with the edge between labels i + 1 and j + 1
+        has: list[list[int]] = [[] for _ in range(d)]
+        edge: list[list[list[int]]] = [[[] for _ in range(d)] for _ in range(d)]
+        codes = []
+        for q, p in enumerate(patterns):
+            code = 0
+            for l in p.labels:
+                has[l - 1].append(q)
+                code |= 1 << (l - 1)
+            for a, b in p.edges:
+                edge[a - 1][b - 1].append(q)
+                edge[b - 1][a - 1].append(q)
+                code |= 1 << self.pair_bit[(a, b)]
+            codes.append(code)
+        size = len(patterns)
+        self.full = (1 << size) - 1
+        self.has = [_mask_of(qs, size) for qs in has]
+        self.edge = [[_mask_of(qs, size) for qs in row] for row in edge]
+        self.codes = tuple(codes)
+        self.code_index = {code: q for q, code in enumerate(codes)}
+
+        # label permutations sigma (sigma[l - 1] is the image of label l):
+        # the adjacent transpositions (j j+1), the first-appearance
+        # renumbering of each order of labels, the bit map of each sigma on
+        # pattern codes and its action on hypothesis slots, built on first use
+        self.swaps = [
+            tuple(range(1, j)) + (j + 1, j) + tuple(range(j + 2, d + 1))
+            for j in range(1, d)
+        ]
+        self.sigma0_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.action_of: dict[tuple[int, ...], tuple[list[int], dict, dict]] = {}
+        self.canon_memo: dict[tuple, tuple] = {}
+        self.compat_memo: dict[tuple, int] = {}
+        self.linked_memo: dict[tuple[int, int], int] = {}
+        # (p1, p2) -> uplus(p1, p2), or False when their joint has a cycle
+        self.join_memo: dict[tuple[Partition, Partition], Partition | bool] = {}
+
+
+@cache
+def _universe(d: int, patterns: tuple[Pattern, ...]) -> _Universe:
+    """The one universe of (d, patterns) in this process."""
+    return _Universe(d, patterns)
+
+
 class Engine:
     def __init__(
         self,
@@ -156,57 +232,27 @@ class Engine:
         self.d = d
         self.k = k
         self.ntd = ntd
-        self.patterns = tuple(patterns)
-
-        # integer codes: bit l-1 for label l, bit d + j for the j-th label
-        # pair (a, b), a < b, in lexicographic order
-        self._pair_bit = {
-            pair: d + j
-            for j, pair in enumerate(
-                (a, b) for a in range(1, d + 1) for b in range(a + 1, d + 1)
-            )
-        }
-        # slot masks over the universe, indexed like h masks (position l - 1
-        # for label l): has[i] holds the patterns with label i + 1 and
-        # edge[i][j] those with the edge between labels i + 1 and j + 1
-        has: list[list[int]] = [[] for _ in range(d)]
-        edge: list[list[list[int]]] = [[[] for _ in range(d)] for _ in range(d)]
-        codes = []
-        for q, p in enumerate(self.patterns):
-            code = 0
-            for l in p.labels:
-                has[l - 1].append(q)
-                code |= 1 << (l - 1)
-            for a, b in p.edges:
-                edge[a - 1][b - 1].append(q)
-                edge[b - 1][a - 1].append(q)
-                code |= 1 << self._pair_bit[(a, b)]
-            codes.append(code)
-        size = len(self.patterns)
-        self.full = (1 << size) - 1
-        self.has = [_mask_of(qs, size) for qs in has]
-        self.edge = [[_mask_of(qs, size) for qs in row] for row in edge]
-        self._codes = tuple(codes)
-        self._code_index = {code: q for q, code in enumerate(codes)}
+        # plain assignments: copying a __dict__ in would stop CPython from
+        # specializing the attribute loads of the hot paths
+        u = _universe(d, tuple(patterns))
+        self.patterns = u.patterns
+        self._pair_bit = u.pair_bit
+        self.full = u.full
+        self.has = u.has
+        self.edge = u.edge
+        self._codes = u.codes
+        self._code_index = u.code_index
+        self._swaps = u.swaps
+        self._sigma0_of = u.sigma0_of
+        self._action_of = u.action_of
+        self._canon_memo = u.canon_memo
+        self._compat_memo = u.compat_memo
+        self._linked_memo = u.linked_memo
+        self._join_memo = u.join_memo
 
         # reference path: tests switch canonization off to compare against
         self.canonize = True
-        # label permutations sigma (sigma[l - 1] is the image of label l):
-        # the adjacent transpositions (j j+1), the first-appearance
-        # renumbering of each order of labels, the bit map of each sigma on
-        # pattern codes and its action on hypothesis slots, built on first use
-        self._swaps = [
-            tuple(range(1, j)) + (j + 1, j) + tuple(range(j + 2, d + 1))
-            for j in range(1, d)
-        ]
-        self._sigma0_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._action_of: dict[tuple[int, ...], tuple[list[int], dict, dict]] = {}
-        self._canon_memo: dict[tuple, tuple] = {}
-        self._compat_memo: dict[tuple, int] = {}
         self._view_memo: dict[tuple[int, ...], _View] = {}
-        self._linked_memo: dict[tuple[int, int], int] = {}
-        # (p1, p2) -> uplus(p1, p2), or False when their joint has a cycle
-        self._join_memo: dict[tuple[Partition, Partition], Partition | bool] = {}
 
     # ------------------------------------------------------------------
     # small helpers

@@ -77,9 +77,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "engine": "dp",
             "states": res.stats["states"],
             "retained": res.stats["retained"],
+            "minimum": res.minimum,
         }
-        if decision:
-            payload["stats"]["minimum"] = res.minimum
         if args.witness and res.witness is not None:
             payload["witness"] = sorted(res.witness)
     payload["decision"] = "YES" if decision else "NO"

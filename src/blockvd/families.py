@@ -7,6 +7,7 @@ questions reduce to set comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, InvalidInput, NonChordalFamily
@@ -190,6 +191,7 @@ def get_family(name: str) -> PFamilySpec:
         ) from None
 
 
+@cache
 def _enumerate_patterns(
     d: int, family: PFamilySpec, biconnected: bool
 ) -> tuple[Pattern, ...]:
@@ -197,7 +199,9 @@ def _enumerate_patterns(
     least two labels, or connected ones with at least one.
 
     Raises NonChordalFamily as soon as an accepted member is not chordal:
-    the dynamic program is unsound for such families.
+    the dynamic program is unsound for such families.  Built once per
+    process for each argument triple; a call that raises caches nothing,
+    so it raises again on every call.
     """
     if d < 1:
         raise InvalidInput(f"d={d} must be at least 1")

@@ -82,21 +82,25 @@ class TestSolve:
     @pytest.mark.parametrize("mode", ["block", "component"])
     def test_dp_and_oracle_print_the_same_minimum(self, c5, capsys, mode):
         """On YES both engines put the least deletion size in ``stats``;
-        on NO the DP engine prints none."""
+        on NO both print it as null, and neither engine's ``stats`` keys
+        depend on the answer."""
         args = [
             "solve", "--mode", mode, "--family", "k1k2",
             "-d", "3", "--graph", str(c5), "--json",
         ]
-        minima = []
+        stats = {}
+        for k, want in (("2", "YES"), ("0", "NO")):
+            for engine in ("dp", "oracle"):
+                code = main([*args, "-k", k, "--engine", engine])
+                out = json.loads(capsys.readouterr().out)
+                assert (code, out["decision"]) == ((0, "YES") if want == "YES" else (1, "NO"))
+                stats[want, engine] = out["stats"]
+        assert stats["YES", "dp"]["minimum"] == stats["YES", "oracle"]["minimum"] is not None
+        assert stats["NO", "dp"]["minimum"] is None and stats["NO", "oracle"]["minimum"] is None
         for engine in ("dp", "oracle"):
-            code = main([*args, "-k", "2", "--engine", engine])
-            out = json.loads(capsys.readouterr().out)
-            assert code == 0 and out["decision"] == "YES"
-            minima.append(out["stats"]["minimum"])
-        assert minima[0] == minima[1] is not None
-        code = main([*args, "-k", "0"])
-        out = json.loads(capsys.readouterr().out)
-        assert code == 1 and "minimum" not in out["stats"]
+            assert stats["NO", engine].keys() == stats["YES", engine].keys()
+        # the oracle prints no DP counters; every key it prints, the DP prints
+        assert stats["NO", "oracle"].keys() <= stats["NO", "dp"].keys()
 
     def test_usage_error(self, tmp_path, capsys):
         code = main(

@@ -1,0 +1,121 @@
+"""Pattern universes shared across solves in one process.
+
+``families._enumerate_patterns`` builds each universe once and
+``_dpcore._universe`` keeps one set of graph-independent tables and memos
+per (d, patterns), shared by every engine on it.  Nothing a solve reads
+from them may depend on the solves that filled them: each result must
+equal the same instance solved with every cache cleared first.
+"""
+
+import random
+
+import pytest
+
+from blockvd import _dpcore, families
+from blockvd._dpcore import Engine
+from blockvd.decomposition import heuristic_td, to_nice
+from blockvd.dp_block import build_engine as build_block, solve_block
+from blockvd.dp_component import build_engine as build_component, solve_component
+from blockvd.errors import CapExceeded, NonChordalFamily
+from blockvd.families import UD_CAP, enumerate_component_patterns, enumerate_ud, get_family
+from blockvd.instance import Instance
+from blockvd.oracle import brute_force_solve
+
+from conftest import cycle, random_chordal, random_graph
+
+SOLVE = {"block": solve_block, "component": solve_component}
+BUILD = {"block": build_block, "component": build_component}
+ENUMERATE = {"block": enumerate_ud, "component": enumerate_component_patterns}
+
+
+def clear_caches() -> None:
+    families._enumerate_patterns.cache_clear()
+    _dpcore._universe.cache_clear()
+
+
+def cases() -> list[tuple[Instance, bool]]:
+    """Seeded instances over both modes, three families and d = 3, 4, 5,
+    each with or without a witness, in an interleaved order."""
+    rng = random.Random(17)
+    out = []
+    for i in range(36):
+        n = rng.randint(6, 9)
+        g = random_chordal(rng, n) if i % 3 == 0 else random_graph(rng, n, rng.randint(n, 2 * n))
+        mode = ("block", "component")[i % 2]
+        family = ("k1k2", "cliques", "chordal")[i // 2 % 3]
+        d = (3, 4, 5)[i // 6 % 3]
+        out.append((Instance(g, d, rng.randint(0, 3), family, mode), i // 18 == 1))
+    rng.shuffle(out)
+    return out
+
+
+def outcome(inst: Instance, witness: bool) -> tuple:
+    res = SOLVE[inst.mode](inst, witness=witness)
+    return res.decision, res.minimum, res.stats, res.witness
+
+
+def test_interleaved_solves_equal_solves_on_cleared_caches():
+    clear_caches()
+    todo = cases()
+    # every instance solved back to back on warm, shared universes, twice
+    warm = [outcome(inst, w) for inst, w in todo]
+    again = [outcome(inst, w) for inst, w in todo]
+    assert again == warm
+    decisions = set()
+    for (inst, w), got in zip(todo, warm):
+        clear_caches()
+        assert outcome(inst, w) == got, (inst.mode, inst.family, inst.d, inst.k, w)
+        decisions.add(got[0])
+    # both answers occur, and the witness runs recover sets
+    assert decisions == {True, False}
+    assert any(w and got[3] for (_, w), got in zip(todo, warm))
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_canonization_off_after_canonized_engines_matches_the_oracle(mode):
+    rng = random.Random(5)
+    graphs = [random_graph(rng, 8, 11) for _ in range(8)]
+    # fill the shared memos with canonized runs first
+    for g in graphs[:4]:
+        BUILD[mode](Instance(g, 4, 2, "chordal", mode)).run()
+    for g in graphs[4:]:
+        inst = Instance(g, 4, 2, "chordal", mode)
+        engine = BUILD[mode](inst)
+        assert engine._canon_memo
+        engine.canonize = False
+        res = engine.run()
+        assert res.minimum == brute_force_solve(inst)
+        assert res.decision == (res.minimum is not None)
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_repeat_enumeration_returns_the_same_tuple(mode):
+    fam = get_family("chordal")
+    first = ENUMERATE[mode](4, fam)
+    assert type(first) is tuple
+    assert ENUMERATE[mode](4, fam) is first
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_failed_enumerations_raise_on_every_call(mode):
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            ENUMERATE[mode](UD_CAP + 1, get_family("k1k2"))
+        with pytest.raises(NonChordalFamily):
+            ENUMERATE[mode](4, get_family("cycles"))
+
+
+def test_engines_on_equal_patterns_share_one_universe():
+    g = cycle(5)
+    ntd = to_nice(heuristic_td(g), g)
+    patterns = enumerate_ud(4, get_family("cliques"))
+    a = Engine("block", g, 4, 1, patterns, ntd)
+    b = Engine("block", g, 4, 1, list(patterns), ntd)
+    assert b.patterns is a.patterns
+    assert b._canon_memo is a._canon_memo and b._join_memo is a._join_memo
+    assert b.has is a.has and b.edge is a.edge
+    # a different d or pattern tuple gets its own universe
+    other = Engine("block", g, 5, 1, patterns, ntd)
+    assert other._canon_memo is not a._canon_memo
+    # graph-dependent state stays per engine
+    assert b._view_memo is not a._view_memo
