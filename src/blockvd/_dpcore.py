@@ -207,7 +207,8 @@ class _Universe:
         self.canon_memo: dict[tuple, tuple] = {}
         self.compat_memo: dict[tuple, int] = {}
         self.linked_memo: dict[tuple[int, int], int] = {}
-        # (p1, p2) -> uplus(p1, p2), or False when their joint has a cycle
+        # (p1, p2) -> uplus(p1, p2), or False when their joint has a cycle;
+        # read by identity, as the partition of no components is falsy
         self.join_memo: dict[tuple[Partition, Partition], Partition | bool] = {}
 
 
@@ -524,7 +525,7 @@ class Engine:
 
     def _leaf_table(self) -> dict:
         table: dict = {}
-        self.emit(table, (), (), (), [(Partition(0, ()), frozenset())])
+        self.emit(table, (), (), (), [(Partition(()), frozenset())])
         return table
 
     # ------------------------------------------------------------------
@@ -585,7 +586,7 @@ class Engine:
         new_parts: list[set[int]] = []
         merged: set[int] = {vnew}
         ok = True
-        for p in part.parts:
+        for p in part:
             hits = sum(1 for o in p if comp_map[o] == vnew)
             if hits > 1:
                 # v touches two components already linked below: a cycle
@@ -717,7 +718,7 @@ class Engine:
             return got
         split = ctx["split"]
         new_parts = []
-        for p in part.parts:
+        for p in part:
             np: list[int] = []
             for o in p:
                 np.extend(split[o])

@@ -59,6 +59,8 @@ def _read_input(path: str) -> str:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.engine == "oracle" and args.witness:
+        raise InvalidInput("--witness needs --engine dp")
     g = read_gr(_read_input(args.graph))
     td = read_td(_read_input(args.td), g.n) if args.td else None
     inst = Instance(g, args.d, args.k, args.family, args.mode, td=td)
@@ -114,7 +116,7 @@ def _write_instance(gen, prefix: str) -> None:
     if parent and not parent.exists():
         parent.mkdir(parents=True)
     Path(prefix + ".gr").write_text(write_gr(gen.instance.graph))
-    Path(prefix + ".td").write_text(write_td(gen.td, gen.instance.graph.n))
+    Path(prefix + ".td").write_text(write_td(gen.instance.td, gen.instance.graph.n))
     sidecar = {
         "schema": SCHEMA,
         "formulas": gen.meta,

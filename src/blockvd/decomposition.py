@@ -418,7 +418,11 @@ def exact_td_small(g: Graph, limit: int = 14) -> TreeDecomposition:
 
 def read_td(text: str, n: int) -> TreeDecomposition:
     """Parse a PACE-style ``.td`` file (1-based bags and node ids) for a
-    graph of n vertices."""
+    graph of n vertices.
+
+    A line whose first token is exactly ``s`` is the solution line, one
+    whose first token is exactly ``b`` a bag; every other line is a tree
+    edge."""
     # (bag id, members, line) and (a, b, line) with the file's 1-based ids,
     # range-checked once the header is known
     bags: list[tuple[int, list[int], str]] = []
@@ -428,22 +432,20 @@ def read_td(text: str, n: int) -> TreeDecomposition:
         line = line.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("s"):
-            parts = line.split()
-            if len(parts) != 5 or parts[1] != "td":
+        fields = line.split()
+        if fields[0] == "s":
+            if len(fields) != 5 or fields[1] != "td":
                 raise InvalidInput(f"bad solution line: {line!r}")
-            headers.append(tuple(parse_ints(parts[2:], line)))
+            headers.append(tuple(parse_ints(fields[2:], line)))
             continue
-        if line.startswith("b"):
-            parts = line.split()
-            if len(parts) < 2:
+        if fields[0] == "b":
+            if len(fields) < 2:
                 raise InvalidInput(f"bad bag line: {line!r}")
-            bid, *members = parse_ints(parts[1:], line)
+            bid, *members = parse_ints(fields[1:], line)
             if len(set(members)) != len(members):
                 raise InvalidInput(f"bag {bid} repeats a vertex: {line!r}")
             bags.append((bid, members, line))
             continue
-        fields = line.split()
         if len(fields) != 2:
             raise InvalidInput(f"bad edge line: {line!r}")
         a, b = parse_ints(fields, line)

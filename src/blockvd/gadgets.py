@@ -77,7 +77,6 @@ class GridISInstance:
 @dataclass(frozen=True)
 class GeneratedInstance:
     instance: Instance
-    td: TreeDecomposition
     planted: frozenset[int] | None
     meta: dict
 
@@ -226,7 +225,7 @@ def gen_fixed_d(
         "budget": s,
         "bag_bound": (3 * d + 4) * k + 6 * d - 4,
     }
-    return GeneratedInstance(inst, td, planted_set, meta)
+    return GeneratedInstance(inst, planted_set, meta)
 
 
 # ----------------------------------------------------------------------
@@ -548,7 +547,7 @@ def gen_unbounded_d(
         "gadgets": len(order),
         "width_bound": 54 * k - 69 if si_pairs is None and k > 3 else td.width,
     }
-    return GeneratedInstance(inst, td, planted_set, meta)
+    return GeneratedInstance(inst, planted_set, meta)
 
 
 @dataclass(frozen=True)

@@ -364,7 +364,10 @@ def parse_ints(fields: Sequence[str], line: str) -> list[int]:
 
 
 def read_gr(text: str) -> Graph:
-    """Parse a PACE-style ``.gr`` file (1-based vertices, ``c`` comments)."""
+    """Parse a PACE-style ``.gr`` file (1-based vertices, ``c`` comments).
+
+    A line whose first token is exactly ``p`` is the problem line; every
+    other line is an edge."""
     n = None
     m_expected = None
     # (u, v, line) with the file's 1-based ids, range-checked once n is known
@@ -374,15 +377,14 @@ def read_gr(text: str) -> Graph:
         line = line.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
+        fields = line.split()
+        if fields[0] == "p":
             if n is not None:
                 raise InvalidInput(f"second problem line: {line!r}")
-            parts = line.split()
-            if len(parts) < 4 or parts[1] != "tw":
+            if len(fields) != 4 or fields[1] != "tw":
                 raise InvalidInput(f"bad problem line: {line!r}")
-            n, m_expected = parse_ints(parts[2:4], line)
+            n, m_expected = parse_ints(fields[2:], line)
             continue
-        fields = line.split()
         if len(fields) != 2:
             raise InvalidInput(f"bad edge line: {line!r}")
         u, v = parse_ints(fields, line)
@@ -398,7 +400,7 @@ def read_gr(text: str) -> Graph:
     for u, v, line in edges:
         if not (1 <= u <= n and 1 <= v <= n):
             raise InvalidInput(f"edge {line!r} names a vertex outside 1..{n}")
-    if m_expected is not None and m_expected != len(edges):
+    if m_expected != len(edges):
         raise InvalidInput(
             f"edge count mismatch: header says {m_expected}, found {len(edges)}"
         )

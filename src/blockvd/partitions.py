@@ -2,6 +2,8 @@
 
 Everything here is index-only: the ground set is {0..m-1} and callers
 maintain the mapping from indices to actual objects (boundary components).
+A partition is the tuple of its canonical parts, so equality and hashing
+are those of the tuple.
 """
 
 from __future__ import annotations
@@ -11,20 +13,20 @@ from typing import Iterable, Iterator, Sequence
 from .errors import InvalidInput
 
 
-class Partition:
-    """Canonical partition: parts sorted by minimum element, each sorted."""
+class Partition(tuple[tuple[int, ...], ...]):
+    """Canonical partition: the tuple of its parts, each sorted, ordered by
+    least element.
 
-    __slots__ = ("m", "parts", "_hash")
+    ``Partition(parts)`` trusts parts already in this form; ``from_parts``
+    validates and normalizes.  The partition of the empty ground set is
+    the empty tuple, so it is falsy: test memo entries by identity.
+    """
 
-    def __init__(self, m: int, parts: tuple[tuple[int, ...], ...]):
-        # Trusted constructor; use from_parts for validation.
-        self.m = m
-        self.parts = parts
-        self._hash = hash((m, parts))
+    __slots__ = ()
 
     @classmethod
     def from_parts(cls, m: int, parts: Iterable[Iterable[int]]) -> "Partition":
-        norm = sorted(tuple(sorted(p)) for p in parts if tuple(p))
+        norm = sorted(filter(None, map(tuple, map(sorted, parts))))
         seen: set[int] = set()
         for p in norm:
             for x in p:
@@ -35,58 +37,48 @@ class Partition:
                 seen.add(x)
         if len(seen) != m:
             raise InvalidInput("parts do not cover the ground set")
-        return cls(m, tuple(norm))
+        return cls(norm)
 
     @classmethod
     def singletons(cls, m: int) -> "Partition":
-        return cls(m, tuple((i,) for i in range(m)))
+        return cls((i,) for i in range(m))
 
     @property
-    def num_parts(self) -> int:
-        return len(self.parts)
+    def m(self) -> int:
+        """Size of the ground set: the parts cover exactly 0..m-1."""
+        return sum(map(len, self))
 
     def part_masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << x for x in p) for p in self.parts)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Partition)
-            and self.m == other.m
-            and self.parts == other.parts
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+        return tuple(sum(1 << x for x in p) for p in self)
 
     def __repr__(self) -> str:
-        inner = ", ".join("{" + ",".join(map(str, p)) + "}" for p in self.parts)
+        inner = ", ".join("{" + ",".join(map(str, p)) + "}" for p in self)
         return "{" + inner + "}"
+
+
+def _find(parent: list[int], a: int) -> int:
+    """Root of a in the union-find forest ``parent``, halving its path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
 
 
 def uplus(x: Partition, y: Partition) -> Partition:
     """Finest common coarsening (union-find closure of both part relations)."""
-    if x.m != y.m:
+    m = x.m
+    if m != y.m:
         raise InvalidInput("ground sets differ")
-    parent = list(range(x.m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for p in x.parts + y.parts:
+    parent = list(range(m))
+    for p in x + y:
         for other in p[1:]:
-            union(p[0], other)
+            ra, rb = _find(parent, p[0]), _find(parent, other)
+            if ra != rb:
+                parent[rb] = ra
     groups: dict[int, list[int]] = {}
-    for e in range(x.m):
-        groups.setdefault(find(e), []).append(e)
-    return Partition.from_parts(x.m, groups.values())
+    for e in range(m):
+        groups.setdefault(_find(parent, e), []).append(e)
+    return Partition.from_parts(m, groups.values())
 
 
 def one_coarsenings(x: Partition) -> list[Partition]:
@@ -95,7 +87,7 @@ def one_coarsenings(x: Partition) -> list[Partition]:
     Merging the empty or a singleton collection is the identity, so x
     itself is included (count 2^p - p for p parts).
     """
-    p = x.num_parts
+    p = len(x)
     out = [x]
     for mask in range(3, 1 << p):
         if mask & (mask - 1) == 0:  # singleton collection
@@ -104,11 +96,9 @@ def one_coarsenings(x: Partition) -> list[Partition]:
         rest: list[tuple[int, ...]] = []
         for i in range(p):
             if mask >> i & 1:
-                merged.extend(x.parts[i])
+                merged.extend(x[i])
             else:
-                rest.append(x.parts[i])
-        if not merged:
-            continue
+                rest.append(x[i])
         out.append(Partition.from_parts(x.m, rest + [merged]))
     return out
 
@@ -119,22 +109,14 @@ def inc_is_forest(m: int, partitions: Sequence[Partition]) -> bool:
     Parts are counted with multiplicity (two identical parts from two
     partitions already form a 4-cycle).
     """
-    size = m + sum(p.num_parts for p in partitions)
-    parent = list(range(size))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    parent = list(range(m + sum(map(len, partitions))))
     node = m
     for part in partitions:
         if part.m != m:
             raise InvalidInput("ground sets differ")
-        for p in part.parts:
+        for p in part:
             for e in p:
-                re, rn = find(e), find(node)
+                re, rn = _find(parent, e), _find(parent, node)
                 if re == rn:
                     return False
                 parent[rn] = re
@@ -145,7 +127,7 @@ def inc_is_forest(m: int, partitions: Sequence[Partition]) -> bool:
 def all_partitions(m: int) -> Iterator[Partition]:
     """Every partition of {0..m-1}, in restricted-growth-string order."""
     if m == 0:
-        yield Partition(0, ())
+        yield Partition(())
         return
     rgs = [0] * m
 

@@ -75,11 +75,11 @@ def reduce_connected(m: int, bucket: Sequence[Partition], j: int) -> list[Partit
     """
     if not bucket:
         return []
-    i = bucket[0].num_parts
+    i = len(bucket[0])
     if i + j != m + 1:
         raise BadBucket(f"part counts {i} and {j} do not satisfy i+j=m+1")
     for p in bucket:
-        if p.m != m or p.num_parts != i:
+        if p.m != m or len(p) != i:
             raise BadBucket("bucket mixes ground sets or part counts")
     rows = [cut_row(p) for p in bucket]
     keep = gf2_independent_rows(rows, 1 << max(m - 1, 0))
@@ -111,7 +111,7 @@ def rep_partitions(m: int, family: Sequence[Partition]) -> list[Partition]:
             if c in covered:
                 continue
             covered.add(c)
-            buckets.setdefault(c.num_parts, []).append((c, oi))
+            buckets.setdefault(len(c), []).append((c, oi))
 
     kept: set[int] = set()
     nbits = 1 << (m - 1)
@@ -137,18 +137,18 @@ def reduce_connected_exhaustive(
         raise TooLarge("exhaustive reduction capped at ground sets of size 7")
     if not bucket:
         return []
-    i = bucket[0].num_parts
+    i = len(bucket[0])
     if i + j != m + 1:
         raise BadBucket(f"part counts {i} and {j} do not satisfy i+j=m+1")
     for p in bucket:
-        if p.m != m or p.num_parts != i:
+        if p.m != m or len(p) != i:
             raise BadBucket("bucket mixes ground sets or part counts")
-    columns = [y for y in all_partitions(m) if y.num_parts == j]
+    columns = [y for y in all_partitions(m) if len(y) == j]
     rows = []
     for p in bucket:
         row = 0
         for ci, y in enumerate(columns):
-            if uplus(p, y).num_parts == 1:
+            if len(uplus(p, y)) == 1:
                 row |= 1 << ci
         rows.append(row)
     keep = gf2_independent_rows(rows, len(columns))

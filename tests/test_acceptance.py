@@ -146,7 +146,7 @@ class TestCriterion4RepresentativeSets:
         for m in range(1, 7):
             univ = list(all_partitions(m))
             for i in range(1, m + 1):
-                bucket = [p for p in univ if p.num_parts == i]
+                bucket = [p for p in univ if len(p) == i]
                 assert len(reduce_connected(m, bucket, m + 1 - i)) <= 1 << (m - 1)
         _report(
             "criterion 4 PASS: 200 random families representative, size bounds exact"
@@ -208,8 +208,8 @@ class TestCriterion7FixedDGenerator:
             g = gen.instance.graph
             assert g.n == ((3 * d - 2) * k * k + 2 * k) * m
             assert len(gen.planted) == s
-            assert validate_td(g, gen.td) is None
-            assert max(len(b) for b in gen.td.bags) <= (3 * d + 4) * k + 6 * d - 4
+            assert validate_td(g, gen.instance.td) is None
+            assert max(len(b) for b in gen.instance.td.bags) <= (3 * d + 4) * k + 6 * d - 4
         g = comp.instance.graph
         rem = set(range(g.n)) - comp.planted
         assert verify_solution(g, comp.planted, d, "cycles", "component")
@@ -246,11 +246,11 @@ class TestCriterion8UnboundedDGenerator:
         comps = connected_components(g, rem)
         assert all(len(c) == d for c in comps)
         assert all(is_chordal(g, c) for c in comps)
-        assert validate_td(g, gen.td) is None
-        assert gen.td.width <= 54 * k - 69
+        assert validate_td(g, gen.instance.td) is None
+        assert gen.instance.td.width <= 54 * k - 69
         _report(
             "criterion 8 PASS: clique generator exact "
-            f"(|V|={g.n}, d={d}, |S|={kp}, width {gen.td.width} <= {54 * k - 69})"
+            f"(|V|={g.n}, d={d}, |S|={kp}, width {gen.instance.td.width} <= {54 * k - 69})"
         )
 
 

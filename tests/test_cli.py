@@ -279,10 +279,18 @@ class TestErrorPaths:
             ("p tw 3 1\n0 1\n", None, "edge '0 1' names a vertex outside 1..3"),
             (TRIANGLE, "s td 1 3 3\nb 1 1 2 3 3\n", "bag 1 repeats a vertex"),
             *((TRIANGLE, td, reason) for td, reason in TD_OUT_OF_RANGE),
+            # a line is classified by its exact first token
+            ("pq tw 3 1\n1 2\n", None, "bad edge line: 'pq tw 3 1'"),
+            ("p tw 3 1 extra\n1 2\n", None, "bad problem line: 'p tw 3 1 extra'"),
+            (TRIANGLE, "s td 1 3 3\nbag 1 1 2 3\n", "bad edge line: 'bag 1 1 2 3'"),
+            (TRIANGLE, "s td 2 3 3\nb 1 1 2 3\nb1 2 3\n1 2\n", "bad edge line: 'b1 2 3'"),
+            (TRIANGLE, "sx td 1 3 3\nb 1 1 2 3\n", "bad edge line: 'sx td 1 3 3'"),
         ],
         ids=["gr-repeated-edge", "gr-second-p-line", "td-repeated-bag",
              "td-second-s-line", "td-largest-bag-field", "gr-vertex-out-of-range",
-             "td-repeated-member", *TD_OUT_OF_RANGE_IDS],
+             "td-repeated-member", *TD_OUT_OF_RANGE_IDS,
+             "gr-p-prefix-token", "gr-problem-line-extra-field", "td-bag-word",
+             "td-b-glued-to-id", "td-s-prefix-token"],
     )
     def test_inconsistent_file_exit_two_one_line(self, tmp_path, graph, td, reason):
         (tmp_path / "g.gr").write_text(graph)
@@ -336,13 +344,15 @@ class TestErrorPaths:
              "-d", "3", "-k", "1", "--graph", "c5.gr", "--td", "bin.gr"],
             ["td", "heuristic", "--graph", "bin.gr"],
             ["td", "validate", "--graph", "c5.gr", "--td", "bin.gr"],
+            ["solve", "--mode", "block", "--engine", "oracle", "--family", "k1k2",
+             "-d", "3", "-k", "1", "--graph", "c5.gr", "--witness"],
         ],
         ids=["solve-d-zero", "solve-k-negative", "enum-ud-d-negative",
              "gen-edge-not-integer", "gen-edge-out-of-range", "gen-planted-short",
              "solve-graph-directory", "td-validate-without-td",
              "selftest-trials-zero", "selftest-trials-negative",
              "solve-graph-not-utf8", "solve-td-not-utf8",
-             "td-graph-not-utf8", "td-td-not-utf8"],
+             "td-graph-not-utf8", "td-td-not-utf8", "solve-oracle-witness"],
     )
     def test_bad_input_exit_two_one_line(self, args, c5, monkeypatch, capsys):
         # a UTF-16 byte-order mark is not valid UTF-8

@@ -173,7 +173,7 @@ class TestSteps:
             if key[0] == ():
                 fam = t1[key]
                 for part in fam:
-                    assert part.num_parts == 2
+                    assert len(part) == 2
         assert any(key[0] == () for key in t1)
 
     def test_intro_two_linked_components_rejected(self):

@@ -131,8 +131,8 @@ class TestGenFixedD:
         assert g.n == ((3 * 4 - 2) * 4 + 4) * 4 == 176
         assert gen.instance.k == 80
         assert len(gen.planted) == 80
-        assert validate_td(g, gen.td) is None
-        assert max(len(b) for b in gen.td.bags) <= gen.meta["bag_bound"]
+        assert validate_td(g, gen.instance.td) is None
+        assert max(len(b) for b in gen.instance.td.bags) <= gen.meta["bag_bound"]
         assert verify_solution(g, gen.planted, 4, "cycles", "component")
 
     def test_component_variant_leaves_cd_cycles(self):
@@ -209,8 +209,8 @@ class TestGenUnboundedD:
 
     def test_path_decomposition(self):
         gen = self._clique_fixture()
-        assert validate_td(gen.instance.graph, gen.td) is None
-        assert gen.td.width <= 54 * 3 - 69
+        assert validate_td(gen.instance.graph, gen.instance.td) is None
+        assert gen.instance.td.width <= 54 * 3 - 69
 
     def test_unequal_edge_counts_rejected(self):
         ev = {
@@ -239,7 +239,7 @@ class TestGenUnboundedD:
             planted=[1, 2, 3],
         )
         g = gen.instance.graph
-        assert validate_td(g, gen.td) is None
+        assert validate_td(g, gen.instance.td) is None
         assert verify_solution(
             g, gen.planted, gen.instance.d, "chordal", "component"
         )
@@ -268,8 +268,8 @@ class TestGenUnboundedD:
         g = gen.instance.graph
         assert g.n == (2 * 21 + 3) * (10 - 2)
         assert gen.instance.k == 3 * 10 - 6
-        assert validate_td(g, gen.td) is None
-        assert gen.td.width <= 54 * 4 - 69
+        assert validate_td(g, gen.instance.td) is None
+        assert gen.instance.td.width <= 54 * 4 - 69
         assert verify_solution(g, gen.planted, 21, "chordal", "component")
 
 
@@ -321,8 +321,8 @@ class TestLargerInstances:
         assert d == 3 * 9 + 3 * 3 + 3
         assert g.n == (2 * d + 3) * (15 - 2)
         assert gen.instance.k == 3 * 15 - 6
-        assert validate_td(g, gen.td) is None
-        assert gen.td.width <= 54 * 5 - 69
+        assert validate_td(g, gen.instance.td) is None
+        assert gen.instance.td.width <= 54 * 5 - 69
         rem = set(range(g.n)) - gen.planted
         assert all(len(c) == d for c in connected_components(g, rem))
         assert verify_solution(g, gen.planted, d, "chordal", "component")
@@ -334,6 +334,6 @@ class TestLargerInstances:
         m = len(grid.edges)
         assert g.n == ((3 * 5 - 2) * 9 + 6) * m
         assert len(gen.planted) == (3 * 5 - 2) * 3 * 2 * m
-        assert validate_td(g, gen.td) is None
-        assert max(len(b) for b in gen.td.bags) <= (3 * 5 + 4) * 3 + 6 * 5 - 4
+        assert validate_td(g, gen.instance.td) is None
+        assert max(len(b) for b in gen.instance.td.bags) <= (3 * 5 + 4) * 3 + 6 * 5 - 4
         assert verify_solution(g, gen.planted, 5, "cycles", "block")

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from blockvd.dp_block import build_engine
 from blockvd.errors import InvalidInput
+from blockvd.graph import Graph
+from blockvd.instance import Instance
 from blockvd.partitions import (
     Partition,
     all_partitions,
@@ -21,7 +24,28 @@ class TestPartition:
     def test_canonical_form_unique(self):
         a = Partition.from_parts(4, [[2, 3], [1], [0]])
         b = Partition.from_parts(4, [[0], [3, 2], [1]])
-        assert a == b and a.parts == ((0,), (1,), (2, 3))
+        assert a == b and a == ((0,), (1,), (2, 3))
+
+    def test_parts_may_be_any_iterables(self):
+        # each part is read once, so one-shot iterators work; empty parts drop
+        parts = ([1, 0], [], [2])
+        assert Partition.from_parts(3, (iter(q) for q in parts)) == ((0, 1), (2,))
+
+    def test_equals_and_hashes_like_its_tuple_of_parts(self):
+        a = P(4, [3, 2], [1], [0])
+        parts = ((0,), (1,), (2, 3))
+        assert a == parts and parts == a
+        assert hash(a) == hash(parts)
+        assert {parts: "x"}[a] == "x"
+        assert list(a) == list(parts) and len(a) == 3
+
+    def test_m_is_the_total_part_size(self):
+        assert P(4, [3, 2], [1], [0]).m == 4
+        assert Partition.singletons(3).m == 3
+        for m in range(6):
+            assert all(p.m == m for p in all_partitions(m))
+        (empty,) = all_partitions(0)
+        assert empty == () and empty.m == 0 and not empty
 
     def test_validation(self):
         with pytest.raises(InvalidInput):
@@ -75,8 +99,8 @@ class TestCoarsenings:
         x = P(5, [0, 1], [2], [3, 4])
         for c in one_coarsenings(x):
             # every part of x sits inside one part of c
-            for part in x.parts:
-                owners = [q for q in c.parts if set(part) <= set(q)]
+            for part in x:
+                owners = [q for q in c if set(part) <= set(q)]
                 assert len(owners) == 1
 
 
@@ -97,9 +121,9 @@ class TestIncForest:
             for x in univ:
                 for y in univ:
                     forest = inc_is_forest(m, [x, y])
-                    connected = uplus(x, y).num_parts == 1
+                    connected = len(uplus(x, y)) == 1
                     if connected:
-                        assert forest == (x.num_parts + y.num_parts == m + 1)
+                        assert forest == (len(x) + len(y) == m + 1)
 
     def test_one_coarsening_observation(self):
         # acyclic joint iff some 1-coarsening of x makes it connected+acyclic
@@ -110,7 +134,7 @@ class TestIncForest:
                 for y in univ:
                     lhs = inc_is_forest(m, [x, y])
                     rhs = any(
-                        uplus(c, y).num_parts == 1 and inc_is_forest(m, [c, y])
+                        len(uplus(c, y)) == 1 and inc_is_forest(m, [c, y])
                         for c in coars
                     )
                     assert lhs == rhs
@@ -124,3 +148,12 @@ class TestEnumeration:
     def test_all_distinct(self):
         got = list(all_partitions(5))
         assert len(set(got)) == len(got)
+
+
+def test_join_of_two_empty_partitions_is_not_a_rejection():
+    # the empty partition is falsy, so the join memo must test identity
+    engine = build_engine(Instance(Graph(1, []), 3, 0, "k1k2", "block"))
+    (empty,) = all_partitions(0)
+    fam = {empty: frozenset()}
+    for _ in range(2):  # a memo miss, then a memo hit
+        assert list(engine._joints(fam, fam)) == [((), frozenset())]

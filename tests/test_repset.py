@@ -22,7 +22,7 @@ class TestCutMatrix:
                 rp = cut_row(p)
                 for q in univ:
                     dot = bin(rp & cut_row(q)).count("1") & 1
-                    assert dot == (1 if uplus(p, q).num_parts == 1 else 0)
+                    assert dot == (1 if len(uplus(p, q)) == 1 else 0)
 
     def test_row_width(self):
         for m in range(1, 6):
@@ -51,11 +51,11 @@ class TestReduceConnected:
         ]
         kept = reduce_connected(m, bucket, 2)
         for y in all_partitions(m):
-            if y.num_parts != 2:
+            if len(y) != 2:
                 continue
-            if any(uplus(x, y).num_parts == 1 and inc_is_forest(m, [x, y]) for x in bucket):
+            if any(len(uplus(x, y)) == 1 and inc_is_forest(m, [x, y]) for x in bucket):
                 assert any(
-                    uplus(x, y).num_parts == 1 and inc_is_forest(m, [x, y])
+                    len(uplus(x, y)) == 1 and inc_is_forest(m, [x, y])
                     for x in kept
                 )
 
@@ -64,7 +64,7 @@ class TestReduceConnected:
         for m in range(1, 6):
             univ = [p for p in all_partitions(m)]
             for i in range(1, m + 1):
-                bucket = [p for p in univ if p.num_parts == i]
+                bucket = [p for p in univ if len(p) == i]
                 rng.shuffle(bucket)
                 kept = reduce_connected(m, bucket, m + 1 - i)
                 assert len(kept) <= 1 << (m - 1)
@@ -133,7 +133,7 @@ class TestExhaustiveEngine:
             m = rng.randint(1, 5)
             univ = list(all_partitions(m))
             i = rng.randint(1, m)
-            bucket = [p for p in univ if p.num_parts == i]
+            bucket = [p for p in univ if len(p) == i]
             rng.shuffle(bucket)
             bucket = bucket[: rng.randint(1, len(bucket))]
             j = m + 1 - i
@@ -143,11 +143,11 @@ class TestExhaustiveEngine:
             # j-part partner
             for kept in (fast, slow):
                 for y in univ:
-                    if y.num_parts != j:
+                    if len(y) != j:
                         continue
-                    had = any(uplus(x, y).num_parts == 1 for x in bucket)
+                    had = any(len(uplus(x, y)) == 1 for x in bucket)
                     if had:
-                        assert any(uplus(x, y).num_parts == 1 for x in kept)
+                        assert any(len(uplus(x, y)) == 1 for x in kept)
 
     def test_guard(self):
         from blockvd.repset import reduce_connected_exhaustive
