@@ -13,10 +13,16 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
 import time
+from pathlib import Path
 
-from blockvd.partitions import Partition
-from blockvd.repset import cut_row, gf2_independent_rows
+# the checkout's own sources first, so the script runs from any directory
+# without PYTHONPATH
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from blockvd.partitions import Partition  # noqa: E402
+from blockvd.repset import cut_row, gf2_independent_rows  # noqa: E402
 
 
 def random_partition(rng: random.Random, m: int) -> Partition:

@@ -2,7 +2,7 @@
 
 One engine solves both deletion problems.  The component variant is the
 block variant with connected components where the block variant has
-blocks, so ``mode`` matters only in ``Engine.view``, which picks the
+blocks, so ``mode`` matters only in ``_shape_view``, which picks the
 units of shape-tracking: the non-trivial blocks of the bag graph, or all
 of its components.  Every transition is written for blocks and covers
 components unchanged; a vertex may lie in several blocks but in exactly
@@ -79,14 +79,32 @@ nothing else: the pattern codes and slot masks, the label-permutation
 actions, canonical forms, ``compat_set`` and ``linked`` masks, and the
 joins of partition pairs.  Every engine on that universe shares them, so
 these memos only grow with the distinct states canonized over the
-process.  An engine keeps to itself only its mode, graph, k,
-decomposition, bag views and canonization switch.  A single CLI solve
-builds one engine and behaves exactly as before.
+process.
+
+The bag views and the introduce and forget contexts do not depend on the
+graph either, only on the shape of the bag graph.  ``keep = bag - X`` is
+a sorted tuple of t vertices, and its shape is the int whose bit b says
+whether the b-th position pair (i, j), i < j, in lexicographic order, is
+an edge.  ``_shape_view`` gives the components, units and unit edges of
+a shape in positions 0..t-1, and ``_intro_ctx``/``_forget_ctx`` build
+each transition context in the parent's positions, with its own memo of
+moved partitions (which reads only the component maps).  The views are
+keyed by (t, shape, mode) and the contexts by (t, shape, position of v,
+mode); all three are cached per process, so every engine with a bag of
+that shape shares one object, and ``Engine.view`` is only the image of a
+view in vertex ids.  The transitions
+index labels by position, so the parent's label tuple is the label map.
+Mapping positions back through the sorted keep is monotone, so every
+order the transitions rely on (components by least vertex, units by
+their sorted tuples) is the same in positions as in vertex ids.  An
+engine keeps to itself only its mode, graph, k, decomposition, per-vertex
+neighbour masks (which give a keep its shape) and canonization switch.
+A single CLI solve builds one engine and behaves exactly as before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -148,9 +166,130 @@ class _View:
     """A bag graph's components and units; gh[j] is the hypothesis of units[j]."""
     keep: tuple[int, ...]
     comps: tuple[tuple[int, ...], ...]
-    comp_of: dict[int, int] = field(hash=False, compare=False)
-    units: tuple[tuple[int, ...], ...] = ()
-    unit_edges: tuple[tuple[tuple[int, int], ...], ...] = ()
+    units: tuple[tuple[int, ...], ...]
+    unit_edges: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _pairs(t: int) -> list[tuple[int, int]]:
+    """The position pairs (i, j), i < j < t, in lexicographic order: bit b
+    of a shape stands for the b-th of them."""
+    return [(i, j) for i in range(t) for j in range(i + 1, t)]
+
+
+def _shape_edges(t: int, shape: int) -> list[tuple[int, int]]:
+    """The edges of a t-vertex shape, in lexicographic order."""
+    return [pair for b, pair in enumerate(_pairs(t)) if shape >> b & 1]
+
+
+def _drop_position(t: int, shape: int, p: int) -> int:
+    """The shape of a t-vertex shape's graph without position p, the
+    positions past p moved down by one."""
+    edges = {
+        (i - (i > p), j - (j > p)) for i, j in _shape_edges(t, shape) if p != i and p != j
+    }
+    return sum(1 << b for b, pair in enumerate(_pairs(t - 1)) if pair in edges)
+
+
+@cache
+def _shape_view(t: int, shape: int, mode: str) -> _View:
+    """Components and units of a t-vertex bag graph of this shape, in
+    positions 0..t-1.
+
+    The units are the non-trivial blocks in block mode and the
+    components in component mode, in sorted order either way:
+    ``biconnected_blocks`` sorts blocks by their sorted tuples, and
+    components come ordered by their smallest vertex.
+    """
+    edges = _shape_edges(t, shape)
+    g = Graph(t, edges)
+    comps = tuple(tuple(sorted(c)) for c in connected_components(g))
+    if mode == "block":
+        units = tuple(tuple(sorted(b)) for b in biconnected_blocks(g).blocks if len(b) >= 2)
+    elif mode == "component":
+        units = comps
+    else:
+        raise ValueError(f"bad mode {mode!r}")
+    unit_edges = tuple(
+        tuple((a, b) for a, b in edges if a in unit and b in unit) for unit in units
+    )
+    return _View(tuple(range(t)), comps, units, unit_edges)
+
+
+def _comp_of(view: _View) -> dict[int, int]:
+    """The component index of each position of a shape view."""
+    return {p: ci for ci, c in enumerate(view.comps) for p in c}
+
+
+@cache
+def _intro_ctx(t: int, shape: int, vpos: int, mode: str) -> dict:
+    """The introduce of position vpos into a t-vertex bag graph of this
+    shape, in the parent's positions.
+
+    A child state holds the hypothesis of child unit j at position j of
+    its gh; each parent unit through v absorbs the child units it
+    contains, and the other child units carry over.  The context is
+    shared by every engine in the process, and so is its memo of moved
+    partitions, which reads only ``comp_map``, ``vnew`` and ``m``.
+    """
+    pv = _shape_view(t, shape, mode)
+    cv = _shape_view(t - 1, _drop_position(t, shape, vpos), mode)
+    up = [i + (i >= vpos) for i in range(t - 1)]  # child -> parent position
+    cunits = [tuple(up[i] for i in cu) for cu in cv.units]
+    comp_of = _comp_of(pv)
+    vunits = []
+    absorbed: set[int] = set()
+    for unit, edges in zip(pv.units, pv.unit_edges):
+        if vpos in unit:
+            uset = set(unit)
+            subs = tuple(j for j, cu in enumerate(cunits) if uset.issuperset(cu))
+            absorbed.update(subs)
+            vunits.append((unit, edges, subs))
+    return {
+        "vpos": vpos,
+        "m": len(pv.comps),
+        "comp_map": tuple(comp_of[up[c[0]]] for c in cv.comps),
+        "vnew": comp_of[vpos],
+        "vunits": tuple(vunits),
+        "carried": tuple((cu, j) for j, cu in enumerate(cunits) if j not in absorbed),
+        "part_memo": {},
+    }
+
+
+@cache
+def _forget_ctx(t: int, shape: int, vpos: int, mode: str) -> dict:
+    """The forget of position vpos from a t-vertex bag graph of this
+    shape, in the parent's positions.
+
+    A child unit through v sinks whole or splits into the parent units it
+    contains; the child units avoiding v carry over.  ``vpos`` indexes
+    the child's labels.  Shared like ``_intro_ctx``; the memo of moved
+    partitions reads only ``split`` and ``m``.
+    """
+    cv = _shape_view(t, shape, mode)
+    pv = _shape_view(t - 1, _drop_position(t, shape, vpos), mode)
+    up = [i + (i >= vpos) for i in range(t - 1)]  # parent -> child position
+    comp_of = _comp_of(cv)
+    split: list[list[int]] = [[] for _ in cv.comps]
+    for pidx, c in enumerate(pv.comps):
+        split[comp_of[up[c[0]]]].append(pidx)
+    carried = []
+    pieces = []
+    for j, unit in enumerate(cv.units):
+        if vpos not in unit:
+            carried.append((tuple(i - (i > vpos) for i in unit), j))
+            continue
+        uset = set(unit)
+        inside = tuple(pu for pu in pv.units if uset.issuperset(up[i] for i in pu))
+        if inside:
+            pieces.append((j, inside))
+    return {
+        "vpos": vpos,
+        "m": len(pv.comps),
+        "split": tuple(map(tuple, split)),
+        "carried": tuple(carried),
+        "pieces": tuple(pieces),
+        "part_memo": {},
+    }
 
 
 class _Universe:
@@ -228,7 +367,7 @@ class Engine:
         patterns: Sequence[Pattern],
         ntd: NiceTreeDecomposition,
     ):
-        self.mode = mode  # "block" or "component"; read only by view
+        self.mode = mode  # "block" or "component"; read only by _shape_view
         self.g = g
         self.d = d
         self.k = k
@@ -251,60 +390,52 @@ class Engine:
         self._linked_memo = u.linked_memo
         self._join_memo = u.join_memo
 
+        # bit w of _nbr[v] is set when w is a neighbour of v
+        self._nbr = [sum(1 << w for w in g.neighbors(v)) for v in g.vertices()]
+
         # reference path: tests switch canonization off to compare against
         self.canonize = True
-        self._view_memo: dict[tuple[int, ...], _View] = {}
 
     # ------------------------------------------------------------------
     # small helpers
 
-    def view(self, keep: Iterable[int]) -> _View:
-        """Components and units of the graph induced by keep.
+    def _shape(self, keep: tuple[int, ...]) -> int:
+        """The shape of the graph induced by the sorted keep: bit b is set
+        when the b-th position pair (``_pairs``) is an edge."""
+        nbr = self._nbr
+        shape = 0
+        bit = 1
+        for i, a in enumerate(keep):
+            na = nbr[a]
+            for b in keep[i + 1 :]:
+                if na >> b & 1:
+                    shape |= bit
+                bit <<= 1
+        return shape
 
-        The units are the non-trivial blocks in block mode and the
-        components in component mode, in sorted order either way:
-        ``biconnected_blocks`` sorts blocks by their sorted tuples, and
-        components come ordered by their smallest vertex.
-        """
+    def view(self, keep: Iterable[int]) -> _View:
+        """Components and units of the graph induced by keep, in vertex ids:
+        the image of its shape's view through the sorted keep."""
         key = tuple(sorted(keep))
-        got = self._view_memo.get(key)
-        if got is not None:
-            return got
-        comps = tuple(tuple(sorted(c)) for c in connected_components(self.g, key))
-        comp_of: dict[int, int] = {}
-        for ci, c in enumerate(comps):
-            for v in c:
-                comp_of[v] = ci
-        if self.mode == "block":
-            units = tuple(
-                tuple(sorted(b))
-                for b in biconnected_blocks(self.g, key).blocks
-                if len(b) >= 2
-            )
-        elif self.mode == "component":
-            units = comps
-        else:
-            raise ValueError(f"bad mode {self.mode!r}")
-        unit_edges = tuple(
-            tuple(
-                (u, w)
-                for u in unit
-                for w in self.g.neighbors(u)
-                if u < w and w in unit
-            )
-            for unit in units
+        sv = _shape_view(len(key), self._shape(key), self.mode)
+        return _View(
+            key,
+            tuple(tuple(key[p] for p in c) for c in sv.comps),
+            tuple(tuple(key[p] for p in unit) for unit in sv.units),
+            tuple(tuple((key[a], key[b]) for a, b in es) for es in sv.unit_edges),
         )
-        view = _View(key, comps, comp_of, units, unit_edges)
-        self._view_memo[key] = view
-        return view
 
     def compat_set(
         self,
         unit: tuple[int, ...],
         edges: Sequence[tuple[int, int]],
-        lab: Mapping[int, int],
+        lab: Mapping[int, int] | Sequence[int],
     ) -> int:
-        """Mask of the patterns hosting the unit's labeled shape (0 if none)."""
+        """Mask of the patterns hosting the unit's labeled shape (0 if none).
+
+        lab maps each vertex of the unit to its label; the transitions pass
+        the parent's label tuple, indexed by bag position.
+        """
         labs = sorted(lab[u] for u in unit)
         if len(set(labs)) != len(labs):
             return 0
@@ -542,38 +673,12 @@ class Engine:
             # whatever the label
             ctx = ctx_cache.get(xk)
             if ctx is None:
-                ctx = self._intro_ctx(bag, v, xk)
+                keep = tuple(u for u in bag if u not in xk)
+                ctx = _intro_ctx(len(keep), self._shape(keep), keep.index(v), self.mode)
                 ctx_cache[xk] = ctx
             moved = [(self._intro_partition(ctx, p), w) for p, w in fam.items()]
             self._introduce_state(table, ctx, key, moved)
         return table
-
-    def _intro_ctx(self, bag: tuple[int, ...], v: int, xk: tuple[int, ...]) -> dict:
-        xs = set(xk)
-        keep_parent = tuple(u for u in bag if u not in xs)
-        keep_child = tuple(u for u in keep_parent if u != v)
-        pv = self.view(keep_parent)
-        cv = self.view(keep_child)
-        # a child state holds the hypothesis of child unit j at position j
-        # of its gh; each parent unit through v absorbs the child units it
-        # contains, and the other child units carry over
-        vunits = []
-        absorbed: set[int] = set()
-        for unit, edges in zip(pv.units, pv.unit_edges):
-            if v in unit:
-                uset = set(unit)
-                subs = tuple(j for j, cu in enumerate(cv.units) if uset.issuperset(cu))
-                absorbed.update(subs)
-                vunits.append((unit, edges, subs))
-        return {
-            "pv": pv,
-            "vpos": pv.keep.index(v),
-            "comp_map": tuple(pv.comp_of[c[0]] for c in cv.comps),
-            "vnew": pv.comp_of[v],
-            "vunits": vunits,
-            "carried": tuple((cu, j) for j, cu in enumerate(cv.units) if j not in absorbed),
-            "part_memo": {},
-        }
 
     def _intro_partition(self, ctx: dict, part: Partition) -> Partition | None:
         """Push a child partition through the introduce; None when rejected."""
@@ -601,7 +706,7 @@ class Engine:
             memo[part] = False
             return None
         new_parts.append(merged)
-        res = Partition.from_parts(len(ctx["pv"].comps), new_parts)
+        res = Partition.from_parts(ctx["m"], new_parts)
         memo[part] = res
         return res
 
@@ -623,7 +728,6 @@ class Engine:
         """
         xk, lk, gh = key
         tied = self._tied_absent_labels(len(set(lk)), gh) if self.canonize else ()
-        pv: _View = ctx["pv"]
         vpos = ctx["vpos"]
         # sorting (unit, entry) pairs puts the entries in the parent's unit order
         carried = [(cu, gh[j]) for cu, j in ctx["carried"]]
@@ -639,16 +743,16 @@ class Engine:
         for lv in range(1, self.d + 1):
             if lv in tied:
                 continue
+            # units hold parent positions, so the parent's labels index them
             lkey_p = lk[:vpos] + (lv,) + lk[vpos:]
-            labs = dict(zip(pv.keep, lkey_p))
             entries = list(carried)
             for unit, edges, hm, allowed in inherited:
                 unit_mask = 0
                 for u in unit:
-                    unit_mask |= 1 << (labs[u] - 1)
+                    unit_mask |= 1 << (lkey_p[u] - 1)
                 if unit_mask.bit_count() < len(unit) or hm & unit_mask:
                     break
-                pats = self.compat_set(unit, edges, labs) & allowed
+                pats = self.compat_set(unit, edges, lkey_p) & allowed
                 if hm:
                     pats &= ~self.linked(1 << (lv - 1), hm)
                 if not pats:
@@ -674,42 +778,12 @@ class Engine:
                 continue
             ctx = ctx_cache.get(xk)
             if ctx is None:
-                ctx = self._forget_ctx(bag, v, xk)
+                keep = tuple(sorted(u for u in bag + (v,) if u not in xk))
+                ctx = _forget_ctx(len(keep), self._shape(keep), keep.index(v), self.mode)
                 ctx_cache[xk] = ctx
             moved = [(self._forget_partition(ctx, p), w) for p, w in fam.items()]
             self._forget_state(table, ctx, key, moved)
         return table
-
-    def _forget_ctx(self, bag: tuple[int, ...], v: int, xk: tuple[int, ...]) -> dict:
-        xs = set(xk)
-        keep_parent = tuple(u for u in bag if u not in xs)
-        keep_child = tuple(sorted(keep_parent + (v,)))
-        cv = self.view(keep_child)
-        pv = self.view(keep_parent)
-        split: list[list[int]] = [[] for _ in cv.comps]
-        for pidx, c in enumerate(pv.comps):
-            split[cv.comp_of[c[0]]].append(pidx)
-        # a child unit through v sinks whole or splits into the parent units
-        # it contains; the child units avoiding v carry over
-        carried = []
-        pieces = []
-        for j, unit in enumerate(cv.units):
-            if v not in unit:
-                carried.append((unit, j))
-                continue
-            uset = set(unit)
-            inside = tuple(pu for pu in pv.units if uset.issuperset(pu))
-            if inside:
-                pieces.append((j, inside))
-        return {
-            "keep": cv.keep,
-            "pv": pv,
-            "vpos": cv.keep.index(v),
-            "split": split,
-            "carried": tuple(carried),
-            "pieces": pieces,
-            "part_memo": {},
-        }
 
     def _forget_partition(self, ctx: dict, part: Partition) -> Partition:
         memo = ctx["part_memo"]
@@ -724,7 +798,7 @@ class Engine:
                 np.extend(split[o])
             if np:
                 new_parts.append(np)
-        res = Partition.from_parts(len(ctx["pv"].comps), new_parts)
+        res = Partition.from_parts(ctx["m"], new_parts)
         memo[part] = res
         return res
 
@@ -733,12 +807,12 @@ class Engine:
         xk, lk, gh = key
         vpos = ctx["vpos"]
         lv = lk[vpos]
+        # units hold parent positions, so the parent's labels index them
         lkey_p = lk[:vpos] + lk[vpos + 1 :]
-        labs = dict(zip(ctx["keep"], lk))
         branch_lists = [[(cu, gh[j]) for cu, j in ctx["carried"]]]
         for j, inside in ctx["pieces"]:
             pats, hm = gh[j]
-            options = self._sink_unit_branches(pats, hm, lv, inside, labs)
+            options = self._sink_unit_branches(pats, hm, lv, inside, lkey_p)
             branch_lists = [b + list(zip(inside, o)) for b in branch_lists for o in options]
         for branch in branch_lists:
             self.emit(table, xk, lkey_p, tuple(e for _, e in sorted(branch)), moved)
@@ -749,7 +823,7 @@ class Engine:
         hm: int,
         lv: int,
         pieces: Sequence[tuple[int, ...]],
-        labs: Mapping[int, int],
+        labs: Mapping[int, int] | Sequence[int],
     ) -> list[list[GhEntry]]:
         """Hypothesis branches for a unit losing v to the region below.
 

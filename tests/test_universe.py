@@ -2,9 +2,12 @@
 
 ``families._enumerate_patterns`` builds each universe once and
 ``_dpcore._universe`` keeps one set of graph-independent tables and memos
-per (d, patterns), shared by every engine on it.  Nothing a solve reads
-from them may depend on the solves that filled them: each result must
-equal the same instance solved with every cache cleared first.
+per (d, patterns), shared by every engine on it.  The bag views and the
+introduce/forget contexts (``_shape_view``, ``_intro_ctx``,
+``_forget_ctx``) are shared the same way, keyed by the shape of the bag
+graph.  Nothing a solve reads from them may depend on the solves that
+filled them: each result must equal the same instance solved with every
+cache cleared first.
 """
 
 import random
@@ -18,8 +21,10 @@ from blockvd.dp_block import build_engine as build_block, solve_block
 from blockvd.dp_component import build_engine as build_component, solve_component
 from blockvd.errors import CapExceeded, NonChordalFamily
 from blockvd.families import UD_CAP, enumerate_component_patterns, enumerate_ud, get_family
+from blockvd.graph import Graph
 from blockvd.instance import Instance
 from blockvd.oracle import brute_force_solve
+from blockvd.partitions import Partition
 
 from conftest import cycle, random_chordal, random_graph
 
@@ -31,6 +36,9 @@ ENUMERATE = {"block": enumerate_ud, "component": enumerate_component_patterns}
 def clear_caches() -> None:
     families._enumerate_patterns.cache_clear()
     _dpcore._universe.cache_clear()
+    _dpcore._shape_view.cache_clear()
+    _dpcore._intro_ctx.cache_clear()
+    _dpcore._forget_ctx.cache_clear()
 
 
 def cases() -> list[tuple[Instance, bool]]:
@@ -117,5 +125,36 @@ def test_engines_on_equal_patterns_share_one_universe():
     # a different d or pattern tuple gets its own universe
     other = Engine("block", g, 5, 1, patterns, ntd)
     assert other._canon_memo is not a._canon_memo
-    # graph-dependent state stays per engine
-    assert b._view_memo is not a._view_memo
+    # only the mode, graph, k, decomposition and neighbour masks are per
+    # engine; the canonization switch is the same True in every engine
+    h = cycle(6)
+    c = Engine("component", h, 4, 2, patterns, to_nice(heuristic_td(h), h))
+    own = {name for name, value in vars(c).items() if value is not vars(a)[name]}
+    assert own == {"mode", "g", "k", "ntd", "_nbr"}
+    assert c._nbr != a._nbr
+
+
+def test_bags_of_one_shape_share_one_context():
+    # the path 0-1-2 and the path 2-4-5 inside another graph: both bags
+    # have the shape of a path through their middle position
+    clear_caches()
+    g1 = Graph(3, [(0, 1), (1, 2)])
+    g2 = Graph(6, [(0, 5), (1, 3), (2, 4), (4, 5)])
+    patterns = enumerate_ud(3, get_family("k1k2"))
+    a, b = (Engine("block", g, 3, 1, patterns, to_nice(heuristic_td(g), g)) for g in (g1, g2))
+    assert a._shape((0, 1, 2)) == b._shape((2, 4, 5)) == 0b101
+    ctx = _dpcore._intro_ctx(3, a._shape((0, 1, 2)), 1, "block")
+    assert _dpcore._intro_ctx(3, b._shape((2, 4, 5)), 1, "block") is ctx
+    assert not ctx["part_memo"]
+    # introducing the middle vertex moves the child partition through the
+    # shared context; the other engine finds the move in its memo
+    for engine in (a, b):
+        engine.canonize = False
+    child: dict = {}
+    a.emit(child, (), (1, 2), (), [(Partition.singletons(2), frozenset())])
+    kept = {key: fam for key, fam in a._introduce((0, 1, 2), 1, child).items() if not key[0]}
+    assert Partition.singletons(2) in ctx["part_memo"]
+    # the states where the vertex survives carry no vertex ids
+    assert {key: fam for key, fam in b._introduce((2, 4, 5), 4, child).items() if not key[0]} == kept
+    forget = _dpcore._forget_ctx(3, 0b101, 1, "block")
+    assert _dpcore._forget_ctx(3, b._shape((2, 4, 5)), 1, "block") is forget
