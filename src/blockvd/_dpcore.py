@@ -81,32 +81,35 @@ joins of partition pairs.  Every engine on that universe shares them, so
 these memos only grow with the distinct states canonized over the
 process.
 
-The bag views and the introduce and forget contexts do not depend on the
-graph either, only on the shape of the bag graph.  ``keep = bag - X`` is
-a sorted tuple of t vertices, and its shape is the int whose bit b says
+The bag views and the introduce/forget steps do not depend on the graph
+either, only on the shape of the bag graph.  ``keep = bag - X`` is a
+sorted tuple of t vertices, and its shape is the int whose bit b says
 whether the b-th position pair (i, j), i < j, in lexicographic order, is
 an edge.  ``_shape_view`` gives the components, units and unit edges of
-a shape in positions 0..t-1, and ``_intro_ctx``/``_forget_ctx`` build
-each transition context in the parent's positions, with its own memo of
-moved partitions (which reads only the component maps).  The views are
-keyed by (t, shape, mode) and the contexts by (t, shape, position of v,
-mode); all three are cached per process, so every engine with a bag of
-that shape shares one object, and ``Engine.view`` is only the image of a
-view in vertex ids.  The transitions
-index labels by position, so the parent's label tuple is the label map.
-Mapping positions back through the sorted keep is monotone, so every
-order the transitions rely on (components by least vertex, units by
-their sorted tuples) is the same in positions as in vertex ids.  An
-engine keeps to itself only its mode, graph, k, decomposition, per-vertex
-neighbour masks (which give a keep its shape) and canonization switch.
+a shape in positions 0..t-1.  An introduce and a forget of v relate the
+same two bag graphs, the one with v (big) and the one without (small),
+so one table serves both: ``_step`` pairs the two views, introduce reads
+it from small to big and forget from big to small, and each transition
+writes every hypothesis straight into its slot of the parent's unit
+order.  A step keeps one memo of moved partitions per direction.  Views
+are keyed by (t, shape, mode) and steps by (t, shape, position of v,
+mode), both of the big graph; both are cached per process, so every
+engine with a bag of that shape shares one object, and ``Engine.view``
+is only the image of a view in vertex ids.  The transitions index labels
+by position, so the parent's label tuple is the label map.  Mapping
+positions back through the sorted keep is monotone, so every order the
+transitions rely on (components by least vertex, units by their sorted
+tuples) is the same in positions as in vertex ids.  An engine keeps to
+itself only its mode, graph, k, decomposition, per-vertex neighbour
+masks (which give a keep its shape) and canonization switch.
 A single CLI solve builds one engine and behaves exactly as before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
-from itertools import compress
+from itertools import compress, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .decomposition import NiceTreeDecomposition
@@ -215,81 +218,60 @@ def _shape_view(t: int, shape: int, mode: str) -> _View:
     return _View(tuple(range(t)), comps, units, unit_edges)
 
 
-def _comp_of(view: _View) -> dict[int, int]:
-    """The component index of each position of a shape view."""
-    return {p: ci for ci, c in enumerate(view.comps) for p in c}
+@dataclass(frozen=True, eq=False)
+class _Step:
+    """A t-vertex bag graph with position vpos (big) and without it (small).
+
+    Introduce reads a step from small to big, forget from big to small.
+    Every small unit lies in exactly one big unit.  A big unit avoiding v
+    is a small unit, and ``carried`` pairs their (big, small) indices; a
+    big unit through v holds zero or more small units, and ``vunits``
+    holds each as (big index, unit, edges, small indices inside), in big
+    positions.  Each transition writes a hypothesis straight into its
+    slot of the parent's unit order.
+    """
+    vpos: int
+    big_m: int
+    small_m: int
+    comp_map: tuple[int, ...]  # small component -> big component
+    vcomp: int  # v's big component
+    split: tuple[tuple[int, ...], ...]  # big component -> its small ones
+    carried: tuple[tuple[int, int], ...]
+    vunits: tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...]], ...]
+    small_units: tuple[tuple[int, ...], ...]  # in small positions
+    # moved partitions, one memo per direction: with equal component
+    # counts one partition can key both, with different images
+    intro_memo: dict = field(default_factory=dict)
+    forget_memo: dict = field(default_factory=dict)
 
 
 @cache
-def _intro_ctx(t: int, shape: int, vpos: int, mode: str) -> dict:
-    """The introduce of position vpos into a t-vertex bag graph of this
-    shape, in the parent's positions.
-
-    A child state holds the hypothesis of child unit j at position j of
-    its gh; each parent unit through v absorbs the child units it
-    contains, and the other child units carry over.  The context is
-    shared by every engine in the process, and so is its memo of moved
-    partitions, which reads only ``comp_map``, ``vnew`` and ``m``.
-    """
-    pv = _shape_view(t, shape, mode)
-    cv = _shape_view(t - 1, _drop_position(t, shape, vpos), mode)
-    up = [i + (i >= vpos) for i in range(t - 1)]  # child -> parent position
-    cunits = [tuple(up[i] for i in cu) for cu in cv.units]
-    comp_of = _comp_of(pv)
+def _step(t: int, shape: int, vpos: int, mode: str) -> _Step:
+    """The step between a t-vertex bag graph of this shape and its graph
+    without position vpos, shared by every engine in the process."""
+    big = _shape_view(t, shape, mode)
+    small = _shape_view(t - 1, _drop_position(t, shape, vpos), mode)
+    up = [i + (i >= vpos) for i in range(t - 1)]  # small -> big position
+    comp_of = {p: ci for ci, c in enumerate(big.comps) for p in c}
+    comp_map = tuple(comp_of[up[c[0]]] for c in small.comps)
+    split = tuple(
+        tuple(si for si, b in enumerate(comp_map) if b == bi) for bi in range(len(big.comps))
+    )
+    lifted = [tuple(up[i] for i in unit) for unit in small.units]
+    small_index = {unit: si for si, unit in enumerate(lifted)}
+    carried = []
     vunits = []
-    absorbed: set[int] = set()
-    for unit, edges in zip(pv.units, pv.unit_edges):
+    for bi, (unit, edges) in enumerate(zip(big.units, big.unit_edges)):
         if vpos in unit:
             uset = set(unit)
-            subs = tuple(j for j, cu in enumerate(cunits) if uset.issuperset(cu))
-            absorbed.update(subs)
-            vunits.append((unit, edges, subs))
-    return {
-        "vpos": vpos,
-        "m": len(pv.comps),
-        "comp_map": tuple(comp_of[up[c[0]]] for c in cv.comps),
-        "vnew": comp_of[vpos],
-        "vunits": tuple(vunits),
-        "carried": tuple((cu, j) for j, cu in enumerate(cunits) if j not in absorbed),
-        "part_memo": {},
-    }
-
-
-@cache
-def _forget_ctx(t: int, shape: int, vpos: int, mode: str) -> dict:
-    """The forget of position vpos from a t-vertex bag graph of this
-    shape, in the parent's positions.
-
-    A child unit through v sinks whole or splits into the parent units it
-    contains; the child units avoiding v carry over.  ``vpos`` indexes
-    the child's labels.  Shared like ``_intro_ctx``; the memo of moved
-    partitions reads only ``split`` and ``m``.
-    """
-    cv = _shape_view(t, shape, mode)
-    pv = _shape_view(t - 1, _drop_position(t, shape, vpos), mode)
-    up = [i + (i >= vpos) for i in range(t - 1)]  # parent -> child position
-    comp_of = _comp_of(cv)
-    split: list[list[int]] = [[] for _ in cv.comps]
-    for pidx, c in enumerate(pv.comps):
-        split[comp_of[up[c[0]]]].append(pidx)
-    carried = []
-    pieces = []
-    for j, unit in enumerate(cv.units):
-        if vpos not in unit:
-            carried.append((tuple(i - (i > vpos) for i in unit), j))
-            continue
-        uset = set(unit)
-        inside = tuple(pu for pu in pv.units if uset.issuperset(up[i] for i in pu))
-        if inside:
-            pieces.append((j, inside))
-    return {
-        "vpos": vpos,
-        "m": len(pv.comps),
-        "split": tuple(map(tuple, split)),
-        "carried": tuple(carried),
-        "pieces": tuple(pieces),
-        "part_memo": {},
-    }
+            inside = tuple(si for si, su in enumerate(lifted) if uset.issuperset(su))
+            vunits.append((bi, unit, edges, inside))
+        else:
+            carried.append((bi, small_index[unit]))
+    return _Step(
+        vpos, len(big.comps), len(small.comps), comp_map, comp_of[vpos],
+        split, tuple(carried), tuple(vunits), small.units,
+    )
 
 
 class _Universe:
@@ -660,57 +642,56 @@ class Engine:
         return table
 
     # ------------------------------------------------------------------
-    # introduce
+    # introduce and forget
+
+    def _step_of(self, keep: tuple[int, ...], v: int) -> _Step:
+        """The step between the graph on the sorted keep and the graph without v."""
+        return _step(len(keep), self._shape(keep), keep.index(v), self.mode)
 
     def _introduce(self, bag: tuple[int, ...], v: int, child: dict) -> dict:
         table: dict = {}
-        ctx_cache: dict[tuple[int, ...], dict] = {}
+        steps: dict[tuple[int, ...], _Step] = {}
         for key, fam in child.items():
             xk, lk, gh = key
             # v joins the deleted set: nothing else changes
             self.emit(table, tuple(sorted(xk + (v,))), lk, gh, fam.items())
             # v survives with some label; the family moves the same way
             # whatever the label
-            ctx = ctx_cache.get(xk)
-            if ctx is None:
+            step = steps.get(xk)
+            if step is None:
                 keep = tuple(u for u in bag if u not in xk)
-                ctx = _intro_ctx(len(keep), self._shape(keep), keep.index(v), self.mode)
-                ctx_cache[xk] = ctx
-            moved = [(self._intro_partition(ctx, p), w) for p, w in fam.items()]
-            self._introduce_state(table, ctx, key, moved)
+                step = steps[xk] = self._step_of(keep, v)
+            moved = [(self._intro_partition(step, p), w) for p, w in fam.items()]
+            self._introduce_state(table, step, key, moved)
         return table
 
-    def _intro_partition(self, ctx: dict, part: Partition) -> Partition | None:
+    def _intro_partition(self, step: _Step, part: Partition) -> Partition | None:
         """Push a child partition through the introduce; None when rejected."""
-        memo = ctx["part_memo"]
+        memo = step.intro_memo
         got = memo.get(part)
         if got is not None:
             return got if got is not False else None
-        comp_map = ctx["comp_map"]
-        vnew = ctx["vnew"]
+        comp_map = step.comp_map
+        vcomp = step.vcomp
         new_parts: list[set[int]] = []
-        merged: set[int] = {vnew}
-        ok = True
+        merged: set[int] = {vcomp}
         for p in part:
-            hits = sum(1 for o in p if comp_map[o] == vnew)
+            hits = sum(1 for o in p if comp_map[o] == vcomp)
             if hits > 1:
                 # v touches two components already linked below: a cycle
-                ok = False
-                break
+                memo[part] = False
+                return None
             images = {comp_map[o] for o in p}
             if hits == 1:
                 merged |= images
             else:
-                new_parts.append(set(images))
-        if not ok:
-            memo[part] = False
-            return None
+                new_parts.append(images)
         new_parts.append(merged)
-        res = Partition.from_parts(ctx["m"], new_parts)
+        res = Partition.from_parts(step.big_m, new_parts)
         memo[part] = res
         return res
 
-    def _introduce_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
+    def _introduce_state(self, table: dict, step: _Step, key: StateKey, moved: list) -> None:
         """Emit the moved family once per label v can survive with, up to
         the symmetry of the child state.
 
@@ -728,25 +709,27 @@ class Engine:
         """
         xk, lk, gh = key
         tied = self._tied_absent_labels(len(set(lk)), gh) if self.canonize else ()
-        vpos = ctx["vpos"]
-        # sorting (unit, entry) pairs puts the entries in the parent's unit order
-        carried = [(cu, gh[j]) for cu, j in ctx["carried"]]
+        vpos = step.vpos
+        # the parent's unit order: carried slots are filled once, and each
+        # label overwrites the slots of the units through v
+        slots = [None] * (len(step.carried) + len(step.vunits))
+        for bi, si in step.carried:
+            slots[bi] = gh[si]
         inherited = []
-        for unit, edges, subs in ctx["vunits"]:
+        for bi, unit, edges, inside in step.vunits:
             hm = 0
             allowed = self.full
-            for j in subs:
-                pats, shm = gh[j]
+            for si in inside:
+                pats, shm = gh[si]
                 hm |= shm
                 allowed &= pats
-            inherited.append((unit, edges, hm, allowed))
+            inherited.append((bi, unit, edges, hm, allowed))
         for lv in range(1, self.d + 1):
             if lv in tied:
                 continue
             # units hold parent positions, so the parent's labels index them
             lkey_p = lk[:vpos] + (lv,) + lk[vpos:]
-            entries = list(carried)
-            for unit, edges, hm, allowed in inherited:
+            for bi, unit, edges, hm, allowed in inherited:
                 unit_mask = 0
                 for u in unit:
                     unit_mask |= 1 << (lkey_p[u] - 1)
@@ -757,16 +740,13 @@ class Engine:
                     pats &= ~self.linked(1 << (lv - 1), hm)
                 if not pats:
                     break
-                entries.append((unit, (pats, hm)))
+                slots[bi] = (pats, hm)
             else:
-                self.emit(table, xk, lkey_p, tuple(e for _, e in sorted(entries)), moved)
-
-    # ------------------------------------------------------------------
-    # forget
+                self.emit(table, xk, lkey_p, tuple(slots), moved)
 
     def _forget(self, bag: tuple[int, ...], v: int, child: dict) -> dict:
         table: dict = {}
-        ctx_cache: dict[tuple[int, ...], dict] = {}
+        steps: dict[tuple[int, ...], _Step] = {}
         k = self.k
         for key, fam in child.items():
             xk, lk, gh = key
@@ -776,21 +756,20 @@ class Engine:
                 xk2 = tuple(u for u in xk if u != v)
                 self.emit(table, xk2, lk, gh, items)
                 continue
-            ctx = ctx_cache.get(xk)
-            if ctx is None:
+            step = steps.get(xk)
+            if step is None:
                 keep = tuple(sorted(u for u in bag + (v,) if u not in xk))
-                ctx = _forget_ctx(len(keep), self._shape(keep), keep.index(v), self.mode)
-                ctx_cache[xk] = ctx
-            moved = [(self._forget_partition(ctx, p), w) for p, w in fam.items()]
-            self._forget_state(table, ctx, key, moved)
+                step = steps[xk] = self._step_of(keep, v)
+            moved = [(self._forget_partition(step, p), w) for p, w in fam.items()]
+            self._forget_state(table, step, key, moved)
         return table
 
-    def _forget_partition(self, ctx: dict, part: Partition) -> Partition:
-        memo = ctx["part_memo"]
+    def _forget_partition(self, step: _Step, part: Partition) -> Partition:
+        memo = step.forget_memo
         got = memo.get(part)
         if got is not None:
             return got
-        split = ctx["split"]
+        split = step.split
         new_parts = []
         for p in part:
             np: list[int] = []
@@ -798,24 +777,40 @@ class Engine:
                 np.extend(split[o])
             if np:
                 new_parts.append(np)
-        res = Partition.from_parts(ctx["m"], new_parts)
+        res = Partition.from_parts(step.small_m, new_parts)
         memo[part] = res
         return res
 
-    def _forget_state(self, table: dict, ctx: dict, key: StateKey, moved: list) -> None:
-        """Emit the moved family once per hypothesis branch for v's units."""
+    def _forget_state(self, table: dict, step: _Step, key: StateKey, moved: list) -> None:
+        """Emit the moved family once per hypothesis branch for v's units.
+
+        The branches are the product of the options of each unit through
+        v, the first unit's varying slowest.  The order matters: of two
+        equal-size sets for one partition, the first emitted stays.
+        """
         xk, lk, gh = key
-        vpos = ctx["vpos"]
+        vpos = step.vpos
         lv = lk[vpos]
         # units hold parent positions, so the parent's labels index them
         lkey_p = lk[:vpos] + lk[vpos + 1 :]
-        branch_lists = [[(cu, gh[j]) for cu, j in ctx["carried"]]]
-        for j, inside in ctx["pieces"]:
-            pats, hm = gh[j]
-            options = self._sink_unit_branches(pats, hm, lv, inside, lkey_p)
-            branch_lists = [b + list(zip(inside, o)) for b in branch_lists for o in options]
-        for branch in branch_lists:
-            self.emit(table, xk, lkey_p, tuple(e for _, e in sorted(branch)), moved)
+        units = step.small_units
+        slots = [None] * len(units)
+        for bi, si in step.carried:
+            slots[si] = gh[bi]
+        pieces = []
+        options = []
+        for bi, _, _, inside in step.vunits:
+            if inside:
+                pats, hm = gh[bi]
+                pieces.append(inside)
+                options.append(
+                    self._sink_unit_branches(pats, hm, lv, [units[si] for si in inside], lkey_p)
+                )
+        for branch in product(*options):
+            for inside, entries in zip(pieces, branch):
+                for si, entry in zip(inside, entries):
+                    slots[si] = entry
+            self.emit(table, xk, lkey_p, tuple(slots), moved)
 
     def _sink_unit_branches(
         self,

@@ -41,6 +41,7 @@ class Partition(tuple[tuple[int, ...], ...]):
 
     @classmethod
     def singletons(cls, m: int) -> "Partition":
+        _check_size(m)
         return cls((i,) for i in range(m))
 
     @property
@@ -54,6 +55,11 @@ class Partition(tuple[tuple[int, ...], ...]):
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, p)) + "}" for p in self)
         return "{" + inner + "}"
+
+
+def _check_size(m: int) -> None:
+    if m < 0:
+        raise InvalidInput(f"negative ground-set size {m}")
 
 
 def _find(parent: list[int], a: int) -> int:
@@ -125,10 +131,13 @@ def inc_is_forest(m: int, partitions: Sequence[Partition]) -> bool:
 
 
 def all_partitions(m: int) -> Iterator[Partition]:
-    """Every partition of {0..m-1}, in restricted-growth-string order."""
+    """Every partition of {0..m-1}, in restricted-growth-string order.
+
+    A negative m raises at the call, not at the first item.
+    """
+    _check_size(m)
     if m == 0:
-        yield Partition(())
-        return
+        return iter((Partition(()),))
     rgs = [0] * m
 
     def rec(i: int, maxv: int) -> Iterator[Partition]:
@@ -142,10 +151,11 @@ def all_partitions(m: int) -> Iterator[Partition]:
             rgs[i] = v
             yield from rec(i + 1, max(maxv, v))
 
-    yield from rec(1, 0)
+    return rec(1, 0)
 
 
 def bell_number(m: int) -> int:
+    _check_size(m)
     row = [1]
     for _ in range(m):
         nxt = [row[-1]]

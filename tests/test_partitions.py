@@ -149,6 +149,16 @@ class TestEnumeration:
         got = list(all_partitions(5))
         assert len(set(got)) == len(got)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: all_partitions(-1), lambda: Partition.singletons(-2), lambda: bell_number(-1)],
+        ids=["all_partitions", "singletons", "bell_number"],
+    )
+    def test_negative_ground_set_size_is_rejected(self, build):
+        # at the call, as Partition.from_parts(-1, []) rejects it
+        with pytest.raises(InvalidInput):
+            build()
+
 
 def test_join_of_two_empty_partitions_is_not_a_rejection():
     # the empty partition is falsy, so the join memo must test identity

@@ -1,11 +1,13 @@
-"""Bag views and transition contexts keyed by the shape of the bag graph.
+"""Bag views and introduce/forget steps keyed by the shape of the bag graph.
 
-``Engine.view`` and the introduce/forget contexts come from per-process
-tables keyed by (t, shape, position of v, mode), built in bag positions.
-Their vertex-id images must equal the direct construction on the host
-graph, which this file keeps as the reference: ``connected_components``
-and ``biconnected_blocks`` on the induced subgraph, and the contexts
-built from those views node by node.
+``Engine.view`` and the steps come from per-process tables keyed by
+(t, shape, mode) and (t, shape, position of v, mode), built in bag
+positions; one step serves the introduce into a shape and the forget
+from it.  Their vertex-id images must equal the direct construction on
+the host graph, which this file keeps as the reference:
+``connected_components`` and ``biconnected_blocks`` on the induced
+subgraph, and the introduce and forget contexts built from those views
+node by node.
 """
 
 import random
@@ -13,7 +15,7 @@ from itertools import combinations
 
 import pytest
 
-from blockvd._dpcore import Engine, _forget_ctx, _intro_ctx
+from blockvd._dpcore import Engine, _drop_position, _shape_view, _step
 from blockvd.decomposition import heuristic_td, to_nice
 from blockvd.families import enumerate_ud, get_family
 from blockvd.graph import Graph, biconnected_blocks, connected_components
@@ -90,42 +92,49 @@ def reference_forget(g, mode, bag, v, xk) -> dict:
 
 
 def intro_image(engine: Engine, bag, v, xk) -> dict:
-    """The context the engine uses, in vertex ids."""
+    """The step the engine's introduce reads, in vertex ids."""
     keep = tuple(u for u in bag if u not in xk)
-    ctx = _intro_ctx(len(keep), engine._shape(keep), keep.index(v), engine.mode)
+    step = engine._step_of(keep, v)
+    big = _shape_view(len(keep), engine._shape(keep), engine.mode)
 
     def ids(unit):
         return tuple(keep[p] for p in unit)
 
     image = {
-        "vpos": ctx["vpos"],
-        "m": ctx["m"],
-        "comp_map": ctx["comp_map"],
-        "vnew": ctx["vnew"],
+        "vpos": step.vpos,
+        "m": step.big_m,
+        "comp_map": step.comp_map,
+        "vnew": step.vcomp,
         "vunits": tuple(
-            (ids(unit), tuple((keep[a], keep[b]) for a, b in edges), subs)
-            for unit, edges, subs in ctx["vunits"]
+            (ids(unit), tuple((keep[a], keep[b]) for a, b in edges), inside)
+            for _, unit, edges, inside in step.vunits
         ),
-        "carried": tuple((ids(cu), j) for cu, j in ctx["carried"]),
+        # a carried unit is its big unit, which avoids v
+        "carried": tuple((ids(big.units[bi]), si) for bi, si in step.carried),
     }
     return image
 
 
 def forget_image(engine: Engine, bag, v, xk) -> dict:
+    """The step the engine's forget reads, in vertex ids."""
     keep = tuple(sorted(u for u in bag + (v,) if u not in xk))
-    ctx = _forget_ctx(len(keep), engine._shape(keep), keep.index(v), engine.mode)
+    step = engine._step_of(keep, v)
     pkeep = tuple(u for u in keep if u != v)
 
     def ids(unit):
         return tuple(pkeep[p] for p in unit)
 
     image = {
-        "vpos": ctx["vpos"],
-        "m": ctx["m"],
-        "split": ctx["split"],
+        "vpos": step.vpos,
+        "m": step.small_m,
+        "split": step.split,
         # carried units avoid v, so the parent's vertex ids name them
-        "carried": tuple((ids(cu), j) for cu, j in ctx["carried"]),
-        "pieces": tuple((j, tuple(map(ids, inside))) for j, inside in ctx["pieces"]),
+        "carried": tuple((ids(step.small_units[si]), bi) for bi, si in step.carried),
+        "pieces": tuple(
+            (bi, tuple(ids(step.small_units[si]) for si in inside))
+            for bi, _, _, inside in step.vunits
+            if inside
+        ),
     }
     return image
 
@@ -204,3 +213,36 @@ def test_shape_ignores_vertex_degree_outside_the_bag():
     assert engine._shape((1, 3, 5)) == 0b100
     assert engine._shape((0, 6)) == 0b1
     assert engine.view((0, 3, 5)).units == ((0, 3, 5),)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_step_covers_the_small_units_once(mode):
+    # what writing each hypothesis straight into its slot relies on, for
+    # every shape of at most 5 vertices and every position of v
+    for t in range(1, 6):
+        for shape in range(1 << (t * (t - 1) // 2)):
+            big = _shape_view(t, shape, mode)
+            for vpos in range(t):
+                step = _step(t, shape, vpos, mode)
+                small = _shape_view(t - 1, _drop_position(t, shape, vpos), mode)
+                assert step.small_units == small.units
+                covered = [si for _, si in step.carried]
+                for _, _, _, inside in step.vunits:
+                    covered += inside
+                assert sorted(covered) == list(range(len(small.units)))
+                # the big units split into carried ones and ones through v
+                big_of = sorted([bi for bi, _ in step.carried] + [bi for bi, *_ in step.vunits])
+                assert big_of == list(range(len(big.units)))
+                for bi, si in step.carried:
+                    assert vpos not in big.units[bi]
+                    assert tuple(p - (p > vpos) for p in big.units[bi]) == small.units[si]
+                for bi, unit, edges, _ in step.vunits:
+                    assert vpos in unit
+                    assert (unit, edges) == (big.units[bi], big.unit_edges[bi])
+                assert len(step.comp_map) == step.small_m == len(small.comps)
+                assert len(step.split) == step.big_m == len(big.comps)
+                assert step.vcomp == next(ci for ci, c in enumerate(big.comps) if vpos in c)
+                # split is the inverse of the small -> big component map
+                assert sorted(
+                    (si, bi) for bi, sis in enumerate(step.split) for si in sis
+                ) == list(enumerate(step.comp_map))

@@ -3,11 +3,10 @@
 ``families._enumerate_patterns`` builds each universe once and
 ``_dpcore._universe`` keeps one set of graph-independent tables and memos
 per (d, patterns), shared by every engine on it.  The bag views and the
-introduce/forget contexts (``_shape_view``, ``_intro_ctx``,
-``_forget_ctx``) are shared the same way, keyed by the shape of the bag
-graph.  Nothing a solve reads from them may depend on the solves that
-filled them: each result must equal the same instance solved with every
-cache cleared first.
+introduce/forget steps (``_shape_view``, ``_step``) are shared the same
+way, keyed by the shape of the bag graph.  Nothing a solve reads from
+them may depend on the solves that filled them: each result must equal
+the same instance solved with every cache cleared first.
 """
 
 import random
@@ -37,8 +36,7 @@ def clear_caches() -> None:
     families._enumerate_patterns.cache_clear()
     _dpcore._universe.cache_clear()
     _dpcore._shape_view.cache_clear()
-    _dpcore._intro_ctx.cache_clear()
-    _dpcore._forget_ctx.cache_clear()
+    _dpcore._step.cache_clear()
 
 
 def cases() -> list[tuple[Instance, bool]]:
@@ -143,18 +141,22 @@ def test_bags_of_one_shape_share_one_context():
     patterns = enumerate_ud(3, get_family("k1k2"))
     a, b = (Engine("block", g, 3, 1, patterns, to_nice(heuristic_td(g), g)) for g in (g1, g2))
     assert a._shape((0, 1, 2)) == b._shape((2, 4, 5)) == 0b101
-    ctx = _dpcore._intro_ctx(3, a._shape((0, 1, 2)), 1, "block")
-    assert _dpcore._intro_ctx(3, b._shape((2, 4, 5)), 1, "block") is ctx
-    assert not ctx["part_memo"]
+    step = _dpcore._step(3, a._shape((0, 1, 2)), 1, "block")
+    assert _dpcore._step(3, b._shape((2, 4, 5)), 1, "block") is step
+    assert not step.intro_memo
     # introducing the middle vertex moves the child partition through the
-    # shared context; the other engine finds the move in its memo
+    # shared step; the other engine finds the move in its memo
     for engine in (a, b):
         engine.canonize = False
     child: dict = {}
     a.emit(child, (), (1, 2), (), [(Partition.singletons(2), frozenset())])
     kept = {key: fam for key, fam in a._introduce((0, 1, 2), 1, child).items() if not key[0]}
-    assert Partition.singletons(2) in ctx["part_memo"]
+    assert Partition.singletons(2) in step.intro_memo
+    assert not step.forget_memo
     # the states where the vertex survives carry no vertex ids
     assert {key: fam for key, fam in b._introduce((2, 4, 5), 4, child).items() if not key[0]} == kept
-    forget = _dpcore._forget_ctx(3, 0b101, 1, "block")
-    assert _dpcore._forget_ctx(3, b._shape((2, 4, 5)), 1, "block") is forget
+    # the forget from that shape reads the very step the introduce into it read
+    assert _dpcore._step(3, 0b101, 1, "block") is step
+    assert b._step_of((2, 4, 5), 4) is step
+    b._forget((2, 5), 4, b._introduce((2, 4, 5), 4, child))
+    assert step.forget_memo
