@@ -10,23 +10,31 @@ one component.  A table entry is keyed by
 
     (X, L, gh)
 
-where X is the deleted bag subset, L the labeling of the rest, and gh[j]
-the hypothesis of unit j of ``view(bag - X)``: a set of candidate final
-patterns plus the labels of outside neighbors already attached, held as
-the pair (pattern mask, h mask).  The units depend only on the bag and
-X, so no key stores them.  The value is the family of partitions of the
-bag components realized by some partial solution, each mapped to the
-least set of vertices deleted below the bag by a partial solution
-realizing it; its size is the partition's budget, and a partition
-needing more than k deletions is dropped.  After every node each family
+where X is the deleted bag subset, L the labeling of the rest by labels
+1..d, and gh[j] the hypothesis of unit j of ``view(bag - X)``: a set of
+candidate final patterns plus the labels of outside neighbors already
+attached, held as the pair (pattern mask, h mask).  The units depend
+only on the bag and X, so no key stores them.  The value is the family
+of partitions of the bag components realized by some partial solution,
+each mapped to the least set of vertices deleted below the bag by a
+partial solution realizing it; its size is the partition's budget, and a
+partition needing more than k deletions is dropped.  After every node each family
 is held to the representative-set bound of m * 2^(m-1) partitions over
 m bag components: the rank-based reduction runs only on a family above
 that bound.  It is given the family in ascending set size, so its greedy
 basis keeps, for every complement, a member of least size (the weighted
 reduction of Bodlaender, Cygan, Kratsch and Nederlof).  Bell(m) <=
 m * 2^(m-1) for every m <= 5, so on bags of width at most 4 no family
-can exceed it and the reduction never runs.  The root's one state
-((), (), ()) then holds a least deletion set.
+can exceed it: ``reduce_table`` returns there without scanning.  The
+root's one state ((), (), ()) then holds a least deletion set.
+
+Throughout this module d is the size of the engine's label alphabet, not
+the instance's bound.  A label only has to be distinct inside one final
+block (or component), so ``build_engine`` sets it to the smaller of
+the bound and p, for a family whose members have at most p vertices
+(``PFamilySpec.labels``): ``k1k2`` runs on two labels at every bound.
+The bound itself reaches the engine only through the pattern universe,
+whose members have no more vertices than it allows.
 
 Hypothesis slots hold pattern *sets* rather than single patterns: a
 state with slot S stands for the union of the single-pattern states over
@@ -573,6 +581,11 @@ class Engine:
             fam[part] = wit
 
     def reduce_table(self, table: dict) -> None:
+        # every key covers the one bag; on at most 5 bag vertices there are
+        # m <= 5 components, and no family can exceed Bell(m) <= m * 2^(m-1)
+        key = next(iter(table), None)
+        if key is None or len(key[0]) + len(key[1]) <= 5:
+            return
         for key, fam in table.items():
             if len(fam) <= 1:
                 continue

@@ -4,7 +4,10 @@
 states combine a bag deletion set, a labeling of the rest, and one shape
 hypothesis per non-trivial block of the bag graph; families of
 boundary-component partitions, each with its least deletion set, are
-kept representative after every node.
+kept representative after every node.  The engine labels bag vertices
+from ``PFamilySpec.labels(d)`` labels, min(d, p) for a family whose
+members have at most p vertices, so ``k1k2`` (feedback vertex set) runs
+on two labels at every d; the witness check reads the instance's own d.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .oracle import verify_solution
 
 def build_engine(inst: Instance, ntd: NiceTreeDecomposition | None = None) -> Engine:
     fam = get_family(inst.family)
-    patterns = enumerate_ud(inst.d, fam)
+    labels = fam.labels(inst.d)
+    patterns = enumerate_ud(labels, fam)
     if ntd is None:
         td = inst.td if inst.td is not None else heuristic_td(inst.graph)
         ntd = to_nice(td, inst.graph)
@@ -27,7 +31,7 @@ def build_engine(inst: Instance, ntd: NiceTreeDecomposition | None = None) -> En
         bad = validate_nice(inst.graph, ntd)
         if bad is not None:
             raise InvalidInput(f"invalid nice decomposition: {bad.condition}: {bad.detail}")
-    return Engine("block", inst.graph, inst.d, inst.k, patterns, ntd)
+    return Engine("block", inst.graph, labels, inst.k, patterns, ntd)
 
 
 def solve_block(

@@ -5,7 +5,9 @@ which tracks one shape hypothesis per bag component where block mode
 tracks one per non-trivial block; every transition is shared.
 Components that sink together into one component below the bag are
 tied to one pattern, which the engine realizes with single-pattern
-slots.
+slots.  As in block mode, the engine's label alphabet is
+``PFamilySpec.labels(d)``, min(d, p) for members of at most p vertices,
+and the witness check reads the instance's own d.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .oracle import verify_solution
 
 def build_engine(inst: Instance, ntd: NiceTreeDecomposition | None = None) -> Engine:
     fam = get_family(inst.family)
-    patterns = enumerate_component_patterns(inst.d, fam)
+    labels = fam.labels(inst.d)
+    patterns = enumerate_component_patterns(labels, fam)
     if ntd is None:
         td = inst.td if inst.td is not None else heuristic_td(inst.graph)
         ntd = to_nice(td, inst.graph)
@@ -28,7 +31,7 @@ def build_engine(inst: Instance, ntd: NiceTreeDecomposition | None = None) -> En
         bad = validate_nice(inst.graph, ntd)
         if bad is not None:
             raise InvalidInput(f"invalid nice decomposition: {bad.condition}: {bad.detail}")
-    return Engine("component", inst.graph, inst.d, inst.k, patterns, ntd)
+    return Engine("component", inst.graph, labels, inst.k, patterns, ntd)
 
 
 def solve_component(

@@ -158,6 +158,7 @@ class PFamilySpec:
     as adjacency masks.  The two short-cuts, fixed by the name, only tell
     the enumerator which candidates the predicate rejects anyway: no
     member has more than max_order vertices, or every member is complete.
+    max_order also sizes the dynamic program's label alphabet (``labels``).
     """
 
     name: str
@@ -177,6 +178,17 @@ class PFamilySpec:
     def contains(self, adj: Sequence[int]) -> bool:
         """Is the graph with adjacency masks adj a member?"""
         return _FAMILY_DATA[self.name][0](adj)
+
+    def labels(self, d: int) -> int:
+        """The number of labels the dynamic program needs at bound d.
+
+        A label only has to be distinct inside one final block (or
+        component), and each has at most p = min(d, max_order) vertices.
+        Colouring the blocks along the block-cut tree, each new block
+        shares at most one vertex, a cut vertex, with those already
+        coloured, so p labels suffice.
+        """
+        return d if self.max_order is None else min(d, self.max_order)
 
 
 FAMILIES: dict[str, PFamilySpec] = {name: PFamilySpec(name) for name in _FAMILY_DATA}
@@ -208,7 +220,7 @@ def _enumerate_patterns(
     if d > UD_CAP:
         raise CapExceeded(f"d={d} exceeds the pattern-universe cap of {UD_CAP}")
     min_labels = 2 if biconnected else 1
-    max_labels = d if family.max_order is None else min(d, family.max_order)
+    max_labels = family.labels(d)
     # a family whose predicate is the chordality test needs no second one
     checked = _FAMILY_DATA[family.name][0] is _chordal
     out: list[Pattern] = []

@@ -102,6 +102,35 @@ class TestSolve:
         # the oracle prints no DP counters; every key it prints, the DP prints
         assert stats["NO", "oracle"].keys() <= stats["NO", "dp"].keys()
 
+    @pytest.mark.parametrize("mode", ["block", "component"])
+    def test_k1k2_solves_above_the_universe_cap(self, c5, capsys, mode):
+        """k1k2 needs two labels at every d, so d = 9 prints what d = 2 does."""
+        for k in ("0", "1"):
+            runs = []
+            for d in ("9", "2"):
+                code = main(
+                    [
+                        "solve", "--mode", mode, "--family", "k1k2", "-d", d,
+                        "-k", k, "--graph", str(c5), "--json", "--witness",
+                    ]
+                )
+                runs.append((code, capsys.readouterr().out))
+            assert runs[0][0] in (0, 1)
+            assert runs[0] == runs[1]
+
+    def test_cliques_above_the_universe_cap_exit_two_one_line(self, c5, capsys):
+        code = main(
+            [
+                "solve", "--mode", "block", "--family", "cliques",
+                "-d", "7", "-k", "1", "--graph", str(c5),
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error:") and "cap of 6" in err
+
     def test_usage_error(self, tmp_path, capsys):
         code = main(
             [

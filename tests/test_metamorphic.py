@@ -4,11 +4,13 @@ Each property relates two solves, so it needs no oracle: tracking
 witnesses must not change the search, relabelling vertices, the tree
 decomposition or its root must not change the answer or the minimum
 deletion size, a larger budget cannot turn YES into NO, deleting a
-vertex never raises the minimum, and a witness never exceeds the budget.
+vertex never raises the minimum, a witness never exceeds the budget,
+and the ``k1k2`` answer is the same at every bound d >= 2.
 """
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,3 +123,16 @@ def test_witness_fits_the_budget(inst):
     res = solve(inst, witness=True)
     if res.decision:
         assert res.witness is not None and len(res.witness) <= inst.k
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+@CASES
+@given(instances())
+def test_k1k2_answer_does_not_depend_on_d(mode, inst):
+    # no k1k2 member has more than two vertices, so every d >= 2 asks the
+    # same question, also above the cap of the pattern universes
+    base = replace(inst, family="k1k2", mode=mode, d=2)
+    want = solve(base)
+    for d in range(3, 9):
+        got = solve(replace(base, d=d))
+        assert (got.decision, got.minimum) == (want.decision, want.minimum), d

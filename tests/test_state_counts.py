@@ -60,7 +60,7 @@ EXPECTED = {
     9: (True, 49, 49, (1,)),
     10: (True, 70, 70, ()),
     11: (False, 171, 171, None),
-    12: (True, 57, 61, (1,)),
+    12: (True, 55, 57, (1,)),
     13: (True, 152, 152, (0, 2)),
     14: (True, 111, 123, (6,)),
     15: (True, 56, 56, (3, 4)),
@@ -69,7 +69,7 @@ EXPECTED = {
     18: (True, 111, 111, None),
     19: (True, 54, 54, None),
     20: (True, 32, 32, None),
-    21: (False, 213, 213, None),
+    21: (False, 187, 187, None),
     22: (True, 69, 69, None),
     23: (True, 287, 287, None),
     24: (True, 52, 52, (3,)),

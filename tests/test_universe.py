@@ -132,6 +132,26 @@ def test_engines_on_equal_patterns_share_one_universe():
     assert c._nbr != a._nbr
 
 
+@pytest.mark.parametrize("mode, size", [("block", 1), ("component", 3)])
+def test_k1k2_engines_share_one_two_label_universe(mode, size):
+    # a k1k2 member has at most two vertices, so two labels serve every d:
+    # the edge 1-2 in block mode, and 1, 2 and 1-2 in component mode
+    g = cycle(5)
+    first, *rest = (BUILD[mode](Instance(g, d, 1, "k1k2", mode)) for d in (3, 4, 5))
+    assert first.d == 2 and len(first.patterns) == size
+    for engine in rest:
+        assert engine.d == 2
+        assert engine.patterns is first.patterns
+        assert engine._canon_memo is first._canon_memo
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+@pytest.mark.parametrize("family", ["cliques", "chordal"])
+def test_unbounded_families_keep_d_labels(mode, family):
+    for d in (3, 4, 5):
+        assert BUILD[mode](Instance(cycle(5), d, 1, family, mode)).d == d
+
+
 def test_bags_of_one_shape_share_one_context():
     # the path 0-1-2 and the path 2-4-5 inside another graph: both bags
     # have the shape of a path through their middle position
