@@ -56,24 +56,27 @@ partitions, and the canonical (L, gh) is its least image over all d!
 permutations.  That image renumbers L by first appearance, so only the
 images that do so compete.  They are the orbit of one of them under the
 permutations of the u+1..d labels absent from L, for u distinct labels
-in L, and ``_images`` walks that orbit through the adjacent
-transpositions (j j+1), u < j < d: |orbit| * (d - u - 1) slot relabels
-instead of (d - u)!.  Component-mode slots are mostly symmetric in the
-absent labels, so their orbits are small.  A slot relabels only the
-patterns it holds, each through its integer code (label bits, then
-label-pair bits).  The join still needs every image, not just the
-least: each side was canonized on its own, so a left and a right state
-with equal (X, L) may agree only after the left one's absent labels are
-renamed.  The join therefore indexes each left state under every image
-with its own L; pairing the canonical keys directly loses states.
+in L, walked through the adjacent transpositions (j j+1), u < j < d:
+|orbit| * (d - u - 1) slot relabels instead of (d - u)!.  Component-mode
+slots are mostly symmetric in the absent labels, so their orbits are
+small.  A slot relabels only the patterns it holds, each through its
+integer code (label bits, then label-pair bits).
 
-The same symmetry lets introduce guess fewer labels.  A stored L numbers
-its u labels 1..u, so labels u+1..d are absent.  When the swap (j j+1)
-of two absent labels fixes gh, it fixes the whole state, and giving the
-new vertex label j+1 yields the image under it of giving it label j:
-the same canonical key and the same family.  Introduce therefore skips
-every absent label j+1 whose swap with j fixes gh.  Without
-canonization it guesses every label.
+``Engine._orbit`` walks each (L, gh) once and keeps one record of it
+in the universe's memo: the least image, every image and the tied
+absent labels.  ``canon`` reads the least image.  The join reads every
+image: each side was canonized on its own, so a left and a right state
+with equal (X, L) may agree only after the left one's absent labels are
+renamed, and pairing the canonical keys directly loses states.  It
+indexes each left state under every image with its own L.
+
+Introduce reads the tied labels.  A stored L numbers its u labels 1..u,
+so labels u+1..d are absent.  When the swap (j j+1) of two absent labels
+fixes gh, it fixes the whole state, and giving the new vertex label j+1
+yields the image under it of giving it label j: the same canonical key
+and the same family.  Label j+1 is then tied, and introduce skips it.
+Without canonization the record is (L, gh), its one image and no tied
+label, so introduce guesses every label.
 
 Deletion sets carry no labels, so canonization leaves them alone.
 Every transition adds its produced states through ``Engine.emit``, which
@@ -84,7 +87,7 @@ The pattern universe depends on d, the family and the mode, never on the
 graph.  A process therefore builds each universe once (``_universe``,
 keyed by d and the pattern tuple) and keeps with it every memo that reads
 nothing else: the pattern codes and slot masks, the label-permutation
-actions, canonical forms, ``compat_set`` and ``linked`` masks, and the
+actions, label-orbit records, ``compat_set`` and ``linked`` masks, and the
 joins of partition pairs.  Every engine on that universe shares them, so
 these memos only grow with the distinct states canonized over the
 process.
@@ -110,7 +113,6 @@ transitions rely on (components by least vertex, units by their sorted
 tuples) is the same in positions as in vertex ids.  An engine keeps to
 itself only its mode, graph, k, decomposition, per-vertex neighbour
 masks (which give a keep its shape) and canonization switch.
-A single CLI solve builds one engine and behaves exactly as before.
 """
 
 from __future__ import annotations
@@ -489,18 +491,27 @@ class Engine:
             out.append(got)
         return tuple(out)
 
-    def _images(self, lkey: tuple[int, ...], gh: tuple[GhEntry, ...]) -> list[tuple]:
-        """Distinct images of (L, gh) that renumber L by first appearance.
+    def _orbit(
+        self, lkey: tuple[int, ...], gh: tuple[GhEntry, ...]
+    ) -> tuple[tuple, list[tuple], tuple[int, ...]]:
+        """The record of the label orbit of (L, gh): (least image, images,
+        tied labels).
 
         The renumbering sigma0 sends the u distinct labels of L to 1..u by
         first appearance and the absent labels, in increasing order, to
-        u+1..d.  The other permutations giving such an image differ from
-        sigma0 by a permutation of u+1..d, so the images are the orbit of
-        sigma0(gh) under that group, walked through its generators (j j+1)
-        for u < j < d.  Without canonization the only image is (L, gh).
+        u+1..d.  The images are the orbit of sigma0(gh) under the
+        permutations of u+1..d, walked through their generators (j j+1),
+        u < j < d; label j + 1 is tied when (j j+1) fixes sigma0(gh).
+        Without canonization the record is built afresh and not stored, as
+        the memo is shared with canonizing engines.
         """
         if not self.canonize:
-            return [(lkey, gh)]
+            pair = (lkey, gh)
+            return pair, [pair], ()
+        memo_key = (lkey, gh)
+        got = self._canon_memo.get(memo_key)
+        if got is not None:
+            return got
         order = tuple(dict.fromkeys(lkey))
         sigma0 = self._sigma0_of.get(order)
         if sigma0 is None:
@@ -509,43 +520,31 @@ class Engine:
             image.update(zip(absent, range(len(order) + 1, self.d + 1)))
             sigma0 = self._sigma0_of[order] = tuple(image[l] for l in range(1, self.d + 1))
         lc = tuple(sigma0[l - 1] for l in lkey)
-        swaps = self._swaps[len(order) :]
+        u = len(order)
         # lc == lkey when L is renumbered already, as in every stored
         # state; sigma0 is then the identity
-        orbit = [gh if lc == lkey else self._sigma_gh(sigma0, gh)]
-        seen = set(orbit)
+        first = gh if lc == lkey else self._sigma_gh(sigma0, gh)
+        orbit = [first]
+        seen = {first}
+        tied = []
         for gh2 in orbit:
-            for t in swaps:
+            # swap t exchanges labels lv - 1 and lv
+            for lv, t in enumerate(self._swaps[u:], u + 2):
                 gh3 = self._sigma_gh(t, gh2)
                 if gh3 not in seen:
                     seen.add(gh3)
                     orbit.append(gh3)
-        return [(lc, gh2) for gh2 in orbit]
-
-    def _tied_absent_labels(self, u: int, gh: tuple[GhEntry, ...]) -> set[int]:
-        """Labels lv in u+2..d such that (lv-1 lv) fixes gh.
-
-        For an L that numbers its u labels 1..u, both labels of such a
-        swap are absent from L, so the swap fixes the whole state.
-        """
-        return {
-            j + 1
-            for j in range(u + 1, self.d)
-            if self._sigma_gh(self._swaps[j - 1], gh) == gh
-        }
+                elif gh2 is first and gh3 == first:
+                    tied.append(lv)
+        images = [(lc, gh2) for gh2 in orbit]
+        got = self._canon_memo[memo_key] = (min(images), images, tuple(tied))
+        return got
 
     def canon(
         self, lkey: tuple[int, ...], gh: tuple[GhEntry, ...]
     ) -> tuple[tuple[int, ...], tuple[GhEntry, ...]]:
         """Canonical (L, gh): the least image under label permutations."""
-        if not self.canonize:
-            return lkey, gh
-        memo_key = (lkey, gh)
-        got = self._canon_memo.get(memo_key)
-        if got is None:
-            got = min(self._images(lkey, gh))
-            self._canon_memo[memo_key] = got
-        return got
+        return self._orbit(lkey, gh)[0]
 
     # ------------------------------------------------------------------
     # table plumbing
@@ -714,14 +713,14 @@ class Engine:
         must host its labeled shape and keep v apart from the attached
         labels.
 
-        With canonization, an absent label lv whose swap with lv - 1 fixes
-        gh is skipped (``_tied_absent_labels``).  The swap fixes L and gh,
-        the checks above and ``compat_set``/``linked`` commute with it,
-        and the moved family does not depend on lv, so label lv would put
-        the same partitions under the same canonical key as label lv - 1.
+        An absent label lv whose swap with lv - 1 fixes gh is tied
+        (``_orbit``) and skipped.  The swap fixes L and gh, the checks
+        above and ``compat_set``/``linked`` commute with it, and the moved
+        family does not depend on lv, so label lv would put the same
+        partitions under the same canonical key as label lv - 1.
         """
         xk, lk, gh = key
-        tied = self._tied_absent_labels(len(set(lk)), gh) if self.canonize else ()
+        tied = self._orbit(lk, gh)[2]
         vpos = step.vpos
         # the parent's unit order: carried slots are filled once, and each
         # label overwrites the slots of the units through v
@@ -885,7 +884,7 @@ class Engine:
         index: dict[tuple, list[tuple[StateKey, tuple[GhEntry, ...]]]] = {}
         for key in left:
             xk, lk, gh = key
-            for l2, gh2 in self._images(lk, gh):
+            for l2, gh2 in self._orbit(lk, gh)[1]:
                 index.setdefault((xk, l2), []).append((key, gh2))
         return index
 

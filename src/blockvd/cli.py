@@ -222,12 +222,10 @@ def _cmd_td(args: argparse.Namespace) -> int:
 
 
 def _cmd_enum_ud(args: argparse.Namespace) -> int:
+    # the universe a solve at this d runs on, over the family's labels
     fam = get_family(args.family)
-    pats = (
-        enumerate_component_patterns(args.d, fam)
-        if args.connected
-        else enumerate_ud(args.d, fam)
-    )
+    enumerate_patterns = enumerate_component_patterns if args.connected else enumerate_ud
+    pats = enumerate_patterns(fam.labels(args.d), fam)
     for p in pats:
         print(p)
     print(f"total: {len(pats)}")

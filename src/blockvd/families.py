@@ -11,7 +11,7 @@ from functools import cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, InvalidInput, NonChordalFamily
-from .graph import Graph, biconnected_blocks, induced_edges
+from .graph import Graph, biconnected_blocks, chordal_masks, induced_edges
 
 # the largest d whose pattern universe is built
 UD_CAP = 6
@@ -102,32 +102,6 @@ def _biconnected(adj: Sequence[int]) -> bool:
     return True
 
 
-def _chordal(adj: Sequence[int]) -> bool:
-    """Strip simplicial vertices; the graph is chordal iff none is left.
-
-    Vertex v is simplicial when every neighbor u sees all the others,
-    i.e. nb & ~adj[u] is u's own bit.  Stripping one keeps chordality
-    either way, and a chordless cycle's vertices are never simplicial.
-    """
-    alive = (1 << len(adj)) - 1
-    stripped = True
-    while alive and stripped:
-        stripped = False
-        for v, a in enumerate(adj):
-            if not alive >> v & 1:
-                continue
-            nb = rest = a & alive
-            while rest:
-                low = rest & -rest
-                if nb & ~adj[low.bit_length() - 1] != low:
-                    break
-                rest ^= low
-            else:
-                alive ^= 1 << v
-                stripped = True
-    return not alive
-
-
 def _cycle_or_tiny(adj: Sequence[int]) -> bool:
     return len(adj) <= 2 or all(a.bit_count() == 2 for a in adj)
 
@@ -143,7 +117,7 @@ def _complete(adj: Sequence[int]) -> bool:
 _FAMILY_DATA: dict[str, tuple[Callable[[Sequence[int]], bool], int | None, bool]] = {
     "k1k2": (lambda adj: len(adj) <= 2, 2, False),
     "cliques": (_complete, None, True),
-    "chordal": (_chordal, None, False),
+    "chordal": (chordal_masks, None, False),
     "cycles": (_cycle_or_tiny, None, False),
     "all": (lambda adj: True, None, False),
 }
@@ -222,7 +196,7 @@ def _enumerate_patterns(
     min_labels = 2 if biconnected else 1
     max_labels = family.labels(d)
     # a family whose predicate is the chordality test needs no second one
-    checked = _FAMILY_DATA[family.name][0] is _chordal
+    checked = _FAMILY_DATA[family.name][0] is chordal_masks
     out: list[Pattern] = []
     for lmask in range(1 << d):
         labels = [i + 1 for i in range(d) if lmask >> i & 1]
@@ -252,7 +226,7 @@ def _enumerate_patterns(
                 frozenset(labels),
                 frozenset(pairs[j] for j in range(npairs) if emask >> j & 1),
             )
-            if not checked and not _chordal(adj):
+            if not checked and not chordal_masks(adj):
                 raise NonChordalFamily(
                     f"family {family.name!r} admits the non-chordal pattern {p}"
                 )

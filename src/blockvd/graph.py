@@ -187,37 +187,40 @@ def biconnected_blocks(
     return BlockDecomposition(tuple(blocks), frozenset(cuts))
 
 
-def _mcs_order(g: Graph, verts: Sequence[int]) -> list[int]:
-    """Maximum-cardinality search ordering (last-to-first elimination)."""
-    vset = set(verts)
-    weight = {v: 0 for v in verts}
-    order: list[int] = []
-    remaining = set(verts)
-    while remaining:
-        v = max(sorted(remaining), key=lambda u: weight[u])
-        order.append(v)
-        remaining.remove(v)
-        for w in g.neighbors(v):
-            if w in vset and w in remaining:
-                weight[w] += 1
-    return order
+def chordal_masks(adj: Sequence[int]) -> bool:
+    """Chordality of the graph whose vertex i has neighbor mask adj[i].
+
+    Strip simplicial vertices; the graph is chordal iff none is left.
+    Vertex v is simplicial when every neighbor u sees all the others,
+    i.e. nb & ~adj[u] is u's own bit.  Stripping one keeps chordality
+    either way, and a chordless cycle's vertices are never simplicial.
+    """
+    alive = (1 << len(adj)) - 1
+    stripped = True
+    while alive and stripped:
+        stripped = False
+        for v, a in enumerate(adj):
+            if not alive >> v & 1:
+                continue
+            nb = rest = a & alive
+            while rest:
+                low = rest & -rest
+                if nb & ~adj[low.bit_length() - 1] != low:
+                    break
+                rest ^= low
+            else:
+                alive ^= 1 << v
+                stripped = True
+    return not alive
 
 
 def is_chordal(g: Graph, within: Iterable[int] | None = None) -> bool:
-    """Chordality test: MCS ordering plus the standard parent check."""
-    verts = sorted(within) if within is not None else list(range(g.n))
-    vset = set(verts)
-    order = _mcs_order(g, verts)
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        earlier = [w for w in g.neighbors(v) if w in vset and pos[w] < pos[v]]
-        if not earlier:
-            continue
-        parent = max(earlier, key=lambda w: pos[w])
-        rest = {w for w in earlier if w != parent}
-        if not rest <= set(g.neighbors(parent)):
-            return False
-    return True
+    """Is the subgraph induced by within (all of g by default) chordal?"""
+    verts = sorted(set(within)) if within is not None else range(g.n)
+    pos = {v: i for i, v in enumerate(verts)}
+    return chordal_masks(
+        [sum(1 << pos[w] for w in g.neighbors(v) if w in pos) for v in verts]
+    )
 
 
 def find_chordless_cycle(

@@ -27,7 +27,8 @@ from .repset import rep_partitions, verify_representative
 
 
 def random_graph(rng: random.Random, n: int, m: int) -> Graph:
-    edges: set[tuple[int, int]] = set()
+    edges = set()
+    m = min(m, n * (n - 1) // 2)
     while len(edges) < m:
         u, v = rng.sample(range(n), 2)
         edges.add((min(u, v), max(u, v)))
@@ -35,27 +36,22 @@ def random_graph(rng: random.Random, n: int, m: int) -> Graph:
 
 
 def random_chordal(rng: random.Random, n: int, extra: int = 2) -> Graph:
-    """Subgraph of a random k-tree style growth: always chordal."""
+    """Clique-attachment growth: every prefix stays chordal."""
     edges: set[tuple[int, int]] = set()
-    placed: list[int] = []
-    for v in range(n):
-        if placed:
-            clique = [v]
-            anchor = rng.choice(placed)
-            clique.append(anchor)
-            nbrs = [
-                w
-                for w in placed
-                if w != anchor and (min(w, anchor), max(w, anchor)) in edges
-            ]
-            rng.shuffle(nbrs)
-            for w in nbrs[: rng.randint(0, extra)]:
-                clique.append(w)
-            for a in clique:
-                for b in clique:
-                    if a < b:
-                        edges.add((a, b))
-        placed.append(v)
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for v in range(1, n):
+        anchor = rng.randrange(v)
+        clique = {anchor}
+        nbrs = list(adj[anchor] & set(range(v)))
+        rng.shuffle(nbrs)
+        for w in nbrs[: rng.randint(0, extra)]:
+            # only extend while the attachment set stays a clique
+            if all(x in adj[w] for x in clique):
+                clique.add(w)
+        for w in clique:
+            edges.add((min(v, w), max(v, w)))
+            adj[v].add(w)
+            adj[w].add(v)
     return Graph(n, edges)
 
 

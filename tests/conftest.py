@@ -7,6 +7,7 @@ import pytest
 import blockvd
 from blockvd.families import Pattern
 from blockvd.graph import Graph
+from blockvd.selfcheck import random_chordal, random_graph
 
 # the directory holding the blockvd package under test
 SRC = Path(blockvd.__file__).resolve().parents[1]
@@ -22,35 +23,6 @@ def child_env(**extra: str) -> dict[str, str]:
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
     )
     return env
-
-
-def random_graph(rng: random.Random, n: int, m: int) -> Graph:
-    edges = set()
-    m = min(m, n * (n - 1) // 2)
-    while len(edges) < m:
-        u, v = rng.sample(range(n), 2)
-        edges.add((min(u, v), max(u, v)))
-    return Graph(n, edges)
-
-
-def random_chordal(rng: random.Random, n: int, extra: int = 2) -> Graph:
-    """Clique-attachment growth: every prefix stays chordal."""
-    edges: set[tuple[int, int]] = set()
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
-    for v in range(1, n):
-        anchor = rng.randrange(v)
-        clique = {anchor}
-        nbrs = list(adj[anchor] & set(range(v)))
-        rng.shuffle(nbrs)
-        for w in nbrs[: rng.randint(0, extra)]:
-            # only extend while the attachment set stays a clique
-            if all(x in adj[w] for x in clique):
-                clique.add(w)
-        for w in clique:
-            edges.add((min(v, w), max(v, w)))
-            adj[v].add(w)
-            adj[w].add(v)
-    return Graph(n, edges)
 
 
 @pytest.fixture

@@ -174,13 +174,38 @@ def test_images_are_the_first_appearance_images(mode, d, family):
         # a stored state renumbers L by first appearance already; a moved
         # copy of it does not
         for lkey, gh2 in ((lk, gh), sigma_image(engine, rng.choice(sigmas), lk, gh)):
-            got = engine._images(lkey, gh2)
+            got = engine._orbit(lkey, gh2)[1]
             assert len(set(got)) == len(got)
             assert set(got) == first_appearance_images(engine, lkey, gh2)
             images += len(got)
             checked += 1
     # some orbits hold more than one image
     assert images > checked
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_tied_labels_are_the_absent_swaps_that_fix_gh(mode):
+    """A stored state numbers its u labels 1..u.  Its record's tied labels
+    are the j + 1, u < j < d, whose swap (j j+1) fixes gh."""
+    tied = untied = 0
+    for inst in instances(mode, 6, seed=4):
+        engine = BUILD[mode](inst)
+        d = engine.d
+        for _, table in engine.walk():
+            for _, lk, gh in table:
+                want = set()
+                for j in range(len(set(lk)) + 1, d):
+                    swap = tuple(range(1, j)) + (j + 1, j) + tuple(range(j + 2, d + 1))
+                    if sigma_image(engine, swap, lk, gh) == (lk, gh):
+                        want.add(j + 1)
+                got = engine._orbit(lk, gh)[2]
+                assert len(set(got)) == len(got)
+                assert set(got) == want, (lk, gh)
+                if len(set(lk)) + 1 < d:
+                    tied += bool(want)
+                    untied += not want
+    # both outcomes occur among states with two or more absent labels
+    assert tied > 0 and untied > 0
 
 
 def index_free(engine, key):

@@ -209,6 +209,21 @@ class TestGenAndTd:
         out = capsys.readouterr().out
         assert out.strip().splitlines()[-1] == "total: 4"
 
+    @pytest.mark.parametrize("connected", [[], ["--connected"]], ids=["block", "component"])
+    def test_enum_ud_lists_the_k1k2_universe_solve_runs_on(self, capsys, connected):
+        """k1k2 needs two labels at every d, so d = 9 lists what d = 2 does."""
+        runs = []
+        for d in ("9", "2"):
+            assert main(["enum-ud", "-d", d, "--family", "k1k2", *connected]) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
+        assert runs[0].splitlines()[-1] == ("total: 3" if connected else "total: 1")
+
+    def test_selftest_passes(self, capsys):
+        assert main(["selftest", "--trials", "2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 3 and all(line.endswith(": ok") for line in out)
+
 
 class TestDeterminism:
     def test_solve_byte_identical(self, tmp_path):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from blockvd import selfcheck
 from blockvd.errors import IncompatibleBoundary, InvalidInput
 from blockvd.graph import (
     BoundariedGraph,
@@ -133,6 +134,20 @@ class TestChordal:
         rng = random.Random(4)
         for _ in range(30):
             assert is_chordal(random_chordal(rng, rng.randint(1, 10)))
+
+    def test_selftest_generator_makes_chordal_on_every_seed(self):
+        # the tests draw from the generators selftest uses
+        assert (random_chordal, random_graph) == (
+            selfcheck.random_chordal, selfcheck.random_graph
+        )
+        # the cross-check, not is_chordal, judges each draw
+        for seed in range(2000):
+            rng = random.Random(seed)
+            g = selfcheck.random_chordal(rng, rng.randint(2, 7))
+            assert find_chordless_cycle(g) is None, seed
+
+    def test_selftest_random_graph_caps_the_edge_count(self):
+        assert selfcheck.random_graph(random.Random(0), 4, 10) == complete(4)
 
     def test_separator_bijection(self):
         # components of G[N(X)] correspond one-to-one to components of G-X

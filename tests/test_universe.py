@@ -78,6 +78,30 @@ def test_interleaved_solves_equal_solves_on_cleared_caches():
 
 
 @pytest.mark.parametrize("mode", ["block", "component"])
+def test_a_second_solve_reads_every_orbit_from_the_memo(mode, monkeypatch):
+    """Every label orbit walked by a solve is kept in the universe's memo,
+    so solving the same instance again relabels no hypothesis."""
+    sigma_gh = Engine._sigma_gh
+    calls = 0
+
+    def counted(self, sigma, gh):
+        nonlocal calls
+        calls += 1
+        return sigma_gh(self, sigma, gh)
+
+    monkeypatch.setattr(Engine, "_sigma_gh", counted)
+    rng = random.Random(23)
+    for family in ("cliques", "chordal"):
+        inst = Instance(random_graph(rng, 9, 13), 4, 2, family, mode)
+        clear_caches()
+        first = outcome(inst, True)
+        assert calls > 0
+        calls = 0
+        assert outcome(inst, True) == first
+        assert calls == 0
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
 def test_canonization_off_after_canonized_engines_matches_the_oracle(mode):
     rng = random.Random(5)
     graphs = [random_graph(rng, 8, 11) for _ in range(8)]

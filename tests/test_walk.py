@@ -158,22 +158,28 @@ def test_skipping_tied_absent_labels_leaves_every_table_unchanged(mode, monkeypa
     """Introduce skips an absent label whose swap with the label below it
     fixes the child's hypotheses.  Every walked table, with its keys,
     partitions and deletion sets, equals the one built when no label is
-    skipped, and the skip fires on some instance."""
-    tied = Engine._tied_absent_labels
-    fired = 0
+    tied, and the skip saves emits on some instance."""
+    orbit = Engine._orbit
+    emit = Engine.emit
+    emits = {}
 
-    def counted(self, u, gh):
-        nonlocal fired
-        got = tied(self, u, gh)
-        fired += bool(got)
-        return got
+    def untied(self, lkey, gh):
+        least, images, _ = orbit(self, lkey, gh)
+        return least, images, ()
 
+    def counted(self, *args):
+        emits[tied] = emits.get(tied, 0) + 1
+        return emit(self, *args)
+
+    monkeypatch.setattr(Engine, "emit", counted)
     for inst in symmetric_instances(mode):
-        monkeypatch.setattr(Engine, "_tied_absent_labels", counted)
+        tied = True
         skipped = list(BUILD[mode](inst).walk())
-        monkeypatch.setattr(Engine, "_tied_absent_labels", lambda self, u, gh: set())
-        every = list(BUILD[mode](inst).walk())
+        tied = False
+        with monkeypatch.context() as patch:
+            patch.setattr(Engine, "_orbit", untied)
+            every = list(BUILD[mode](inst).walk())
         assert [node for node, _ in skipped] == [node for node, _ in every]
         for (node, got), (_, want) in zip(skipped, every):
             assert got == want, (inst, node)
-    assert fired > 0
+    assert emits[True] < emits[False]
