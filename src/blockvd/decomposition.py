@@ -63,34 +63,29 @@ def validate_td(g: Graph, td: TreeDecomposition) -> Violation | None:
     if len(seen) != nn:
         return Violation("shape", "decomposition graph is not connected")
 
-    covered: set[int] = set()
-    for bag in td.bags:
+    # occ[v]: the nodes whose bags hold v
+    occ: list[set[int]] = [set() for _ in range(g.n)]
+    for t, bag in enumerate(td.bags):
         for v in bag:
             if not (0 <= v < g.n):
                 return Violation("cover", f"bag vertex {v} outside the graph")
-        covered |= bag
-    if covered != set(range(g.n)):
-        missing = sorted(set(range(g.n)) - covered)
+            occ[v].add(t)
+    missing = [v for v in range(g.n) if not occ[v]]
+    if missing:
         return Violation("cover", f"vertices {missing} appear in no bag")
 
     for u, v in sorted(g.edges()):
-        if not any(u in bag and v in bag for bag in td.bags):
+        if occ[u].isdisjoint(occ[v]):
             return Violation("edge", f"edge ({u},{v}) is in no bag")
 
+    # In a tree, v's occurrence nodes induce a forest, which is connected
+    # exactly when it has one edge fewer than it has nodes.
+    inner = [0] * g.n
+    for a, b in td.tree_edges:
+        for v in td.bags[a] & td.bags[b]:
+            inner[v] += 1
     for v in range(g.n):
-        nodes = [t for t in range(nn) if v in td.bags[t]]
-        if not nodes:
-            continue
-        nodeset = set(nodes)
-        comp = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in nodeset and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        if comp != nodeset:
+        if inner[v] != len(occ[v]) - 1:
             return Violation(
                 "connectivity", f"occurrence nodes of vertex {v} are disconnected"
             )
@@ -142,42 +137,6 @@ class NiceTreeDecomposition:
         )
 
 
-def validate_nice(g: Graph, ntd: NiceTreeDecomposition) -> Violation | None:
-    """Like validate_td, plus the nice shape the dynamic programs rely on.
-
-    Every node is reached once from the root, whose bag is empty; bags are
-    increasing tuples; a leaf has no children and an empty bag; an
-    introduce or forget node's bag is its child's plus or minus the acted
-    vertex; a join node has two children whose bags equal its own.
-    """
-    n = ntd.num_nodes
-    if not len(ntd.acted) == len(ntd.bags) == len(ntd.children) == n:
-        return Violation("shape", "node fields have different lengths")
-    bad = validate_td(g, ntd.to_tree_decomposition())
-    if bad is not None:
-        return bad
-    if not 0 <= ntd.root < n or ntd.bags[ntd.root]:
-        return Violation("nice", f"root {ntd.root} is not a node with an empty bag")
-    if sorted(ntd.postorder()) != list(range(n)):
-        return Violation("nice", "not every node is reached once from the root")
-    for t, (kind, v, kids) in enumerate(zip(ntd.kinds, ntd.acted, ntd.children)):
-        bag = set(ntd.bags[t])
-        below = [set(ntd.bags[c]) for c in kids]
-        if list(ntd.bags[t]) != sorted(bag):
-            ok = False
-        elif kind == "leaf":
-            ok = not kids and not bag
-        elif kind == "introduce":
-            ok = len(kids) == 1 and v not in below[0] and bag == below[0] | {v}
-        elif kind == "forget":
-            ok = len(kids) == 1 and v in below[0] and bag == below[0] - {v}
-        else:
-            ok = kind == "join" and len(kids) == 2 and below[0] == below[1] == bag
-        if not ok:
-            return Violation("nice", f"node {t} is not a valid {kind} node")
-    return None
-
-
 class _NiceBuilder:
     def __init__(self) -> None:
         self.kinds: list[str] = []
@@ -219,7 +178,13 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
 
     Width is preserved; join nodes are created by binarizing children
     left-to-right in child-id order, and every original bag appears as
-    the bag of its representative node.
+    the bag of its representative node.  Only the input is validated:
+    the output is nice by construction.  Every node is reached once from
+    the root, a leaf has an empty bag, an introduce or forget node adds
+    or drops its acted vertex from its child's bag, and a join node has
+    two children with its own bag.  ``assert_nice`` in
+    ``tests/test_decomposition.py`` pins this on heuristic and hand-built
+    decompositions.
     """
     bad = validate_td(g, td)
     if bad is not None:
@@ -252,17 +217,13 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         rep[node] = cur
 
     top = b.chain_to(rep[root], set(td.bags[root]), set())
-    nice = NiceTreeDecomposition(
+    return NiceTreeDecomposition(
         tuple(b.kinds),
         tuple(b.acted),
         tuple(b.bags),
         tuple(b.children),
         root=top,
     )
-    bad = validate_nice(g, nice)
-    if bad is not None:  # pragma: no cover - construction is total on valid input
-        raise InvalidInput(f"nice conversion broke validity: {bad.detail}")
-    return nice
 
 
 def _bags_from_elimination(g: Graph, order: Sequence[int]) -> TreeDecomposition:

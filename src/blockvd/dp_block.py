@@ -8,41 +8,34 @@ kept representative after every node.  The engine labels bag vertices
 from ``PFamilySpec.labels(d)`` labels, min(d, p) for a family whose
 members have at most p vertices, so ``k1k2`` (feedback vertex set) runs
 on two labels at every d; the witness check reads the instance's own d.
+
+The decomposition enters only as ``Instance.td`` (the min-fill
+``heuristic_td`` when it is None); ``to_nice`` validates it and builds
+the nice form the engine walks.
 """
 
 from __future__ import annotations
 
 from ._dpcore import Engine, SolveResult
-from .decomposition import NiceTreeDecomposition, heuristic_td, to_nice, validate_nice
-from .errors import InvalidInput
+from .decomposition import heuristic_td, to_nice
 from .families import enumerate_ud, get_family
 from .instance import Instance
 from .oracle import verify_solution
 
 
-def build_engine(inst: Instance, ntd: NiceTreeDecomposition | None = None) -> Engine:
+def build_engine(inst: Instance) -> Engine:
     fam = get_family(inst.family)
     labels = fam.labels(inst.d)
     patterns = enumerate_ud(labels, fam)
-    if ntd is None:
-        td = inst.td if inst.td is not None else heuristic_td(inst.graph)
-        ntd = to_nice(td, inst.graph)
-    else:
-        bad = validate_nice(inst.graph, ntd)
-        if bad is not None:
-            raise InvalidInput(f"invalid nice decomposition: {bad.condition}: {bad.detail}")
-    return Engine("block", inst.graph, labels, inst.k, patterns, ntd)
+    td = inst.td if inst.td is not None else heuristic_td(inst.graph)
+    return Engine("block", inst.graph, labels, inst.k, patterns, to_nice(td, inst.graph))
 
 
-def solve_block(
-    inst: Instance,
-    ntd: NiceTreeDecomposition | None = None,
-    witness: bool = False,
-) -> SolveResult:
+def solve_block(inst: Instance, witness: bool = False) -> SolveResult:
     """Decide the block variant; optionally recover a verified deletion set."""
     if inst.mode != "block":
         raise ValueError("instance mode must be 'block'")
-    result = build_engine(inst, ntd).run()
+    result = build_engine(inst).run()
     if not witness:
         result.witness = None
     elif result.decision and not verify_solution(

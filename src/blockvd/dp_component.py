@@ -8,41 +8,34 @@ tied to one pattern, which the engine realizes with single-pattern
 slots.  As in block mode, the engine's label alphabet is
 ``PFamilySpec.labels(d)``, min(d, p) for members of at most p vertices,
 and the witness check reads the instance's own d.
+
+The decomposition enters only as ``Instance.td`` (the min-fill
+``heuristic_td`` when it is None); ``to_nice`` validates it and builds
+the nice form the engine walks.
 """
 
 from __future__ import annotations
 
 from ._dpcore import Engine, SolveResult
-from .decomposition import NiceTreeDecomposition, heuristic_td, to_nice, validate_nice
-from .errors import InvalidInput
+from .decomposition import heuristic_td, to_nice
 from .families import enumerate_component_patterns, get_family
 from .instance import Instance
 from .oracle import verify_solution
 
 
-def build_engine(inst: Instance, ntd: NiceTreeDecomposition | None = None) -> Engine:
+def build_engine(inst: Instance) -> Engine:
     fam = get_family(inst.family)
     labels = fam.labels(inst.d)
     patterns = enumerate_component_patterns(labels, fam)
-    if ntd is None:
-        td = inst.td if inst.td is not None else heuristic_td(inst.graph)
-        ntd = to_nice(td, inst.graph)
-    else:
-        bad = validate_nice(inst.graph, ntd)
-        if bad is not None:
-            raise InvalidInput(f"invalid nice decomposition: {bad.condition}: {bad.detail}")
-    return Engine("component", inst.graph, labels, inst.k, patterns, ntd)
+    td = inst.td if inst.td is not None else heuristic_td(inst.graph)
+    return Engine("component", inst.graph, labels, inst.k, patterns, to_nice(td, inst.graph))
 
 
-def solve_component(
-    inst: Instance,
-    ntd: NiceTreeDecomposition | None = None,
-    witness: bool = False,
-) -> SolveResult:
+def solve_component(inst: Instance, witness: bool = False) -> SolveResult:
     """Decide the component variant; optionally recover a verified set."""
     if inst.mode != "component":
         raise ValueError("instance mode must be 'component'")
-    result = build_engine(inst, ntd).run()
+    result = build_engine(inst).run()
     if not witness:
         result.witness = None
     elif result.decision and not verify_solution(

@@ -74,6 +74,13 @@ def induced_edges(g: Graph, within: Iterable[int]) -> frozenset[tuple[int, int]]
     return frozenset((u, v) for (u, v) in g.edges() if u in ws and v in ws)
 
 
+def induced_masks(g: Graph, verts: Sequence[int]) -> list[int]:
+    """Neighbor masks of the subgraph induced by verts: bit j of entry i
+    says that verts[i] and verts[j] are adjacent."""
+    pos = {v: i for i, v in enumerate(verts)}
+    return [sum(1 << pos[w] for w in g.neighbors(v) if w in pos) for v in verts]
+
+
 def connected_components(
     g: Graph, within: Iterable[int] | None = None
 ) -> list[frozenset[int]]:
@@ -217,10 +224,7 @@ def chordal_masks(adj: Sequence[int]) -> bool:
 def is_chordal(g: Graph, within: Iterable[int] | None = None) -> bool:
     """Is the subgraph induced by within (all of g by default) chordal?"""
     verts = sorted(set(within)) if within is not None else range(g.n)
-    pos = {v: i for i, v in enumerate(verts)}
-    return chordal_masks(
-        [sum(1 << pos[w] for w in g.neighbors(v) if w in pos) for v in verts]
-    )
+    return chordal_masks(induced_masks(g, verts))
 
 
 def find_chordless_cycle(

@@ -8,7 +8,7 @@ from typing import Iterable
 
 from .errors import InvalidInput, TooLarge
 from .families import PFamilySpec, get_family
-from .graph import Graph, biconnected_blocks, connected_components
+from .graph import Graph, biconnected_blocks, connected_components, induced_masks
 from .instance import Instance
 
 
@@ -41,14 +41,7 @@ def verify_solution(
     for piece in pieces:
         if len(piece) > d:
             return False
-        index = {v: i for i, v in enumerate(piece)}
-        adj = [0] * len(index)
-        for v, i in index.items():
-            for u in g.neighbors(v):
-                j = index.get(u)
-                if j is not None:
-                    adj[i] |= 1 << j
-        if not fam.contains(adj):
+        if not fam.contains(induced_masks(g, tuple(piece))):
             return False
     return True
 

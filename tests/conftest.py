@@ -5,9 +5,15 @@ from pathlib import Path
 import pytest
 
 import blockvd
+from blockvd import dp_block, dp_component
+from blockvd.decomposition import TreeDecomposition
 from blockvd.families import Pattern
 from blockvd.graph import Graph
 from blockvd.selfcheck import random_chordal, random_graph
+
+# each mode's engine builder and solver
+BUILD = {"block": dp_block.build_engine, "component": dp_component.build_engine}
+SOLVE = {"block": dp_block.solve_block, "component": dp_component.solve_component}
 
 # the directory holding the blockvd package under test
 SRC = Path(blockvd.__file__).resolve().parents[1]
@@ -40,6 +46,31 @@ def complete(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_of_bags(rng: random.Random) -> tuple[Graph, TreeDecomposition]:
+    """A graph and a hand-built decomposition of it: a center bag of one or
+    two vertices with three to five leaf bags, each leaf adding up to three
+    fresh vertices to one center vertex."""
+    c = rng.randint(1, 2)
+    edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
+    bags = [frozenset(range(c))]
+    tedges = []
+    nid = c
+    for _leg in range(rng.randint(3, 5)):
+        size = rng.randint(1, 3)
+        fresh = list(range(nid, nid + size))
+        nid += size
+        legverts = [rng.randrange(c)] + fresh
+        for idx, v in enumerate(fresh):
+            edges.append((rng.choice(legverts[: idx + 1]), v))
+        for _ in range(rng.randint(0, 2)):
+            u, v = rng.sample(legverts, 2)
+            if u != v:
+                edges.append((min(u, v), max(u, v)))
+        bags.append(frozenset(legverts))
+        tedges.append((0, len(bags) - 1))
+    return Graph(nid, set(edges)), TreeDecomposition(tuple(bags), tuple(tedges))
 
 
 def members(mask: int) -> set[int]:

@@ -16,15 +16,13 @@ from itertools import permutations
 
 import pytest
 
-from blockvd import dp_block, dp_component
 from blockvd._dpcore import Engine
 from blockvd.decomposition import heuristic_td, to_nice
 from blockvd.families import Pattern, enumerate_component_patterns, enumerate_ud, get_family
 from blockvd.instance import Instance
 
-from conftest import clique_patterns, members, random_graph
+from conftest import BUILD, clique_patterns, members, random_graph
 
-BUILD = {"block": dp_block.build_engine, "component": dp_component.build_engine}
 FAMILIES = ("k1k2", "cliques", "chordal")
 
 
@@ -249,7 +247,8 @@ def test_canonization_only_merges_label_permutation_orbits(mode):
     nodes = 0
     for inst in instances(mode, 6, seed=6):
         on = BUILD[mode](inst)
-        off = BUILD[mode](inst, on.ntd)
+        off = BUILD[mode](inst)
+        assert off.ntd == on.ntd
         off.canonize = False
         on_tables, off_tables = dict(on.walk()), dict(off.walk())
         sigmas = list(permutations(range(1, inst.d + 1)))

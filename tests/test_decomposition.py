@@ -1,29 +1,174 @@
 import random
-from dataclasses import replace
 
 import pytest
 
-from blockvd import dp_block, dp_component
 from blockvd.decomposition import (
-    NiceTreeDecomposition,
     TreeDecomposition,
+    Violation,
     exact_td_small,
     heuristic_td,
     read_td,
     to_nice,
-    validate_nice,
     validate_td,
     write_td,
 )
 from blockvd.errors import InvalidInput, TooLarge
+from blockvd.gadgets import GridISInstance, gen_fixed_d
 from blockvd.graph import Graph
-from blockvd.instance import Instance
 
-from conftest import complete, cycle, path, random_graph
+from conftest import complete, cycle, path, random_chordal, random_graph, star_of_bags
 
 
 def TD(bags, edges):
     return TreeDecomposition(tuple(frozenset(b) for b in bags), tuple(edges))
+
+
+def reference_validate_td(g: Graph, td: TreeDecomposition) -> Violation | None:
+    """``validate_td`` by its definition: a scan of every bag per graph
+    edge, and a search from each vertex's first occurrence node."""
+    nn = td.num_nodes
+    if nn == 0:
+        return Violation("shape", "decomposition has no nodes")
+    for a, b in td.tree_edges:
+        if not (0 <= a < nn and 0 <= b < nn):
+            return Violation("shape", f"tree edge ({a},{b}) out of range")
+    if len(td.tree_edges) != nn - 1:
+        return Violation("shape", "decomposition graph is not a tree (edge count)")
+    adj = td.neighbors()
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != nn:
+        return Violation("shape", "decomposition graph is not connected")
+
+    covered: set[int] = set()
+    for bag in td.bags:
+        for v in bag:
+            if not (0 <= v < g.n):
+                return Violation("cover", f"bag vertex {v} outside the graph")
+        covered |= bag
+    if covered != set(range(g.n)):
+        missing = sorted(set(range(g.n)) - covered)
+        return Violation("cover", f"vertices {missing} appear in no bag")
+
+    for u, v in sorted(g.edges()):
+        if not any(u in bag and v in bag for bag in td.bags):
+            return Violation("edge", f"edge ({u},{v}) is in no bag")
+
+    for v in range(g.n):
+        nodes = [t for t in range(nn) if v in td.bags[t]]
+        nodeset = set(nodes)
+        comp = {nodes[0]}
+        stack = [nodes[0]]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w in nodeset and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        if comp != nodeset:
+            return Violation(
+                "connectivity", f"occurrence nodes of vertex {v} are disconnected"
+            )
+    return None
+
+
+def rerooted(td: TreeDecomposition, r: int) -> TreeDecomposition:
+    """td with nodes 0 and r swapped, so that ``to_nice`` roots it at r's bag."""
+    swap = {0: r, r: 0}
+    bags = list(td.bags)
+    bags[0], bags[r] = bags[r], bags[0]
+    edges = (sorted((swap.get(a, a), swap.get(b, b))) for a, b in td.tree_edges)
+    return TreeDecomposition(tuple(bags), tuple(tuple(e) for e in edges))
+
+
+def disjoint_union(parts: list[tuple[Graph, TreeDecomposition]]):
+    """The disjoint union of the graphs, decomposed by an empty hub bag with
+    each part's decomposition hung below it from its node 0."""
+    edges, bags, tedges = [], [frozenset()], []
+    n = 0
+    for g, td in parts:
+        base = len(bags)
+        edges += [(u + n, v + n) for u, v in g.edges()]
+        bags += [frozenset(v + n for v in bag) for bag in td.bags]
+        tedges += [(a + base, b + base) for a, b in td.tree_edges] + [(0, base)]
+        n += g.n
+    return Graph(n, edges), TreeDecomposition(tuple(bags), tuple(tedges))
+
+
+def mutations(rng: random.Random, g: Graph, td: TreeDecomposition):
+    """Single edits of td, each of which may break it: drop a vertex from
+    a bag, uncover a graph edge, add a vertex (possibly outside the graph)
+    to a bag, re-hang a subtree, and duplicate a tree edge in place of
+    another one or on top of all of them."""
+    bags, edges = list(td.bags), list(td.tree_edges)
+
+    def with_bag(t, bag):
+        return bags[:t] + [bag] + bags[t + 1:]
+
+    out = []
+    full = [t for t, bag in enumerate(bags) if bag]
+    if full:
+        t = rng.choice(full)
+        out.append((with_bag(t, bags[t] - {rng.choice(sorted(bags[t]))}), edges))
+    if g.m:
+        u, v = rng.choice(sorted(g.edges()))
+        out.append(([bag - {v} if u in bag else bag for bag in bags], edges))
+    t = rng.randrange(len(bags))
+    out.append((with_bag(t, bags[t] | {rng.randrange(g.n + 2)}), edges))
+    if edges:
+        i = rng.randrange(len(edges))
+        a, b = edges[i]
+        rest = edges[:i] + edges[i + 1:]
+        # the nodes still joined to a once the edge to b is gone
+        side, stack = {a}, [a]
+        while stack:
+            x = stack.pop()
+            for p, q in rest:
+                for y, z in ((p, q), (q, p)):
+                    if y == x and z not in side:
+                        side.add(z)
+                        stack.append(z)
+        c = rng.choice(sorted(side))
+        out.append((bags, rest + [(min(b, c), max(b, c))]))
+        out.append((bags, rest + [rng.choice(edges)]))
+        out.append((bags, edges + [rng.choice(edges)]))
+    return [TreeDecomposition(tuple(bs), tuple(es)) for bs, es in out]
+
+
+def assert_nice(g: Graph, td: TreeDecomposition, ntd) -> None:
+    """The contract of ``to_nice(td, g)``: a decomposition of g of td's
+    width that holds every bag of td, in nice form.  Every node is reached
+    once from the root, whose bag is empty; bags are increasing tuples; a
+    leaf has no children and an empty bag; an introduce or forget node's
+    bag is its child's plus or minus the acted vertex; a join node has two
+    children whose bags equal its own."""
+    n = ntd.num_nodes
+    assert len(ntd.acted) == len(ntd.bags) == len(ntd.children) == n
+    assert ntd.bags[ntd.root] == ()
+    assert sorted(ntd.postorder()) == list(range(n))
+    assert validate_td(g, ntd.to_tree_decomposition()) is None
+    assert ntd.width == td.width
+    for node in range(n):
+        kind, v, kids = ntd.kinds[node], ntd.acted[node], ntd.children[node]
+        assert list(ntd.bags[node]) == sorted(set(ntd.bags[node]))
+        bag = set(ntd.bags[node])
+        below = [set(ntd.bags[c]) for c in kids]
+        if kind == "leaf":
+            assert not kids and not bag
+        elif kind == "introduce":
+            assert len(kids) == 1 and v not in below[0] and bag == below[0] | {v}
+        elif kind == "forget":
+            assert len(kids) == 1 and v in below[0] and bag == below[0] - {v}
+        else:
+            assert kind == "join" and len(kids) == 2 and below[0] == below[1] == bag
+    nice_bags = {frozenset(b) for b in ntd.bags}
+    assert all(bag in nice_bags for bag in td.bags)
 
 
 class TestValidate:
@@ -54,6 +199,25 @@ class TestValidate:
         assert bad is not None and bad.condition == "shape"
 
 
+class TestValidateAgainstReference:
+    def test_valid_and_singly_mutated(self):
+        rng = random.Random(4)
+        seen = set()
+        for i in range(150):
+            n = rng.randint(0, 9)
+            if i % 3 == 0:
+                g, td = star_of_bags(rng)
+            else:
+                g = random_chordal(rng, n) if i % 3 == 1 and n else random_graph(rng, n, 2 * n)
+                td = heuristic_td(g)
+            td = rerooted(td, rng.randrange(td.num_nodes))
+            for case in [td, *mutations(rng, g, td)]:
+                got, want = validate_td(g, case), reference_validate_td(g, case)
+                assert got == want, (g, case)
+                seen.add(None if got is None else got.condition)
+        assert seen == {None, "shape", "cover", "edge", "connectivity"}
+
+
 class TestToNice:
     def test_single_vertex_chain(self):
         g = Graph(1, [])
@@ -81,105 +245,51 @@ class TestToNice:
             g = random_graph(rng, n, rng.randint(0, 2 * n))
             td = heuristic_td(g)
             ntd = to_nice(td, g)
-            assert ntd.width == td.width or ntd.width <= td.width
-            assert validate_td(g, ntd.to_tree_decomposition()) is None
-            assert validate_nice(g, ntd) is None
+            assert_nice(g, td, ntd)
             assert ntd.num_nodes <= max(1, 4 * (td.width + 1) * max(td.num_nodes, 1) + 2 * n + 2)
-            for node in range(ntd.num_nodes):
-                kind = ntd.kinds[node]
-                kids = ntd.children[node]
-                bag = set(ntd.bags[node])
-                if kind == "leaf":
-                    assert not kids and not bag
-                elif kind == "introduce":
-                    (c,) = kids
-                    assert bag == set(ntd.bags[c]) | {ntd.acted[node]}
-                    assert ntd.acted[node] not in ntd.bags[c]
-                elif kind == "forget":
-                    (c,) = kids
-                    assert bag == set(ntd.bags[c]) - {ntd.acted[node]}
-                    assert ntd.acted[node] in ntd.bags[c]
-                else:
-                    c1, c2 = kids
-                    assert bag == set(ntd.bags[c1]) == set(ntd.bags[c2])
-            # every original bag appears
-            nice_bags = {frozenset(b) for b in ntd.bags}
-            for bag in td.bags:
-                assert bag in nice_bags
+
+    def test_rotated_roots(self):
+        rng = random.Random(1)
+        for _ in range(10):
+            n = rng.randint(2, 9)
+            g = random_chordal(rng, n) if rng.random() < 0.5 else random_graph(rng, n, 2 * n)
+            td = heuristic_td(g)
+            for r in range(td.num_nodes):
+                moved = rerooted(td, r)
+                assert_nice(g, moved, to_nice(moved, g))
+
+    def test_star_of_bags(self):
+        rng = random.Random(2)
+        for _ in range(10):
+            g, td = star_of_bags(rng)
+            for r in (0, td.num_nodes - 1):
+                moved = rerooted(td, r)
+                assert_nice(g, moved, to_nice(moved, g))
+
+    def test_isolated_vertices_and_components(self):
+        rng = random.Random(3)
+        single = (Graph(1, []), TD([{0}], []))
+        for _ in range(10):
+            parts = [single]
+            for _ in range(rng.randint(1, 3)):
+                h = random_graph(rng, rng.randint(1, 5), rng.randint(0, 6))
+                parts.append((h, heuristic_td(h)))
+            rng.shuffle(parts)
+            g, td = disjoint_union(parts)
+            assert_nice(g, td, to_nice(td, g))
+            assert_nice(g, heuristic_td(g), to_nice(heuristic_td(g), g))
+        empty = Graph(0, [])
+        assert_nice(empty, heuristic_td(empty), to_nice(heuristic_td(empty), empty))
+
+    def test_generated_path_decomposition(self):
+        inst = gen_fixed_d(GridISInstance.minimal(2), 4, "component").instance
+        assert_nice(inst.graph, inst.td, to_nice(inst.td, inst.graph))
 
     def test_width_preserved_on_c5(self):
         g = cycle(5)
         td = exact_td_small(g)
         assert td.width == 2
         assert to_nice(td, g).width == 2
-
-
-class TestValidateNice:
-    SOLVERS = {"block": dp_block.solve_block, "component": dp_component.solve_component}
-
-    def _assert_rejected(self, g, ntd):
-        assert validate_nice(g, ntd) is not None
-        for mode, solve in self.SOLVERS.items():
-            with pytest.raises(InvalidInput):
-                solve(Instance(g, 3, 1, "k1k2", mode), ntd=ntd)
-
-    def test_decomposition_of_another_graph(self):
-        # a valid nice decomposition, but of a 2-vertex path, not of C5
-        self._assert_rejected(cycle(5), to_nice(TD([{0, 1}], []), path(2)))
-
-    def test_root_bag_not_empty(self):
-        g = cycle(5)
-        ntd = to_nice(heuristic_td(g), g)
-        (below,) = ntd.children[ntd.root]
-        moved = replace(ntd, root=below)
-        assert moved.bags[moved.root]
-        self._assert_rejected(g, moved)
-        # every node reached, but the forget chain above the last bag is missing
-        g = path(2)
-        ntd = NiceTreeDecomposition(
-            ("leaf", "introduce", "introduce"),
-            (None, 0, 1),
-            ((), (0,), (0, 1)),
-            ((), (0,), (1,)),
-            root=2,
-        )
-        self._assert_rejected(g, ntd)
-
-    def test_leaf_bag_not_empty(self):
-        g = Graph(1, [])
-        ntd = NiceTreeDecomposition(
-            ("leaf", "forget"), (None, 0), ((0,), ()), ((), (0,)), root=1
-        )
-        assert validate_td(g, ntd.to_tree_decomposition()) is None
-        self._assert_rejected(g, ntd)
-
-    def test_node_unreached_from_root(self):
-        # a valid join over two empty bags hangs above the declared root
-        ntd = NiceTreeDecomposition(
-            ("leaf", "introduce", "forget", "leaf", "join"),
-            (None, 0, 0, None, None),
-            ((), (0,), (), (), ()),
-            ((), (0,), (1,), (), (2, 3)),
-            root=2,
-        )
-        self._assert_rejected(Graph(1, []), ntd)
-
-    def test_bad_node(self):
-        g = path(2)
-        ntd = to_nice(TD([{0, 1}], []), g)
-
-        def edit(field, node, value):
-            values = list(getattr(ntd, field))
-            values[node] = value
-            return replace(ntd, **{field: tuple(values)})
-
-        intro, forget = ntd.kinds.index("introduce"), ntd.kinds.index("forget")
-        self._assert_rejected(g, edit("acted", intro, 1 - ntd.acted[intro]))
-        self._assert_rejected(g, edit("acted", forget, 1 - ntd.acted[forget]))
-        self._assert_rejected(g, edit("kinds", intro, "join"))
-        full = ntd.bags.index((0, 1))
-        self._assert_rejected(g, edit("bags", full, (1, 0)))
-        self._assert_rejected(g, replace(ntd, acted=ntd.acted[:-1]))
 
 
 class TestHeuristic:

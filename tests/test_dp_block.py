@@ -6,7 +6,7 @@ from blockvd.graph import BoundariedGraph, Graph, aux_partition
 from blockvd.instance import Instance
 from blockvd.oracle import brute_force_solve, verify_solution
 
-from conftest import cycle, path, random_graph
+from conftest import BUILD, SOLVE, cycle, path, random_graph, star_of_bags
 
 
 class TestSpecExamples:
@@ -243,14 +243,8 @@ class TestDegenerate:
 class TestStructuredAdversaries:
     """Graph shapes that stress specific transition paths."""
 
-    def _agree(self, g, d, k, fam, mode_pairs=None):
-        from blockvd.dp_component import solve_component
-
-        pairs = mode_pairs or (
-            ("block", solve_block),
-            ("component", solve_component),
-        )
-        for mode, solver in pairs:
+    def _agree(self, g, d, k, fam):
+        for mode, solver in SOLVE.items():
             inst = Instance(g, d, k, fam, mode)
             want = brute_force_solve(inst) is not None
             assert solver(inst).decision == want, (mode, d, k, fam, sorted(g.edges()))
@@ -315,39 +309,17 @@ class TestStructuredAdversaries:
 class TestJoinHeavyDecompositions:
     def test_star_of_bags(self, rng):
         # hand-built decompositions with many join nodes around one center
-        from blockvd.decomposition import TreeDecomposition, to_nice, validate_td
-        from blockvd.dp_component import solve_component
+        from blockvd.decomposition import to_nice, validate_td
 
         for _ in range(12):
-            c = rng.randint(1, 2)
-            edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
-            bags = [frozenset(range(c))]
-            tedges = []
-            nid = c
-            for _leg in range(rng.randint(3, 5)):
-                size = rng.randint(1, 3)
-                fresh = list(range(nid, nid + size))
-                nid += size
-                legverts = [rng.randrange(c)] + fresh
-                for idx, v in enumerate(fresh):
-                    edges.append((rng.choice(legverts[: idx + 1]), v))
-                for _ in range(rng.randint(0, 2)):
-                    u, v = rng.sample(legverts, 2)
-                    if u != v:
-                        edges.append((min(u, v), max(u, v)))
-                bags.append(frozenset(legverts))
-                tedges.append((0, len(bags) - 1))
-            g = Graph(nid, set(edges))
-            td = TreeDecomposition(tuple(bags), tuple(tedges))
+            g, td = star_of_bags(rng)
             assert validate_td(g, td) is None
             ntd = to_nice(td, g)
             assert sum(1 for kk in ntd.kinds if kk == "join") >= 2
             d = rng.choice([2, 3])
             k = rng.randint(0, 3)
-            for mode, solver in (
-                ("block", solve_block),
-                ("component", solve_component),
-            ):
-                inst = Instance(g, d, k, "chordal", mode)
+            for mode, solver in SOLVE.items():
+                inst = Instance(g, d, k, "chordal", mode, td=td)
+                assert BUILD[mode](inst).ntd == ntd
                 want = brute_force_solve(inst) is not None
-                assert solver(inst, ntd=ntd).decision == want
+                assert solver(inst).decision == want

@@ -15,13 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockvd.decomposition import TreeDecomposition, exact_td_small, heuristic_td
-from blockvd.dp_block import solve_block
-from blockvd.dp_component import solve_component
 from blockvd.graph import Graph
 from blockvd.instance import Instance
 from blockvd.oracle import verify_solution
 
-SOLVERS = {"block": solve_block, "component": solve_component}
+from conftest import SOLVE
 
 # derandomized and without an example database: the same cases every run
 CASES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -42,7 +40,7 @@ def instances(draw) -> Instance:
 
 
 def solve(inst: Instance, witness: bool = False):
-    return SOLVERS[inst.mode](inst, witness=witness)
+    return SOLVE[inst.mode](inst, witness=witness)
 
 
 @CASES

@@ -15,11 +15,9 @@ import random
 
 import pytest
 
-from blockvd.dp_block import solve_block
-from blockvd.dp_component import solve_component
 from blockvd.instance import Instance
 
-from conftest import random_graph
+from conftest import SOLVE, random_graph
 
 MODES = ("block", "component")
 FAMILIES = ("k1k2", "cliques", "chordal")
@@ -40,8 +38,7 @@ def case(idx: int) -> tuple[Instance, bool]:
 
 def observe(idx: int) -> tuple:
     inst, witness = case(idx)
-    solve = solve_block if inst.mode == "block" else solve_component
-    res = solve(inst, witness=witness)
+    res = SOLVE[inst.mode](inst, witness=witness)
     wit = tuple(sorted(res.witness)) if res.witness is not None else None
     return (res.decision, res.stats["states"], res.stats["retained"], wit)
 

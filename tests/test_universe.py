@@ -16,8 +16,6 @@ import pytest
 from blockvd import _dpcore, families
 from blockvd._dpcore import Engine
 from blockvd.decomposition import heuristic_td, to_nice
-from blockvd.dp_block import build_engine as build_block, solve_block
-from blockvd.dp_component import build_engine as build_component, solve_component
 from blockvd.errors import CapExceeded, NonChordalFamily
 from blockvd.families import UD_CAP, enumerate_component_patterns, enumerate_ud, get_family
 from blockvd.graph import Graph
@@ -25,10 +23,8 @@ from blockvd.instance import Instance
 from blockvd.oracle import brute_force_solve
 from blockvd.partitions import Partition
 
-from conftest import cycle, random_chordal, random_graph
+from conftest import BUILD, SOLVE, cycle, random_chordal, random_graph
 
-SOLVE = {"block": solve_block, "component": solve_component}
-BUILD = {"block": build_block, "component": build_component}
 ENUMERATE = {"block": enumerate_ud, "component": enumerate_component_patterns}
 
 

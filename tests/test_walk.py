@@ -11,17 +11,13 @@ import random
 
 import pytest
 
-from blockvd import dp_block, dp_component
 from blockvd._dpcore import Engine
 from blockvd.decomposition import TreeDecomposition
 from blockvd.graph import Graph
 from blockvd.instance import Instance
 from blockvd.oracle import verify_solution
 
-from conftest import cycle, random_graph
-
-BUILD = {"block": dp_block.build_engine, "component": dp_component.build_engine}
-SOLVE = {"block": dp_block.solve_block, "component": dp_component.solve_component}
+from conftest import BUILD, SOLVE, cycle, random_graph
 
 
 def instances(mode: str) -> list[Instance]:
