@@ -79,18 +79,24 @@ Without canonization the record is (L, gh), its one image and no tied
 label, so introduce guesses every label.
 
 Deletion sets carry no labels, so canonization leaves them alone.
-Every transition adds its produced states through ``Engine.emit``, which
-canonizes the target key once per state and replaces a partition's set
-only by a strictly smaller one, so of equal sizes the first set stays.
+Every transition adds its produced states through ``Engine._merge``,
+which takes a canonical key and replaces a partition's set only by a
+strictly smaller one, so of equal sizes the first set stays.  The leaf
+and the join canonize each target key once, through ``Engine.emit``.
+The keys an introduce or a forget produces from a child state read only
+the step, the child's (L, gh) and the universe, not the graph, k or the
+partitions, so each is computed once and read from the universe after
+(``Engine._targets``).  Where v is deleted the child's (L, gh) stays,
+and a stored key is canonical already, so it is merged with no canon.
 
 The pattern universe depends on d, the family and the mode, never on the
 graph.  A process therefore builds each universe once (``_universe``,
 keyed by d and the pattern tuple) and keeps with it every memo that reads
 nothing else: the pattern codes and slot masks, the label-permutation
-actions, label-orbit records, ``compat_set`` and ``linked`` masks, and the
-joins of partition pairs.  Every engine on that universe shares them, so
-these memos only grow with the distinct states canonized over the
-process.
+actions, label-orbit records, ``compat_set`` and ``linked`` masks, the
+joins of partition pairs, and the introduce and forget targets of each
+(step, L, gh).  Every engine on that universe shares them, so these
+memos only grow with the distinct states met over the process.
 
 The bag views and the introduce/forget steps do not depend on the graph
 either, only on the shape of the bag graph.  ``keep = bag - X`` is a
@@ -120,7 +126,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .decomposition import NiceTreeDecomposition
 from .families import Pattern
@@ -341,6 +347,11 @@ class _Universe:
         # (p1, p2) -> uplus(p1, p2), or False when their joint has a cycle;
         # read by identity, as the partition of no components is falsy
         self.join_memo: dict[tuple[Partition, Partition], Partition | bool] = {}
+        # (step, L, gh) -> the canonical (L, gh) targets of a child state,
+        # one memo per direction; they are kept here, not on the step,
+        # because every universe shares the steps
+        self.intro_target_memo: dict[tuple, tuple] = {}
+        self.forget_target_memo: dict[tuple, tuple] = {}
 
 
 @cache
@@ -381,6 +392,8 @@ class Engine:
         self._compat_memo = u.compat_memo
         self._linked_memo = u.linked_memo
         self._join_memo = u.join_memo
+        self._intro_target_memo = u.intro_target_memo
+        self._forget_target_memo = u.forget_target_memo
 
         # bit w of _nbr[v] is set when w is a neighbour of v
         self._nbr = [sum(1 << w for w in g.neighbors(v)) for v in g.vertices()]
@@ -557,16 +570,20 @@ class Engine:
         gh: tuple[GhEntry, ...],
         items: Iterable[tuple[Partition | None, Witness]],
     ) -> None:
-        """Add (partition, deletion set) items to one produced state.
+        """Add (partition, deletion set) items to one produced state, whose
+        key is canonized once."""
+        self._merge(table, (xk,) + self.canon(lkey, gh), items)
 
-        The target key is canonized once.  A None partition was rejected
-        by the transition and is skipped.  A partition the family already
-        holds is replaced only by a strictly smaller set, so of equal
-        sizes the first set stays.  The family is created on its first
-        partition, so no empty family is stored.
+    def _merge(
+        self, table: dict, key: StateKey, items: Iterable[tuple[Partition | None, Witness]]
+    ) -> None:
+        """Add (partition, deletion set) items to the state of a canonical key.
+
+        A None partition was rejected by the transition and is skipped.  A
+        partition the family already holds is replaced only by a strictly
+        smaller set, so of equal sizes the first set stays.  The family is
+        created on its first partition, so no empty family is stored.
         """
-        lc, ghc = self.canon(lkey, gh)
-        key = (xk, lc, ghc)
         fam = table.get(key)
         for part, wit in items:
             if part is None:
@@ -665,8 +682,9 @@ class Engine:
         steps: dict[tuple[int, ...], _Step] = {}
         for key, fam in child.items():
             xk, lk, gh = key
-            # v joins the deleted set: nothing else changes
-            self.emit(table, tuple(sorted(xk + (v,))), lk, gh, fam.items())
+            # v joins the deleted set: nothing else changes, and the
+            # stored (L, gh) is canonical already
+            self._merge(table, (tuple(sorted(xk + (v,))), lk, gh), fam.items())
             # v survives with some label; the family moves the same way
             # whatever the label
             step = steps.get(xk)
@@ -676,6 +694,22 @@ class Engine:
             moved = [(self._intro_partition(step, p), w) for p, w in fam.items()]
             self._introduce_state(table, step, key, moved)
         return table
+
+    def _targets(self, memo: dict, compute: Callable, step: _Step, lk: tuple, gh: tuple) -> tuple:
+        """The canonical (L, gh) targets of a child state under one step.
+
+        They read only the step, the child's (L, gh) and the universe, so
+        each universe keeps them in memo.  Without canonization they are
+        computed afresh and not stored, as the memo is shared with
+        canonizing engines.
+        """
+        if not self.canonize:
+            return compute(step, lk, gh)
+        key = (step, lk, gh)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = compute(step, lk, gh)
+        return got
 
     def _intro_partition(self, step: _Step, part: Partition) -> Partition | None:
         """Push a child partition through the introduce; None when rejected."""
@@ -704,8 +738,16 @@ class Engine:
         return res
 
     def _introduce_state(self, table: dict, step: _Step, key: StateKey, moved: list) -> None:
-        """Emit the moved family once per label v can survive with, up to
-        the symmetry of the child state.
+        """Merge the moved family into each target of the child state
+        (``_introduce_targets``)."""
+        xk, lk, gh = key
+        targets = self._targets(self._intro_target_memo, self._introduce_targets, step, lk, gh)
+        for target in targets:
+            self._merge(table, (xk,) + target, moved)
+
+    def _introduce_targets(self, step: _Step, lk: tuple[int, ...], gh: tuple) -> tuple:
+        """The canonical (L, gh) of each label v can survive with, up to
+        the symmetry of the child state, in label order and each once.
 
         A unit through v keeps the candidate patterns common to the child
         units it absorbs and inherits their attached labels.  Its labels
@@ -717,9 +759,10 @@ class Engine:
         (``_orbit``) and skipped.  The swap fixes L and gh, the checks
         above and ``compat_set``/``linked`` commute with it, and the moved
         family does not depend on lv, so label lv would put the same
-        partitions under the same canonical key as label lv - 1.
+        partitions under the same canonical key as label lv - 1.  A
+        repeated target is dropped: merging the same family into the
+        same state again changes nothing.
         """
-        xk, lk, gh = key
         tied = self._orbit(lk, gh)[2]
         vpos = step.vpos
         # the parent's unit order: carried slots are filled once, and each
@@ -736,6 +779,7 @@ class Engine:
                 hm |= shm
                 allowed &= pats
             inherited.append((bi, unit, edges, hm, allowed))
+        targets = []
         for lv in range(1, self.d + 1):
             if lv in tied:
                 continue
@@ -754,7 +798,8 @@ class Engine:
                     break
                 slots[bi] = (pats, hm)
             else:
-                self.emit(table, xk, lkey_p, tuple(slots), moved)
+                targets.append(self.canon(lkey_p, tuple(slots)))
+        return tuple(dict.fromkeys(targets))
 
     def _forget(self, bag: tuple[int, ...], v: int, child: dict) -> dict:
         table: dict = {}
@@ -763,10 +808,10 @@ class Engine:
         for key, fam in child.items():
             xk, lk, gh = key
             if v in xk:
-                # v is deleted below the parent: one more deletion, within k
+                # v is deleted below the parent: one more deletion, within
+                # k; the stored (L, gh) is canonical already
                 items = [(p, w | {v}) for p, w in fam.items() if len(w) < k]
-                xk2 = tuple(u for u in xk if u != v)
-                self.emit(table, xk2, lk, gh, items)
+                self._merge(table, (tuple(u for u in xk if u != v), lk, gh), items)
                 continue
             step = steps.get(xk)
             if step is None:
@@ -794,13 +839,23 @@ class Engine:
         return res
 
     def _forget_state(self, table: dict, step: _Step, key: StateKey, moved: list) -> None:
-        """Emit the moved family once per hypothesis branch for v's units.
+        """Merge the moved family into each target of the child state
+        (``_forget_targets``)."""
+        xk, lk, gh = key
+        targets = self._targets(self._forget_target_memo, self._forget_targets, step, lk, gh)
+        for target in targets:
+            self._merge(table, (xk,) + target, moved)
+
+    def _forget_targets(self, step: _Step, lk: tuple[int, ...], gh: tuple) -> tuple:
+        """The canonical (L, gh) of each hypothesis branch for v's units,
+        in branch order and each once.
 
         The branches are the product of the options of each unit through
         v, the first unit's varying slowest.  The order matters: of two
-        equal-size sets for one partition, the first emitted stays.
+        equal-size sets for one partition, the first merged stays.  A
+        repeated target is dropped: merging the same family into the same
+        state again changes nothing.
         """
-        xk, lk, gh = key
         vpos = step.vpos
         lv = lk[vpos]
         # units hold parent positions, so the parent's labels index them
@@ -818,11 +873,13 @@ class Engine:
                 options.append(
                     self._sink_unit_branches(pats, hm, lv, [units[si] for si in inside], lkey_p)
                 )
+        targets = []
         for branch in product(*options):
             for inside, entries in zip(pieces, branch):
                 for si, entry in zip(inside, entries):
                     slots[si] = entry
-            self.emit(table, xk, lkey_p, tuple(slots), moved)
+            targets.append(self.canon(lkey_p, tuple(slots)))
+        return tuple(dict.fromkeys(targets))
 
     def _sink_unit_branches(
         self,

@@ -100,6 +100,25 @@ def test_canon_is_the_least_image_over_all_permutations(mode):
 
 
 @pytest.mark.parametrize("mode", ["block", "component"])
+def test_every_stored_key_is_a_fixed_point_of_canon(mode):
+    """Introduce and forget store a child's (L, gh) unchanged under the
+    new deleted set when v is deleted, with no canon call: that is sound
+    only because every stored key is already its own canonical form."""
+    rng = random.Random(41)
+    keys = 0
+    for d in (3, 4, 5):
+        for family in FAMILIES:
+            n = rng.randint(6, 9)
+            g = random_graph(rng, n, rng.randint(n, n * 3 // 2))
+            engine = BUILD[mode](Instance(g, d, rng.randint(1, 3), family, mode))
+            for _, table in engine.walk():
+                for _, lk, gh in table:
+                    assert engine.canon(lk, gh) == (lk, gh)
+                    keys += 1
+    assert keys > 1000
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
 def test_join_index_holds_the_images_with_an_equal_label_key(mode):
     joins = 0
     for inst in instances(mode, 4, seed=3):

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from blockvd import _dpcore, families
+from blockvd import _dpcore
 from blockvd._dpcore import Engine
 from blockvd.decomposition import heuristic_td, to_nice
 from blockvd.errors import CapExceeded, NonChordalFamily
@@ -23,16 +23,9 @@ from blockvd.instance import Instance
 from blockvd.oracle import brute_force_solve
 from blockvd.partitions import Partition
 
-from conftest import BUILD, SOLVE, cycle, random_chordal, random_graph
+from conftest import BUILD, SOLVE, clear_caches, cycle, random_chordal, random_graph
 
 ENUMERATE = {"block": enumerate_ud, "component": enumerate_component_patterns}
-
-
-def clear_caches() -> None:
-    families._enumerate_patterns.cache_clear()
-    _dpcore._universe.cache_clear()
-    _dpcore._shape_view.cache_clear()
-    _dpcore._step.cache_clear()
 
 
 def cases() -> list[tuple[Instance, bool]]:
@@ -95,6 +88,80 @@ def test_a_second_solve_reads_every_orbit_from_the_memo(mode, monkeypatch):
         calls = 0
         assert outcome(inst, True) == first
         assert calls == 0
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_a_second_solve_computes_no_target_list(mode, monkeypatch):
+    """The targets of every child state an introduce or a forget meets are
+    kept in the universe's memo, so solving the same instance again
+    computes none of them."""
+    calls = {}
+    for name in ("_introduce_targets", "_forget_targets"):
+
+        def counted(self, step, lk, gh, name=name, compute=getattr(Engine, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return compute(self, step, lk, gh)
+
+        monkeypatch.setattr(Engine, name, counted)
+    rng = random.Random(23)
+    for family in ("cliques", "chordal"):
+        inst = Instance(random_graph(rng, 9, 13), 4, 2, family, mode)
+        clear_caches()
+        first = outcome(inst, True)
+        assert calls["_introduce_targets"] > 0 and calls["_forget_targets"] > 0
+        calls.clear()
+        assert outcome(inst, True) == first
+        assert not calls
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_universes_sharing_steps_keep_their_own_targets(mode):
+    """k1k2 runs on a two-label universe and cliques on a four-label one,
+    over the same bag steps.  Solved alternately on the same graphs in one
+    process, each walks the tables it walks on cleared caches, node by
+    node."""
+    rng = random.Random(29)
+    graphs = [random_graph(rng, 8, 11) for _ in range(4)]
+    insts = [Instance(g, 4, 2, family, mode) for g in graphs for family in ("k1k2", "cliques")]
+    clear_caches()
+    engines = [BUILD[mode](inst) for inst in insts]
+    warm = [list(engine.walk()) for engine in engines]
+    k1k2, cliques = engines[:2]
+    assert (k1k2.d, cliques.d) == (2, 4)
+    steps = [{step for step, _, _ in e._intro_target_memo} for e in (k1k2, cliques)]
+    assert steps[0] & steps[1]
+    for inst, got in zip(insts, warm):
+        clear_caches()
+        want = list(BUILD[mode](inst).walk())
+        assert [node for node, _ in got] == [node for node, _ in want]
+        for (node, table), (_, expected) in zip(got, want):
+            assert table == expected, (inst.family, node)
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_canonization_off_after_canonized_solves_counts_as_on_cleared_caches(mode):
+    """An engine without canonization neither reads nor writes the target
+    memos, so its counts do not depend on the canonized solves before it."""
+    rng = random.Random(31)
+    graphs = [random_graph(rng, 8, 11) for _ in range(6)]
+
+    def run(g, canonize: bool):
+        engine = BUILD[mode](Instance(g, 4, 2, "chordal", mode))
+        engine.canonize = canonize
+        res = engine.run()
+        return res.decision, res.minimum, res.stats, res.witness
+
+    fewer = 0
+    for g in graphs[3:]:
+        clear_caches()
+        want = run(g, False)
+        clear_caches()
+        for h in graphs[:3] + [g]:
+            canonized = run(h, True)
+        assert run(g, False) == want
+        fewer += canonized[2]["states"] < want[2]["states"]
+    # canonization merges states, so reading its targets would show
+    assert fewer > 0
 
 
 @pytest.mark.parametrize("mode", ["block", "component"])

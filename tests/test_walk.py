@@ -17,7 +17,7 @@ from blockvd.graph import Graph
 from blockvd.instance import Instance
 from blockvd.oracle import verify_solution
 
-from conftest import BUILD, SOLVE, cycle, random_graph
+from conftest import BUILD, SOLVE, clear_caches, cycle, random_graph
 
 
 def instances(mode: str) -> list[Instance]:
@@ -154,28 +154,33 @@ def test_skipping_tied_absent_labels_leaves_every_table_unchanged(mode, monkeypa
     """Introduce skips an absent label whose swap with the label below it
     fixes the child's hypotheses.  Every walked table, with its keys,
     partitions and deletion sets, equals the one built when no label is
-    tied, and the skip saves emits on some instance."""
+    tied, and the skip saves canonized targets on some instance.
+
+    Each walk starts on cleared caches: the universe memoizes the targets
+    of every child state, and the untied walk must compute its own."""
     orbit = Engine._orbit
-    emit = Engine.emit
-    emits = {}
+    canon = Engine.canon
+    canons = {}
 
     def untied(self, lkey, gh):
         least, images, _ = orbit(self, lkey, gh)
         return least, images, ()
 
-    def counted(self, *args):
-        emits[tied] = emits.get(tied, 0) + 1
-        return emit(self, *args)
+    def counted(self, lkey, gh):
+        canons[tied] = canons.get(tied, 0) + 1
+        return canon(self, lkey, gh)
 
-    monkeypatch.setattr(Engine, "emit", counted)
+    monkeypatch.setattr(Engine, "canon", counted)
     for inst in symmetric_instances(mode):
         tied = True
+        clear_caches()
         skipped = list(BUILD[mode](inst).walk())
         tied = False
+        clear_caches()
         with monkeypatch.context() as patch:
             patch.setattr(Engine, "_orbit", untied)
             every = list(BUILD[mode](inst).walk())
         assert [node for node, _ in skipped] == [node for node, _ in every]
         for (node, got), (_, want) in zip(skipped, every):
             assert got == want, (inst, node)
-    assert emits[True] < emits[False]
+    assert canons[True] < canons[False]
