@@ -63,12 +63,21 @@ small.  A slot relabels only the patterns it holds, each through its
 integer code (label bits, then label-pair bits).
 
 ``Engine._orbit`` walks each (L, gh) once and keeps one record of it
-in the universe's memo: the least image, every image and the tied
-absent labels.  ``canon`` reads the least image.  The join reads every
+in the universe's memo: the least image, every image in orbit order with
+its h signature, and the tied absent labels.  The h signature of gh is
+one int holding unit j's h mask at bits j*d and up, so two hypotheses
+attach a common label to some unit exactly when their signatures AND to
+a nonzero value.  ``canon`` reads the least image.  The join reads every
 image: each side was canonized on its own, so a left and a right state
 with equal (X, L) may agree only after the left one's absent labels are
 renamed, and pairing the canonical keys directly loses states.  It
-indexes each left state under every image with its own L.
+indexes each left state once under its (X, L), with its images; the
+first is its stored gh.  A pairing whose signatures meet is rejected
+before any per-unit work.  A right state whose orbit has one image is
+fixed by every permutation sigma of its absent labels, so a left image
+sigma(l) pairs with it into sigma of l's pairing, whose canonical key and
+family are those of l's own: such a right state pairs with each left
+state's first image alone.
 
 Introduce reads the tied labels.  A stored L numbers its u labels 1..u,
 so labels u+1..d are absent.  When the swap (j j+1) of two absent labels
@@ -79,24 +88,28 @@ Without canonization the record is (L, gh), its one image and no tied
 label, so introduce guesses every label.
 
 Deletion sets carry no labels, so canonization leaves them alone.
-Every transition adds its produced states through ``Engine._merge``,
-which takes a canonical key and replaces a partition's set only by a
-strictly smaller one, so of equal sizes the first set stays.  The leaf
-and the join canonize each target key once, through ``Engine.emit``.
-The keys an introduce or a forget produces from a child state read only
-the step, the child's (L, gh) and the universe, not the graph, k or the
+Transitions add their produced states through ``Engine._merge``, which
+takes a canonical key and replaces a partition's set only by a strictly
+smaller one, so of equal sizes the first set stays.  The leaf and the
+join canonize each target key once, through ``Engine.emit``.  The keys
+an introduce or a forget produces from a child state read only the
+step, the child's (L, gh) and the universe, not the graph, k or the
 partitions, so each is computed once and read from the universe after
 (``Engine._targets``).  Where v is deleted the child's (L, gh) stays,
-and a stored key is canonical already, so it is merged with no canon.
+and a stored key is canonical already: forget merges it with no canon,
+and introduce, where that key is new to the parent's table, passes the
+child's family on as it is.  No table changes once it is built, so a
+family object may sit in several tables.
 
 The pattern universe depends on d, the family and the mode, never on the
 graph.  A process therefore builds each universe once (``_universe``,
 keyed by d and the pattern tuple) and keeps with it every memo that reads
 nothing else: the pattern codes and slot masks, the label-permutation
 actions, label-orbit records, ``compat_set`` and ``linked`` masks, the
-joins of partition pairs, and the introduce and forget targets of each
-(step, L, gh).  Every engine on that universe shares them, so these
-memos only grow with the distinct states met over the process.
+joins of partition pairs (one row per left partition), and the
+introduce and forget targets of each (step, L, gh).  Every engine on
+that universe shares them, so these memos only grow with the distinct
+states met over the process.
 
 The bag views and the introduce/forget steps do not depend on the graph
 either, only on the shape of the bag graph.  ``keep = bag - X`` is a
@@ -344,9 +357,9 @@ class _Universe:
         self.canon_memo: dict[tuple, tuple] = {}
         self.compat_memo: dict[tuple, int] = {}
         self.linked_memo: dict[tuple[int, int], int] = {}
-        # (p1, p2) -> uplus(p1, p2), or False when their joint has a cycle;
+        # p1 -> p2 -> uplus(p1, p2), or False when their joint has a cycle;
         # read by identity, as the partition of no components is falsy
-        self.join_memo: dict[tuple[Partition, Partition], Partition | bool] = {}
+        self.join_memo: dict[Partition, dict[Partition, Partition | bool]] = {}
         # (step, L, gh) -> the canonical (L, gh) targets of a child state,
         # one memo per direction; they are kept here, not on the step,
         # because every universe shares the steps
@@ -504,9 +517,21 @@ class Engine:
             out.append(got)
         return tuple(out)
 
+    def _signature(self, gh: tuple[GhEntry, ...]) -> int:
+        """The h signature of gh: unit j's h mask at bits j*d and up.
+
+        Two hypotheses attach a common label to some unit exactly when
+        their signatures share a bit."""
+        d = self.d
+        sig = shift = 0
+        for _, hm in gh:
+            sig |= hm << shift
+            shift += d
+        return sig
+
     def _orbit(
         self, lkey: tuple[int, ...], gh: tuple[GhEntry, ...]
-    ) -> tuple[tuple, list[tuple], tuple[int, ...]]:
+    ) -> tuple[tuple, dict[tuple, int], tuple[int, ...]]:
         """The record of the label orbit of (L, gh): (least image, images,
         tied labels).
 
@@ -515,12 +540,14 @@ class Engine:
         u+1..d.  The images are the orbit of sigma0(gh) under the
         permutations of u+1..d, walked through their generators (j j+1),
         u < j < d; label j + 1 is tied when (j j+1) fixes sigma0(gh).
-        Without canonization the record is built afresh and not stored, as
-        the memo is shared with canonizing engines.
+        They map each (L, gh) image, in orbit order, to the h signature of
+        its gh (``_signature``).  Without canonization the record is built
+        afresh and not stored, as the memo is shared with canonizing
+        engines.
         """
         if not self.canonize:
             pair = (lkey, gh)
-            return pair, [pair], ()
+            return pair, {pair: self._signature(gh)}, ()
         memo_key = (lkey, gh)
         got = self._canon_memo.get(memo_key)
         if got is not None:
@@ -549,7 +576,7 @@ class Engine:
                     orbit.append(gh3)
                 elif gh2 is first and gh3 == first:
                     tied.append(lv)
-        images = [(lc, gh2) for gh2 in orbit]
+        images = {(lc, gh2): self._signature(gh2) for gh2 in orbit}
         got = self._canon_memo[memo_key] = (min(images), images, tuple(tied))
         return got
 
@@ -683,8 +710,10 @@ class Engine:
         for key, fam in child.items():
             xk, lk, gh = key
             # v joins the deleted set: nothing else changes, and the
-            # stored (L, gh) is canonical already
-            self._merge(table, (tuple(sorted(xk + (v,))), lk, gh), fam.items())
+            # stored (L, gh) is canonical already.  The key is new here (no
+            # surviving-branch key holds v in X), so the family passes on
+            # as it is; no merge targets it later
+            table[(tuple(sorted(xk + (v,))), lk, gh)] = fam
             # v survives with some label; the family moves the same way
             # whatever the label
             step = steps.get(xk)
@@ -927,39 +956,54 @@ class Engine:
     # join
 
     def _join(self, bag: tuple[int, ...], left: dict, right: dict) -> dict:
+        """Pair every right state with each image of each left state of
+        its (X, L), combining their hypotheses unit by unit.
+
+        A unit's pattern sets intersect, less the patterns linking a label
+        attached on one side to one attached on the other, and its h masks
+        must be disjoint: one AND of the two h signatures tests the last
+        for every unit at once.  A right state whose orbit has one image
+        is fixed by every permutation sigma of its absent labels, so a
+        left image sigma(l) pairs with it into sigma of l's pairing: the
+        same canonical key with the same family, a no-op merge.  Such a
+        right state therefore pairs with each left state's first image
+        alone, its stored gh.
+        """
         table: dict = {}
         index = self._join_index(left)
+        linked = self.linked
         for (rxk, rlk, rgh), rfam in right.items():
-            for lkey, lgh in index.get((rxk, rlk), ()):
-                gh_p = self._join_gh(lgh, rgh)
-                if gh_p is not None:
-                    self.emit(table, rxk, rlk, gh_p, self._joints(left[lkey], rfam))
+            lefts = index.get((rxk, rlk))
+            if lefts is None:
+                continue
+            rimages = self._orbit(rlk, rgh)[1]
+            rsig = rimages[rlk, rgh]
+            symmetric = len(rimages) == 1
+            for lfam, limages in lefts:
+                for (_, lgh), lsig in limages:
+                    if not lsig & rsig:
+                        entries = []
+                        for (p1, h1), (p2, h2) in zip(lgh, rgh):
+                            common = p1 & p2
+                            if h1 and h2:
+                                common &= ~linked(h1, h2)
+                            if not common:
+                                break
+                            entries.append((common, h1 | h2))
+                        else:
+                            self.emit(table, rxk, rlk, tuple(entries), self._joints(lfam, rfam))
+                    if symmetric:
+                        break
         return table
 
     def _join_index(self, left: dict) -> dict[tuple, list]:
-        """Left states by (X, L), each under every image with its own L."""
-        index: dict[tuple, list[tuple[StateKey, tuple[GhEntry, ...]]]] = {}
-        for key in left:
-            xk, lk, gh = key
-            for l2, gh2 in self._orbit(lk, gh)[1]:
-                index.setdefault((xk, l2), []).append((key, gh2))
+        """Left states by (X, L), each once as its family and the items of
+        its orbit record's images, ((L, gh), h signature) in orbit order:
+        the first gh is the stored one."""
+        index: dict[tuple, list[tuple[dict, Iterable]]] = {}
+        for (xk, lk, gh), fam in left.items():
+            index.setdefault((xk, lk), []).append((fam, self._orbit(lk, gh)[1].items()))
         return index
-
-    def _join_gh(
-        self, lgh: tuple[GhEntry, ...], rgh: tuple[GhEntry, ...]
-    ) -> tuple[GhEntry, ...] | None:
-        """Per-unit combination of two sides' hypotheses, or None when dead."""
-        entries: list[GhEntry] = []
-        for (p1, h1), (p2, h2) in zip(lgh, rgh):
-            if h1 & h2:
-                return None
-            common = p1 & p2
-            if h1 and h2:
-                common &= ~self.linked(h1, h2)
-            if not common:
-                return None
-            entries.append((common, h1 | h2))
-        return tuple(entries)
 
     def _joints(self, lfam: dict, rfam: dict) -> Iterator[tuple[Partition, Witness]]:
         """Acyclic joints of two families within the budget, each with the
@@ -972,13 +1016,16 @@ class Engine:
         k = self.k
         for p1, w1 in lfam.items():
             n1 = len(w1)
+            row = memo.get(p1)
+            if row is None:
+                row = memo[p1] = {}
             for p2, w2 in rfam.items():
                 if n1 + len(w2) > k:
                     continue
-                pair = (p1, p2)
-                joint = memo.get(pair)
+                joint = row.get(p2)
                 if joint is None:
-                    joint = uplus(p1, p2) if inc_is_forest(p1.m, pair) else False
-                    memo[pair] = joint
+                    joint = row[p2] = (
+                        uplus(p1, p2) if inc_is_forest(p1.m, (p1, p2)) else False
+                    )
                 if joint is not False:
                     yield joint, w1 | w2

@@ -132,11 +132,21 @@ def test_join_index_holds_the_images_with_an_equal_label_key(mode):
             joins += 1
             left = tables[ntd.children[node][0]]
             index = engine._join_index(left)
+            # each entry holds the state's family itself, so find its key
+            # by the family's identity
+            key_of = {id(fam): key for key, fam in left.items()}
             got: dict = {}
             for (xk, lk), entries in index.items():
-                for key, gh2 in entries:
+                for fam, images in entries:
+                    key = key_of[id(fam)]
                     assert (key[0], key[1]) == (xk, lk)
-                    got.setdefault(key, []).append(gh2)
+                    assert key not in got
+                    # the first image is the stored gh itself
+                    assert next(iter(images))[0] == (lk, key[2])
+                    for (l2, gh2), sig in images:
+                        assert l2 == lk
+                        assert sig == engine._signature(gh2)
+                        got.setdefault(key, []).append(gh2)
             assert set(got) == {key for key, fam in left.items() if fam}
             for key, ghs in got.items():
                 _, lk, gh = key

@@ -5,9 +5,12 @@ witnesses must not change the search, relabelling vertices, the tree
 decomposition or its root must not change the answer or the minimum
 deletion size, a larger budget cannot turn YES into NO, deleting a
 vertex never raises the minimum, a witness never exceeds the budget,
-and the ``k1k2`` answer is the same at every bound d >= 2.
+and the ``k1k2`` answer is the same at every bound d >= 2.  At sizes the
+oracle cannot reach (n from 20 to 40, width 4 or 5), the minimum of a
+disjoint union is the sum of the two minima.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -134,3 +137,59 @@ def test_k1k2_answer_does_not_depend_on_d(mode, inst):
     for d in range(3, 9):
         got = solve(replace(base, d=d))
         assert (got.decision, got.minimum) == (want.decision, want.minimum), d
+
+
+def partial_ktree(
+    rng: random.Random, n: int, t: int, keep: float
+) -> tuple[Graph, TreeDecomposition]:
+    """A random t-tree on n vertices with its width-t decomposition, each
+    edge kept with probability keep.
+
+    Every new vertex joins a random t-clique of the t-tree so far, and its
+    bag (the clique and the vertex) hangs from the bag the clique came
+    from.
+    """
+    edges = {(i, j) for i in range(t + 1) for j in range(i + 1, t + 1)}
+    bags = [frozenset(range(t + 1))]
+    tree_edges = []
+    # each t-clique with the index of a bag holding it
+    cliques = [(tuple(x for x in range(t + 1) if x != y), 0) for y in range(t + 1)]
+    for v in range(t + 1, n):
+        base, at = rng.choice(cliques)
+        edges.update((u, v) for u in base)
+        tree_edges.append((at, len(bags)))
+        cliques.extend(
+            (tuple(sorted([x for x in base if x != y] + [v])), len(bags)) for y in base
+        )
+        bags.append(frozenset(base + (v,)))
+    g = Graph(n, [e for e in sorted(edges) if rng.random() < keep])
+    return g, TreeDecomposition(tuple(bags), tuple(tree_edges))
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+@pytest.mark.parametrize("family", ["k1k2", "cliques", "chordal"])
+def test_a_disjoint_union_needs_the_sum_of_the_minima(mode, family):
+    # every block and component lies in one of the two parts, so a least
+    # deletion set of the union is one of each part.  The union's
+    # decomposition hangs the second part's from the first one's root, so
+    # the walk joins tables built over both parts
+    rng = random.Random(f"{mode}:{family}")
+    for _ in range(4):
+        t = rng.choice([4, 5])
+        (ga, ta), (gb, tb) = (partial_ktree(rng, rng.randint(10, 20), t, 0.8) for _ in range(2))
+        d = rng.choice([3, 4])
+        want = sum(
+            solve(Instance(g, d, g.n, family, mode, td)).minimum for g, td in ((ga, ta), (gb, tb))
+        )
+        shift = ga.n
+        union = Graph(
+            shift + gb.n, list(ga.edges()) + [(u + shift, v + shift) for u, v in gb.edges()]
+        )
+        nbags = ta.num_nodes
+        td = TreeDecomposition(
+            ta.bags + tuple(frozenset(v + shift for v in bag) for bag in tb.bags),
+            ta.tree_edges + ((0, nbags),) + tuple((x + nbags, y + nbags) for x, y in tb.tree_edges),
+        )
+        assert td.width == t
+        got = solve(Instance(union, d, want, family, mode, td), witness=True)
+        assert got.decision and got.minimum == want

@@ -7,6 +7,7 @@ A family maps each partition to its least deletion set, so the root's
 one value is both the minimum (its size) and the witness.
 """
 
+import copy
 import random
 
 import pytest
@@ -184,3 +185,27 @@ def test_skipping_tied_absent_labels_leaves_every_table_unchanged(mode, monkeypa
         for (node, got), (_, want) in zip(skipped, every):
             assert got == want, (inst, node)
     assert canons[True] < canons[False]
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_no_walked_table_changes_after_it_is_yielded(mode):
+    """Introduce passes a child's family on to the parent as it is where v
+    is deleted, so one family object can sit in several tables.  No later
+    node may change a table once the walk has yielded it: each one equals,
+    in keys, partitions, deletion sets and order, a deep copy taken when
+    it was yielded."""
+    rng = random.Random(25)
+    tables = 0
+    for d in (3, 4, 5):
+        for _ in range(5):
+            n = rng.randint(6, 9)
+            g = random_graph(rng, n, rng.randint(n - 1, n * 3 // 2))
+            family = rng.choice(["k1k2", "cliques", "chordal"])
+            inst = Instance(g, d, rng.randint(1, 3), family, mode)
+            walked = [(table, copy.deepcopy(table)) for _, table in BUILD[mode](inst).walk()]
+            for table, snapshot in walked:
+                assert [(key, list(fam.items())) for key, fam in table.items()] == [
+                    (key, list(fam.items())) for key, fam in snapshot.items()
+                ], inst
+                tables += 1
+    assert tables > 0
