@@ -115,16 +115,17 @@ class NiceTreeDecomposition:
         return max((len(b) for b in self.bags), default=1) - 1
 
     def postorder(self) -> list[int]:
+        # a preorder that takes the children last to first, reversed: each
+        # subtree's nodes stay together, children left to right before
+        # their parent
         order: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
+        stack = [self.root]
+        children = self.children
         while stack:
-            node, done = stack.pop()
-            if done:
-                order.append(node)
-                continue
-            stack.append((node, True))
-            for c in reversed(self.children[node]):
-                stack.append((c, False))
+            node = stack.pop()
+            order.append(node)
+            stack.extend(children[node])
+        order.reverse()
         return order
 
     def to_tree_decomposition(self) -> TreeDecomposition:

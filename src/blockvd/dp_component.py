@@ -9,6 +9,16 @@ slots.  As in block mode, the engine's label alphabet is
 ``PFamilySpec.labels(d)``, min(d, p) for members of at most p vertices,
 and the witness check reads the instance's own d.
 
+``build_engine`` also hands the engine a greedy packing of disjoint
+connected vertex sets that no solution may leave whole
+(``_dpcore.pack_infeasible``), built at the instance's own d.  At each
+node the engine then allows k less the packed sets that avoid the
+vertices forgotten below it.  Every family here keeps each connected
+induced subgraph of a member (``k1k2``, ``cliques``, ``chordal``,
+``all``, and ``cycles`` at d <= 3, the only bounds its universe builds),
+so a solution that missed a packed set U would leave G[U] inside one
+feasible component, and U with it.
+
 The decomposition enters only as ``Instance.td`` (the min-fill
 ``heuristic_td`` when it is None); ``to_nice`` validates it and builds
 the nice form the engine walks.
@@ -16,7 +26,7 @@ the nice form the engine walks.
 
 from __future__ import annotations
 
-from ._dpcore import Engine, SolveResult
+from ._dpcore import Engine, SolveResult, pack_infeasible
 from .decomposition import heuristic_td, to_nice
 from .families import enumerate_component_patterns, get_family
 from .instance import Instance
@@ -28,7 +38,10 @@ def build_engine(inst: Instance) -> Engine:
     labels = fam.labels(inst.d)
     patterns = enumerate_component_patterns(labels, fam)
     td = inst.td if inst.td is not None else heuristic_td(inst.graph)
-    return Engine("component", inst.graph, labels, inst.k, patterns, to_nice(td, inst.graph))
+    ntd = to_nice(td, inst.graph)
+    # the packing reads the instance's bound, not the label alphabet
+    packing = pack_infeasible(inst.graph, ntd, inst.d, fam)
+    return Engine("component", inst.graph, labels, inst.k, patterns, ntd, packing)
 
 
 def solve_component(inst: Instance, witness: bool = False) -> SolveResult:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import blockvd
-from blockvd import _dpcore, dp_block, dp_component, families
+from blockvd import clear_caches, dp_block, dp_component  # clear_caches: re-exported
 from blockvd.decomposition import TreeDecomposition
 from blockvd.families import Pattern
 from blockvd.graph import Graph
@@ -14,15 +14,6 @@ from blockvd.selfcheck import random_chordal, random_graph
 # each mode's engine builder and solver
 BUILD = {"block": dp_block.build_engine, "component": dp_component.build_engine}
 SOLVE = {"block": dp_block.solve_block, "component": dp_component.solve_component}
-
-
-def clear_caches() -> None:
-    """Drop every per-process cache: the pattern universes with their
-    memos, the bag views and the steps."""
-    families._enumerate_patterns.cache_clear()
-    _dpcore._universe.cache_clear()
-    _dpcore._shape_view.cache_clear()
-    _dpcore._step.cache_clear()
 
 
 # the directory holding the blockvd package under test

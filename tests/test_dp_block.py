@@ -163,7 +163,7 @@ class TestSteps:
     def test_intro_isolated_vertex_extends_partition(self):
         g = Graph(2, [])
         engine = self._leaf_engine(g)
-        leaf = engine._leaf_table()
+        leaf = engine._leaf_table(engine.k)
         t0 = engine._introduce((0,), 0, leaf)
         # take any surviving state with vertex 0 labeled
         keys = [key for key in t0 if key[0] == ()]
@@ -201,7 +201,7 @@ class TestSteps:
         g = path(3)
         inst = Instance(g, 3, 1, "chordal", "block")
         engine = build_engine(inst)
-        t0 = engine._introduce((1,), 1, engine._leaf_table())
+        t0 = engine._introduce((1,), 1, engine._leaf_table(engine.k))
         unreduced = {key: list(fam) for key, fam in t0.items()}
         engine.reduce_table(t0)
         # families within the representative-set bound stay whole
@@ -209,12 +209,12 @@ class TestSteps:
         t1 = engine._introduce((0, 1), 0, t0)
         engine.reduce_table(t1)
         # forget vertex 0: the partition collapses back to one component
-        t2 = engine._forget((1,), 0, t1)
+        t2 = engine._forget((1,), 0, t1, engine.k)
         engine.reduce_table(t2)
         fam = t2[next(k for k in sorted(t2) if k[0] == ())]
         assert fam and all(p.m == 1 for p in fam)
         # joining a branch with itself keeps the single-component family
-        t3 = engine._join((1,), t2, t2)
+        t3 = engine._join((1,), t2, t2, engine.k)
         engine.reduce_table(t3)
         jfam = next(t3[k] for k in sorted(t3) if k[0] == ())
         assert jfam and all(p.m == 1 for p in jfam)

@@ -28,8 +28,9 @@ from test_walk import symmetric_instances
 FAMILIES = ("k1k2", "cliques", "chordal")
 
 
-def reference_join(engine, left: dict, right: dict, fired: dict) -> dict:
-    """The join table of two child tables, built the long way.
+def reference_join(engine, left: dict, right: dict, cap: int, fired: dict) -> dict:
+    """The join table of two child tables, built the long way, keeping the
+    joints of at most cap deletions.
 
     fired counts the pairings the engine treats specially: those where
     some unit's two h masks meet (``clash``), and the images past the
@@ -37,7 +38,6 @@ def reference_join(engine, left: dict, right: dict, fired: dict) -> dict:
     (``symmetric``).
     """
     table: dict = {}
-    k = engine.k
     for (rxk, rlk, rgh), rfam in right.items():
         symmetric = len(engine._orbit(rlk, rgh)[1]) == 1
         for (xk, lk, gh), lfam in left.items():
@@ -59,7 +59,7 @@ def reference_join(engine, left: dict, right: dict, fired: dict) -> dict:
                         (uplus(p1, p2), w1 | w2)
                         for p1, w1 in lfam.items()
                         for p2, w2 in rfam.items()
-                        if len(w1) + len(w2) <= k and inc_is_forest(p1.m, (p1, p2))
+                        if len(w1) + len(w2) <= cap and inc_is_forest(p1.m, (p1, p2))
                     ]
                     engine.emit(table, rxk, rlk, tuple(entries), items)
     return table
@@ -106,8 +106,9 @@ def test_join_builds_the_reference_table_in_its_order(mode):
                 if ntd.kinds[node] != "join":
                     continue
                 left, right = (tables[c] for c in ntd.children[node])
-                got = engine._join(ntd.bags[node], left, right)
-                want = reference_join(engine, left, right, fired)
+                cap = engine._caps[node]
+                got = engine._join(ntd.bags[node], left, right, cap)
+                want = reference_join(engine, left, right, cap, fired)
                 assert ordered(got) == ordered(want), (inst, canonize, node)
                 joins += 1
     assert joins > 0

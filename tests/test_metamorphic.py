@@ -7,7 +7,10 @@ deletion size, a larger budget cannot turn YES into NO, deleting a
 vertex never raises the minimum, a witness never exceeds the budget,
 and the ``k1k2`` answer is the same at every bound d >= 2.  At sizes the
 oracle cannot reach (n from 20 to 40, width 4 or 5), the minimum of a
-disjoint union is the sum of the two minima.
+disjoint union is the sum of the two minima.  On 20-vertex partial
+3-trees, raising d never raises the component minimum, and the block
+minimum, found without caps, is at most the component minimum, found
+under the caps of the component-mode packing.
 """
 
 import random
@@ -193,3 +196,32 @@ def test_a_disjoint_union_needs_the_sum_of_the_minima(mode, family):
         assert td.width == t
         got = solve(Instance(union, d, want, family, mode, td), witness=True)
         assert got.decision and got.minimum == want
+
+
+@pytest.mark.parametrize("family", ["k1k2", "cliques", "chordal"])
+def test_raising_d_never_raises_the_component_minimum(family):
+    # a component that fits bound d fits d + 1, so a least solution at d
+    # solves at d + 1.  Each solve's budget is the minimum one bound
+    # lower, where the caps of the component walk are tightest
+    rng = random.Random(f"raise-d:{family}")
+    for _ in range(3):
+        g, td = partial_ktree(rng, 20, 3, 0.7)
+        k = g.n
+        for d in (2, 3, 4, 5):
+            got = solve(Instance(g, d, k, family, "component", td))
+            assert got.decision and got.minimum <= k, d
+            k = got.minimum
+
+
+@pytest.mark.parametrize("family", ["k1k2", "cliques", "chordal"])
+def test_the_block_minimum_is_at_most_the_component_minimum(family):
+    # each block of G - S is a biconnected induced subgraph of a component
+    # of G - S, and these families keep such subgraphs, so a component
+    # solution is a block solution.  The block walk is never capped below k
+    rng = random.Random(f"block-component:{family}")
+    for _ in range(3):
+        g, td = partial_ktree(rng, 20, 3, 0.7)
+        d = rng.choice([3, 4])
+        comp = solve(Instance(g, d, g.n, family, "component", td), witness=True)
+        block = solve(Instance(g, d, comp.minimum, family, "block", td))
+        assert block.decision and block.minimum <= comp.minimum

@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from blockvd import _dpcore
+import blockvd
+from blockvd import _dpcore, families
 from blockvd._dpcore import Engine
 from blockvd.decomposition import heuristic_td, to_nice
 from blockvd.errors import CapExceeded, NonChordalFamily
@@ -210,12 +211,12 @@ def test_engines_on_equal_patterns_share_one_universe():
     # a different d or pattern tuple gets its own universe
     other = Engine("block", g, 5, 1, patterns, ntd)
     assert other._canon_memo is not a._canon_memo
-    # only the mode, graph, k, decomposition and neighbour masks are per
-    # engine; the canonization switch is the same True in every engine
+    # only the mode, graph, k, decomposition, neighbour masks and node caps
+    # are per engine; the canonization switch is the same True in every engine
     h = cycle(6)
     c = Engine("component", h, 4, 2, patterns, to_nice(heuristic_td(h), h))
     own = {name for name, value in vars(c).items() if value is not vars(a)[name]}
-    assert own == {"mode", "g", "k", "ntd", "_nbr"}
+    assert own == {"mode", "g", "k", "ntd", "_nbr", "_caps"}
     assert c._nbr != a._nbr
 
 
@@ -265,5 +266,23 @@ def test_bags_of_one_shape_share_one_context():
     # the forget from that shape reads the very step the introduce into it read
     assert _dpcore._step(3, 0b101, 1, "block") is step
     assert b._step_of((2, 4, 5), 4) is step
-    b._forget((2, 5), 4, b._introduce((2, 4, 5), 4, child))
+    b._forget((2, 5), 4, b._introduce((2, 4, 5), 4, child), b.k)
     assert step.forget_memo
+
+
+def test_clear_caches_empties_every_process_cache():
+    # the package's one way to drop the per-process memos, which the
+    # tests read through conftest
+    assert clear_caches is blockvd.clear_caches
+    for mode in ("block", "component"):
+        SOLVE[mode](Instance(cycle(5), 3, 1, "chordal", mode))
+    cached = {
+        name: obj
+        for module in (_dpcore, families)
+        for name, obj in vars(module).items()
+        if callable(getattr(obj, "cache_clear", None))
+    }
+    assert set(cached) >= {"_enumerate_patterns", "_universe", "_shape_view", "_step", "_infeasible"}
+    assert all(fn.cache_info().currsize for fn in cached.values())
+    clear_caches()
+    assert {name: fn.cache_info().currsize for name, fn in cached.items()} == dict.fromkeys(cached, 0)
