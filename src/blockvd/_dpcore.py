@@ -31,7 +31,9 @@ root's one state ((), (), ()) then holds a least deletion set.
 The cap of a node is k less a lower bound on the deletions still to
 come.  In component mode ``build_engine`` packs, once per solve, disjoint
 connected vertex sets that each induce an infeasible graph: more than d
-vertices, or a non-member of the family (``pack_infeasible``).  The
+vertices, or a non-member of the family (``pack_infeasible``;
+``_infeasible`` asks the oracle's ``verify_solution`` with nothing
+deleted, so a piece is judged feasible in one place).  The
 families are closed under connected induced subgraphs, so a solution
 missing such a set U would leave G[U] inside one feasible component,
 which it cannot be: every solution hits every packed set.  At a node
@@ -125,7 +127,7 @@ The pattern universe depends on d, the family and the mode, never on the
 graph.  A process therefore builds each universe once (``_universe``,
 keyed by d and the pattern tuple) and keeps with it every memo that reads
 nothing else: the pattern codes and slot masks, the label-permutation
-actions, label-orbit records, ``compat_set`` and ``linked`` masks, the
+actions, label-orbit records, ``linked`` masks, the
 joins of partition pairs (one row per left partition), and the
 introduce and forget targets of each (step, L, gh).  Every engine on
 that universe shares them, so these memos only grow with the distinct
@@ -164,6 +166,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .decomposition import NiceTreeDecomposition
 from .families import Pattern, PFamilySpec, _enumerate_patterns
 from .graph import Graph, biconnected_blocks, connected_components
+from .oracle import verify_solution
 from .partitions import Partition, inc_is_forest, uplus
 from .repset import rep_partitions
 
@@ -339,21 +342,11 @@ def _step(t: int, shape: int, vpos: int, mode: str) -> _Step:
 
 
 @cache
-def _infeasible(t: int, shape: int, mode: str, d: int, family: PFamilySpec) -> bool:
-    """Does a t-vertex graph of this shape have a unit that no solution
-    keeps: one of more than d vertices, or one the family rejects?"""
-    view = _shape_view(t, shape, mode)
-    for unit, edges in zip(view.units, view.unit_edges):
-        if len(unit) > d:
-            return True
-        at = {p: i for i, p in enumerate(unit)}
-        adj = [0] * len(unit)
-        for a, b in edges:
-            adj[at[a]] |= 1 << at[b]
-            adj[at[b]] |= 1 << at[a]
-        if not family.contains(adj):
-            return True
-    return False
+def _infeasible(t: int, shape: int, d: int, family: PFamilySpec) -> bool:
+    """Does a t-vertex graph of this shape have a component that no
+    solution keeps: one of more than d vertices, or one the family
+    rejects?"""
+    return not verify_solution(Graph(t, _shape_edges(t, shape)), (), d, family, "component")
 
 
 def pack_infeasible(
@@ -398,7 +391,7 @@ def pack_infeasible(
                 while rest:
                     low = rest & -rest
                     grown = members + [low.bit_length() - 1]
-                    if _infeasible(len(grown), _shape_of(nbr, grown), "component", d, family):
+                    if _infeasible(len(grown), _shape_of(nbr, grown), d, family):
                         pick = low
                         bad = True
                         break
@@ -485,17 +478,15 @@ class _Universe:
         self.code_index = {code: q for q, code in enumerate(codes)}
 
         # label permutations sigma (sigma[l - 1] is the image of label l):
-        # the adjacent transpositions (j j+1), the first-appearance
-        # renumbering of each order of labels, the bit map of each sigma on
-        # pattern codes and its action on hypothesis slots, built on first use
+        # the adjacent transpositions (j j+1), and the bit map of each sigma
+        # on pattern codes with its action on hypothesis slots, built on
+        # first use
         self.swaps = [
             tuple(range(1, j)) + (j + 1, j) + tuple(range(j + 2, d + 1))
             for j in range(1, d)
         ]
-        self.sigma0_of: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.action_of: dict[tuple[int, ...], tuple[list[int], dict, dict]] = {}
         self.canon_memo: dict[tuple, tuple] = {}
-        self.compat_memo: dict[tuple, int] = {}
         self.linked_memo: dict[tuple[int, int], int] = {}
         # p1 -> p2 -> uplus(p1, p2), or False when their joint has a cycle;
         # read by identity, as the partition of no components is falsy
@@ -540,10 +531,8 @@ class Engine:
         self._codes = u.codes
         self._code_index = u.code_index
         self._swaps = u.swaps
-        self._sigma0_of = u.sigma0_of
         self._action_of = u.action_of
         self._canon_memo = u.canon_memo
-        self._compat_memo = u.compat_memo
         self._linked_memo = u.linked_memo
         self._join_memo = u.join_memo
         self._intro_target_memo = u.intro_target_memo
@@ -591,17 +580,13 @@ class Engine:
         labs = sorted(lab[u] for u in unit)
         if len(set(labs)) != len(labs):
             return 0
-        mapped = frozenset((min(lab[a], lab[b]), max(lab[a], lab[b])) for a, b in edges)
-        key = (tuple(labs), mapped)
-        got = self._compat_memo.get(key)
-        if got is None:
-            got = self.full
-            for j, a in enumerate(labs):
-                got &= self.has[a - 1]
-                row = self.edge[a - 1]
-                for b in labs[j + 1 :]:
-                    got &= row[b - 1] if (a, b) in mapped else ~row[b - 1]
-            self._compat_memo[key] = got
+        mapped = {(min(lab[a], lab[b]), max(lab[a], lab[b])) for a, b in edges}
+        got = self.full
+        for j, a in enumerate(labs):
+            got &= self.has[a - 1]
+            row = self.edge[a - 1]
+            for b in labs[j + 1 :]:
+                got &= row[b - 1] if (a, b) in mapped else ~row[b - 1]
         return got
 
     def linked(self, amask: int, bmask: int) -> int:
@@ -686,15 +671,12 @@ class Engine:
         got = self._canon_memo.get(memo_key)
         if got is not None:
             return got
-        order = tuple(dict.fromkeys(lkey))
-        sigma0 = self._sigma0_of.get(order)
-        if sigma0 is None:
-            image = {l: new for new, l in enumerate(order, 1)}
-            absent = [l for l in range(1, self.d + 1) if l not in image]
-            image.update(zip(absent, range(len(order) + 1, self.d + 1)))
-            sigma0 = self._sigma0_of[order] = tuple(image[l] for l in range(1, self.d + 1))
+        image = {l: new for new, l in enumerate(dict.fromkeys(lkey), 1)}
+        u = len(image)
+        absent = [l for l in range(1, self.d + 1) if l not in image]
+        image.update(zip(absent, range(u + 1, self.d + 1)))
+        sigma0 = tuple(image[l] for l in range(1, self.d + 1))
         lc = tuple(sigma0[l - 1] for l in lkey)
-        u = len(order)
         # lc == lkey when L is renumbered already, as in every stored
         # state; sigma0 is then the identity
         first = gh if lc == lkey else self._sigma_gh(sigma0, gh)
@@ -849,8 +831,7 @@ class Engine:
     def _introduce(self, bag: tuple[int, ...], v: int, child: dict) -> dict:
         table: dict = {}
         steps: dict[tuple[int, ...], _Step] = {}
-        for key, fam in child.items():
-            xk, lk, gh = key
+        for (xk, lk, gh), fam in child.items():
             # v joins the deleted set: nothing else changes, and the
             # stored (L, gh) is canonical already.  The key is new here (no
             # surviving-branch key holds v in X), so the family passes on
@@ -863,7 +844,10 @@ class Engine:
                 keep = tuple(u for u in bag if u not in xk)
                 step = steps[xk] = self._step_of(keep, v)
             moved = [(self._intro_partition(step, p), w) for p, w in fam.items()]
-            self._introduce_state(table, step, key, moved)
+            for target in self._targets(
+                self._intro_target_memo, self._introduce_targets, step, lk, gh
+            ):
+                self._merge(table, (xk,) + target, moved)
         return table
 
     def _targets(self, memo: dict, compute: Callable, step: _Step, lk: tuple, gh: tuple) -> tuple:
@@ -907,14 +891,6 @@ class Engine:
         res = Partition.from_parts(step.big_m, new_parts)
         memo[part] = res
         return res
-
-    def _introduce_state(self, table: dict, step: _Step, key: StateKey, moved: list) -> None:
-        """Merge the moved family into each target of the child state
-        (``_introduce_targets``)."""
-        xk, lk, gh = key
-        targets = self._targets(self._intro_target_memo, self._introduce_targets, step, lk, gh)
-        for target in targets:
-            self._merge(table, (xk,) + target, moved)
 
     def _introduce_targets(self, step: _Step, lk: tuple[int, ...], gh: tuple) -> tuple:
         """The canonical (L, gh) of each label v can survive with, up to
@@ -975,8 +951,7 @@ class Engine:
     def _forget(self, bag: tuple[int, ...], v: int, child: dict, cap: int) -> dict:
         table: dict = {}
         steps: dict[tuple[int, ...], _Step] = {}
-        for key, fam in child.items():
-            xk, lk, gh = key
+        for (xk, lk, gh), fam in child.items():
             if v in xk:
                 # v is deleted below the parent: one more deletion, within
                 # the cap; the stored (L, gh) is canonical already
@@ -988,7 +963,10 @@ class Engine:
                 keep = tuple(sorted(u for u in bag + (v,) if u not in xk))
                 step = steps[xk] = self._step_of(keep, v)
             moved = [(self._forget_partition(step, p), w) for p, w in fam.items()]
-            self._forget_state(table, step, key, moved)
+            for target in self._targets(
+                self._forget_target_memo, self._forget_targets, step, lk, gh
+            ):
+                self._merge(table, (xk,) + target, moved)
         return table
 
     def _forget_partition(self, step: _Step, part: Partition) -> Partition:
@@ -1007,14 +985,6 @@ class Engine:
         res = Partition.from_parts(step.small_m, new_parts)
         memo[part] = res
         return res
-
-    def _forget_state(self, table: dict, step: _Step, key: StateKey, moved: list) -> None:
-        """Merge the moved family into each target of the child state
-        (``_forget_targets``)."""
-        xk, lk, gh = key
-        targets = self._targets(self._forget_target_memo, self._forget_targets, step, lk, gh)
-        for target in targets:
-            self._merge(table, (xk,) + target, moved)
 
     def _forget_targets(self, step: _Step, lk: tuple[int, ...], gh: tuple) -> tuple:
         """The canonical (L, gh) of each hypothesis branch for v's units,

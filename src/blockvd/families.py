@@ -11,7 +11,7 @@ from functools import cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, InvalidInput, NonChordalFamily
-from .graph import Graph, biconnected_blocks, chordal_masks, induced_edges
+from .graph import Graph, chordal_masks, induced_edges
 
 # the largest d whose pattern universe is built
 UD_CAP = 6
@@ -51,15 +51,6 @@ class Pattern:
 
     def sort_key(self) -> tuple:
         return (tuple(sorted(self.labels)), tuple(sorted(self.edges)))
-
-    def relabel(self, sigma: Mapping[int, int]) -> "Pattern":
-        return Pattern(
-            frozenset(sigma[x] for x in self.labels),
-            frozenset(
-                (min(sigma[a], sigma[b]), max(sigma[a], sigma[b]))
-                for (a, b) in self.edges
-            ),
-        )
 
     def __repr__(self) -> str:
         ls = ",".join(map(str, sorted(self.labels)))
@@ -243,18 +234,6 @@ def enumerate_ud(d: int, family: PFamilySpec) -> tuple[Pattern, ...]:
 def enumerate_component_patterns(d: int, family: PFamilySpec) -> tuple[Pattern, ...]:
     """Connected family members on label subsets of [d] (>= 1 label)."""
     return _enumerate_patterns(d, family, biconnected=False)
-
-
-def is_block_labeling(g: Graph, labels: Mapping[int, int]) -> bool:
-    """Is the labeling injective on every block of g?"""
-    for blk in biconnected_blocks(g).blocks:
-        seen = set()
-        for v in blk:
-            l = labels[v]
-            if l in seen:
-                return False
-            seen.add(l)
-    return True
 
 
 def partial_label_isomorphic(

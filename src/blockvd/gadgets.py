@@ -597,13 +597,6 @@ class ColoredGraph:
             out.setdefault((i, j), []).append((a, b))
         return out
 
-    def has_clique(self, gamma: Sequence[int]) -> bool:
-        return all(
-            ((i, gamma[i - 1]), (j, gamma[j - 1])) in self.edges
-            for i in range(1, self.k + 1)
-            for j in range(i + 1, self.k + 1)
-        )
-
 
 def gen_clique_instance(
     k: int,

@@ -9,7 +9,7 @@ throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import IncompatibleBoundary, InvalidInput
 from .partitions import Partition
@@ -69,6 +69,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _check_range(g: Graph, verts: Collection[int]) -> None:
+    """Raise InvalidInput unless every id in verts is a vertex of g.
+
+    A negative id would otherwise index the adjacency from its end and
+    silently stand for another vertex."""
+    if verts and not (0 <= min(verts) and max(verts) < g.n):
+        bad = sorted({v for v in verts if not 0 <= v < g.n})
+        raise InvalidInput(f"vertices {bad} are outside 0..{g.n - 1}")
+
+
 def induced_edges(g: Graph, within: Iterable[int]) -> frozenset[tuple[int, int]]:
     ws = set(within)
     return frozenset((u, v) for (u, v) in g.edges() if u in ws and v in ws)
@@ -77,6 +87,7 @@ def induced_edges(g: Graph, within: Iterable[int]) -> frozenset[tuple[int, int]]
 def induced_masks(g: Graph, verts: Sequence[int]) -> list[int]:
     """Neighbor masks of the subgraph induced by verts: bit j of entry i
     says that verts[i] and verts[j] are adjacent."""
+    _check_range(g, verts)
     pos = {v: i for i, v in enumerate(verts)}
     return [sum(1 << pos[w] for w in g.neighbors(v) if w in pos) for v in verts]
 
@@ -86,6 +97,7 @@ def connected_components(
 ) -> list[frozenset[int]]:
     """Connected components as vertex sets, sorted by minimum element."""
     verts = sorted(within) if within is not None else list(range(g.n))
+    _check_range(g, verts)
     vset = set(verts)
     seen: set[int] = set()
     comps: list[frozenset[int]] = []
@@ -123,6 +135,7 @@ def biconnected_blocks(
     output is independent of traversal order.
     """
     verts = sorted(within) if within is not None else list(range(g.n))
+    _check_range(g, verts)
     vset = set(verts)
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -227,51 +240,6 @@ def is_chordal(g: Graph, within: Iterable[int] | None = None) -> bool:
     return chordal_masks(induced_masks(g, verts))
 
 
-def find_chordless_cycle(
-    g: Graph, within: Iterable[int] | None = None
-) -> list[int] | None:
-    """Slow oracle: search for an induced cycle of length >= 4.
-
-    Extends induced paths by brute force; intended only for small test
-    graphs, as a cross-check against ``is_chordal``.
-    """
-    verts = sorted(within) if within is not None else list(range(g.n))
-    vset = set(verts)
-
-    def extend(path: list[int]) -> list[int] | None:
-        head = path[-1]
-        start = path[0]
-        for w in g.neighbors(head):
-            if w not in vset or w in path:
-                continue
-            # w must be non-adjacent to all of path except the head,
-            # with the start allowed once the cycle is long enough.
-            closes = g.has_edge(w, start)
-            ok = True
-            for p in path[1:-1]:
-                if g.has_edge(w, p):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if closes and len(path) >= 3:
-                return path + [w]
-            if not closes:
-                found = extend(path + [w])
-                if found is not None:
-                    return found
-        return None
-
-    for a in verts:
-        for b in g.neighbors(a):
-            if b not in vset or b < a:
-                continue
-            cyc = extend([a, b])
-            if cyc is not None:
-                return cyc
-    return None
-
-
 @dataclass(frozen=True)
 class BoundariedGraph:
     """A view (host, vertices, boundary) of a graph with boundary S.
@@ -288,8 +256,7 @@ class BoundariedGraph:
     def __post_init__(self) -> None:
         if not self.boundary <= self.vertices:
             raise InvalidInput("boundary must be a subset of the vertex set")
-        if self.vertices and max(self.vertices) >= self.host.n:
-            raise InvalidInput("vertex set exceeds host graph")
+        _check_range(self.host, self.vertices)
 
     @classmethod
     def whole(cls, g: Graph, boundary: Iterable[int]) -> "BoundariedGraph":

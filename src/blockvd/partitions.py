@@ -152,14 +152,3 @@ def all_partitions(m: int) -> Iterator[Partition]:
             yield from rec(i + 1, max(maxv, v))
 
     return rec(1, 0)
-
-
-def bell_number(m: int) -> int:
-    _check_size(m)
-    row = [1]
-    for _ in range(m):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]

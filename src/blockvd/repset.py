@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import BadBucket, TooLarge
-from .partitions import Partition, all_partitions, inc_is_forest, one_coarsenings, uplus
+from .partitions import Partition, all_partitions, inc_is_forest, one_coarsenings
 
 
 def gf2_independent_rows(rows: Sequence[int], nbits: int) -> list[int]:
@@ -121,38 +121,6 @@ def rep_partitions(m: int, family: Sequence[Partition]) -> list[Partition]:
         for ki in gf2_independent_rows(rows, nbits):
             kept.add(pairs[ki][1])
     return [originals[oi] for oi in sorted(kept)]
-
-
-def reduce_connected_exhaustive(
-    m: int, bucket: Sequence[Partition], j: int
-) -> list[Partition]:
-    """Slow alternative reduction for differential testing (m <= 7).
-
-    Works on the explicit connectivity matrix whose columns are all
-    j-part partitions of the ground set, with a 1 wherever the joint of
-    row and column partitions coarsens to a single part.  Keeping a row
-    basis of this matrix preserves connected-joinability directly.
-    """
-    if m > 7:
-        raise TooLarge("exhaustive reduction capped at ground sets of size 7")
-    if not bucket:
-        return []
-    i = len(bucket[0])
-    if i + j != m + 1:
-        raise BadBucket(f"part counts {i} and {j} do not satisfy i+j=m+1")
-    for p in bucket:
-        if p.m != m or len(p) != i:
-            raise BadBucket("bucket mixes ground sets or part counts")
-    columns = [y for y in all_partitions(m) if len(y) == j]
-    rows = []
-    for p in bucket:
-        row = 0
-        for ci, y in enumerate(columns):
-            if len(uplus(p, y)) == 1:
-                row |= 1 << ci
-        rows.append(row)
-    keep = gf2_independent_rows(rows, len(columns))
-    return [bucket[idx] for idx in keep]
 
 
 def verify_representative(

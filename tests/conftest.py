@@ -8,7 +8,7 @@ import blockvd
 from blockvd import clear_caches, dp_block, dp_component  # clear_caches: re-exported
 from blockvd.decomposition import TreeDecomposition
 from blockvd.families import Pattern
-from blockvd.graph import Graph
+from blockvd.graph import Graph, biconnected_blocks
 from blockvd.selfcheck import random_chordal, random_graph
 
 # each mode's engine builder and solver
@@ -47,6 +47,18 @@ def complete(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def is_block_labeling(g: Graph, labels: dict[int, int]) -> bool:
+    """Is the labeling injective on every block of g?"""
+    for blk in biconnected_blocks(g).blocks:
+        seen = set()
+        for v in blk:
+            l = labels[v]
+            if l in seen:
+                return False
+            seen.add(l)
+    return True
 
 
 def star_of_bags(rng: random.Random) -> tuple[Graph, TreeDecomposition]:

@@ -86,9 +86,8 @@ def _split_final_graph(rng, n, d, ud):
     side the next ids; this makes independently generated splits with the
     same boundary shape directly comparable.
     """
-    from conftest import random_chordal
+    from conftest import is_block_labeling, random_chordal
 
-    from blockvd.families import is_block_labeling
     from blockvd.graph import biconnected_blocks
 
     g0 = random_chordal(rng, n)
@@ -142,7 +141,8 @@ def run_equivalence_trials(rng: random.Random, target: int, d: int = 4) -> int:
     characteristic whenever the joint incidence structure stays acyclic.
     Returns the number of completed checks (asserts on any violation).
     """
-    from blockvd.families import is_block_labeling
+    from conftest import is_block_labeling
+
     from blockvd.graph import (
         aux_partition,
         biconnected_blocks,

@@ -10,7 +10,6 @@ from blockvd.families import (
     enumerate_component_patterns,
     enumerate_ud,
     get_family,
-    is_block_labeling,
     label_isomorphic,
     partial_label_isomorphic,
 )
@@ -26,6 +25,8 @@ from blockvd.graph import (
 )
 from blockvd.oracle import verify_solution
 from blockvd.partitions import inc_is_forest
+
+from conftest import is_block_labeling
 
 
 def pat(labels, edges=()):

@@ -273,6 +273,15 @@ class TestGenUnboundedD:
         assert verify_solution(g, gen.planted, 21, "chordal", "component")
 
 
+def has_clique(cg, gamma) -> bool:
+    """Do the members gamma[i - 1] of the classes i form a clique of cg?"""
+    return all(
+        ((i, gamma[i - 1]), (j, gamma[j - 1])) in cg.edges
+        for i in range(1, cg.k + 1)
+        for j in range(i + 1, cg.k + 1)
+    )
+
+
 class TestColoredGraph:
     def test_validation(self):
         from blockvd.gadgets import ColoredGraph
@@ -280,8 +289,8 @@ class TestColoredGraph:
         cg = ColoredGraph.from_pair_lists(
             3, 2, {(1, 2): [(1, 2)], (1, 3): [(1, 1)], (2, 3): [(2, 1)]}
         )
-        assert cg.has_clique([1, 2, 1])
-        assert not cg.has_clique([2, 2, 1])
+        assert has_clique(cg, [1, 2, 1])
+        assert not has_clique(cg, [2, 2, 1])
         with pytest.raises(InvalidInput):
             ColoredGraph.from_pair_lists(
                 3, 2, {(1, 2): [(1, 2), (2, 2)], (1, 3): [(1, 1)], (2, 3): [(2, 1)]}

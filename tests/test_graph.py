@@ -11,8 +11,8 @@ from blockvd.graph import (
     aux_partition,
     biconnected_blocks,
     connected_components,
-    find_chordless_cycle,
     induced_edges,
+    induced_masks,
     is_chordal,
     read_gr,
     sum_boundaried,
@@ -21,6 +21,38 @@ from blockvd.graph import (
 from blockvd.partitions import Partition, inc_is_forest
 
 from conftest import complete, cycle, path, random_chordal, random_graph
+
+
+def find_chordless_cycle(g: Graph) -> list[int] | None:
+    """Slow cross-check of ``is_chordal``: an induced cycle of length >= 4,
+    found by extending induced paths by brute force, or None."""
+
+    def extend(path: list[int]) -> list[int] | None:
+        head = path[-1]
+        start = path[0]
+        for w in g.neighbors(head):
+            if w in path:
+                continue
+            # w must be non-adjacent to all of path except the head,
+            # with the start allowed once the cycle is long enough
+            if any(g.has_edge(w, p) for p in path[1:-1]):
+                continue
+            closes = g.has_edge(w, start)
+            if closes and len(path) >= 3:
+                return path + [w]
+            if not closes:
+                found = extend(path + [w])
+                if found is not None:
+                    return found
+        return None
+
+    for a in range(g.n):
+        for b in g.neighbors(a):
+            if b > a:
+                cyc = extend([a, b])
+                if cyc is not None:
+                    return cyc
+    return None
 
 
 class TestComponents:
@@ -40,6 +72,26 @@ class TestComponents:
             frozenset({0, 1}),
             frozenset({3, 4}),
         ]
+
+
+@pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "n"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, v: connected_components(g, [0, v]),
+        lambda g, v: biconnected_blocks(g, [0, v]),
+        lambda g, v: is_chordal(g, [0, v]),
+        lambda g, v: induced_masks(g, [0, v]),
+        lambda g, v: BoundariedGraph(g, frozenset({0, v}), frozenset({0})),
+    ],
+    ids=["connected_components", "biconnected_blocks", "is_chordal", "induced_masks",
+         "BoundariedGraph"],
+)
+def test_vertex_ids_outside_the_graph_are_rejected(call, bad):
+    # -1 used to stand for vertex 2 through negative indexing, and 3 used
+    # to raise a bare IndexError
+    with pytest.raises(InvalidInput, match="outside 0..2"):
+        call(path(3), bad)
 
 
 class TestBlocks:

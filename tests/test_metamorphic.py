@@ -6,11 +6,16 @@ decomposition or its root must not change the answer or the minimum
 deletion size, a larger budget cannot turn YES into NO, deleting a
 vertex never raises the minimum, a witness never exceeds the budget,
 and the ``k1k2`` answer is the same at every bound d >= 2.  At sizes the
-oracle cannot reach (n from 20 to 40, width 4 or 5), the minimum of a
-disjoint union is the sum of the two minima.  On 20-vertex partial
-3-trees, raising d never raises the component minimum, and the block
-minimum, found without caps, is at most the component minimum, found
-under the caps of the component-mode packing.
+oracle cannot reach (n from 20 to 40, width 3 to 5), the minimum of a
+disjoint union is the sum of the two minima, reducing every family of
+two or more partitions keeps a least member for every completion and
+leaves the minimum unchanged, and solving along another decomposition
+of the same graph gives the same answer.  On 20-vertex partial
+3-trees, raising d never raises the block or the component minimum, the
+``k1k2`` minimum is the same for d = 2..5, a pendant vertex leaves the
+block minimum unchanged, and the block minimum, found without caps, is
+at most the component minimum, found under the caps of the
+component-mode packing.
 """
 
 import random
@@ -20,10 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockvd._dpcore import Engine
 from blockvd.decomposition import TreeDecomposition, exact_td_small, heuristic_td
 from blockvd.graph import Graph
 from blockvd.instance import Instance
 from blockvd.oracle import verify_solution
+from blockvd.partitions import all_partitions, inc_is_forest
+from blockvd.repset import rep_partitions
 
 from conftest import SOLVE
 
@@ -198,19 +206,170 @@ def test_a_disjoint_union_needs_the_sum_of_the_minima(mode, family):
         assert got.decision and got.minimum == want
 
 
-@pytest.mark.parametrize("family", ["k1k2", "cliques", "chordal"])
-def test_raising_d_never_raises_the_component_minimum(family):
-    # a component that fits bound d fits d + 1, so a least solution at d
-    # solves at d + 1.  Each solve's budget is the minimum one bound
-    # lower, where the caps of the component walk are tightest
+def assert_raising_d_never_raises_the_minimum(mode: str, family: str) -> None:
+    # a block or component that fits bound d fits d + 1, so a least
+    # solution at d solves at d + 1.  Each solve's budget is the minimum
+    # one bound lower, where the caps of the component walk are tightest
     rng = random.Random(f"raise-d:{family}")
     for _ in range(3):
         g, td = partial_ktree(rng, 20, 3, 0.7)
         k = g.n
         for d in (2, 3, 4, 5):
-            got = solve(Instance(g, d, k, family, "component", td))
+            got = solve(Instance(g, d, k, family, mode, td))
             assert got.decision and got.minimum <= k, d
             k = got.minimum
+
+
+@pytest.mark.parametrize("family", ["k1k2", "cliques", "chordal"])
+def test_raising_d_never_raises_the_component_minimum(family):
+    assert_raising_d_never_raises_the_minimum("component", family)
+
+
+@pytest.mark.parametrize("family", ["k1k2", "cliques", "chordal"])
+def test_raising_d_never_raises_the_block_minimum(family):
+    assert_raising_d_never_raises_the_minimum("block", family)
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_the_k1k2_minimum_does_not_depend_on_d_at_20_vertices(mode):
+    # no k1k2 member has more than two vertices, so d = 2..5 ask the same
+    # question; each d builds its own caps in component mode
+    rng = random.Random(f"k1k2-d:{mode}")
+    for _ in range(3):
+        g, td = partial_ktree(rng, 20, 3, 0.7)
+        minima = [solve(Instance(g, d, g.n, "k1k2", mode, td)).minimum for d in (2, 3, 4, 5)]
+        assert len(set(minima)) == 1, minima
+
+
+@pytest.mark.parametrize("family", ["k1k2", "cliques", "chordal"])
+def test_a_pendant_vertex_leaves_the_block_minimum_unchanged(family):
+    # the new edge is a block of its own, a K2 that every family holds and
+    # every d >= 2 allows, so a least solution of G solves G plus the
+    # pendant vertex, and one of the larger graph, less that vertex,
+    # solves G.  Its bag hangs from a bag holding its neighbour
+    rng = random.Random(f"pendant:{family}")
+    for _ in range(3):
+        g, td = partial_ktree(rng, 20, 3, 0.7)
+        d = rng.choice([2, 3, 4])
+        v = rng.randrange(g.n)
+        grown = Graph(g.n + 1, list(g.edges()) + [(v, g.n)])
+        at = next(i for i, bag in enumerate(td.bags) if v in bag)
+        grown_td = TreeDecomposition(
+            td.bags + (frozenset({v, g.n}),), td.tree_edges + ((at, td.num_nodes),)
+        )
+        want = solve(Instance(g, d, g.n, family, "block", td))
+        got = solve(Instance(grown, d, grown.n, family, "block", grown_td), witness=True)
+        assert got.minimum == want.minimum
+        assert verify_solution(grown, got.witness, d, family, "block")
+
+
+def reduce_every_family(engine: Engine, table: dict) -> None:
+    """``Engine.reduce_table`` without its gates: every family of two or
+    more partitions goes through the rank-based reduction, whatever the
+    bag size and however far below m * 2^(m-1) the family is.
+
+    Each reduction must keep, for every partition y that some member
+    joins into a forest, a member of least set size that does.  Keeping
+    only each family's least-size member leaves every minimum of the
+    test below unchanged, so the minima alone would not show a
+    reduction that drops too much.  Counts the partitions it drops in
+    ``reduce_every_family.dropped``."""
+    for key, fam in table.items():
+        if len(fam) < 2:
+            continue
+        m = next(iter(fam)).m
+        kept = rep_partitions(m, sorted(fam, key=lambda p: len(fam[p])))
+        for y in all_partitions(m):
+            # the members that y joins into a forest, with their set sizes
+            joins = {x: len(fam[x]) for x in fam if inc_is_forest(m, (x, y))}
+            least_kept = min((joins[x] for x in kept if x in joins), default=None)
+            assert least_kept == min(joins.values(), default=None), (fam, kept, y)
+        if len(kept) != len(fam):
+            reduce_every_family.dropped += len(fam) - len(kept)
+            table[key] = {p: fam[p] for p in kept}
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_forcing_the_reduction_leaves_the_minimum_unchanged(mode, monkeypatch):
+    # the reduction keeps, for every completion of a family, a member of
+    # least size that completes with it (Bodlaender, Cygan, Kratsch and
+    # Nederlof), so it may drop partitions but never a least solution.
+    # Width-5 bags hold six vertices, past the gate on bag size.  In
+    # component mode a family rarely holds two partitions, so each family
+    # gets four graphs
+    rng = random.Random(f"forced:{mode}")
+    cases = []
+    for family in ("k1k2", "cliques", "chordal"):
+        for _ in range(4):
+            g, td = partial_ktree(rng, 20, 5, 0.7)
+            inst = Instance(g, 3, g.n, family, mode, td)
+            cases.append((inst, solve(inst).minimum))
+    reduce_every_family.dropped = 0
+    monkeypatch.setattr(Engine, "reduce_table", reduce_every_family)
+    for inst, want in cases:
+        got = solve(inst, witness=True)
+        assert got.minimum == want, inst.family
+        assert verify_solution(inst.graph, got.witness, inst.d, inst.family, mode)
+    assert reduce_every_family.dropped > 0
+
+
+def random_min_fill(g: Graph, rng: random.Random) -> TreeDecomposition:
+    """A decomposition along a min-fill elimination order whose ties are
+    broken by rng.
+
+    Each vertex's bag is itself plus its neighbours eliminated later, and
+    its parent is the bag of the first of them; a vertex with none is
+    chained to the next bag, which joins the trees of separate components.
+    """
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+
+    def fill(v: int) -> int:
+        nb = sorted(adj[v])
+        return sum(1 for i, a in enumerate(nb) for b in nb[i + 1 :] if b not in adj[a])
+
+    order: list[int] = []
+    bags: list[frozenset[int]] = []
+    while adj:
+        fills = {v: fill(v) for v in sorted(adj)}
+        least = min(fills.values())
+        v = rng.choice([u for u, f in fills.items() if f == least])
+        nb = adj.pop(v)
+        for u in nb:
+            adj[u].discard(v)
+            adj[u] |= nb - {u}
+        order.append(v)
+        bags.append(frozenset(nb | {v}))
+    pos = {v: i for i, v in enumerate(order)}
+    edges = []
+    for i, v in enumerate(order):
+        later = bags[i] - {v}
+        if later:
+            edges.append((i, min(pos[u] for u in later)))
+        elif i + 1 < len(order):
+            edges.append((i, i + 1))
+    return TreeDecomposition(tuple(bags), tuple(edges))
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+@pytest.mark.parametrize("family", ["k1k2", "cliques", "chordal"])
+def test_the_decomposition_does_not_change_the_answer(mode, family):
+    # each decomposition drives its own sequence of introduce, forget and
+    # join over the same graph.  The budget is one below the minimum on
+    # every other graph, so NO answers are compared too
+    rng = random.Random(f"decompositions:{mode}:{family}")
+    for trial in range(4):
+        g, td = partial_ktree(rng, rng.randint(20, 40), rng.choice([3, 4]), 0.7)
+        d = rng.choice([3, 4])
+        tds = [td, heuristic_td(g)] + [random_min_fill(g, random.Random(s)) for s in range(3)]
+        first = solve(Instance(g, d, g.n, family, mode, td))
+        k = max(first.minimum - trial % 2, 0)
+        answers = set()
+        for t in tds:
+            got = solve(Instance(g, d, k, family, mode, t), witness=True)
+            answers.add((got.decision, got.minimum))
+            if got.decision:
+                assert verify_solution(g, got.witness, d, family, mode)
+        assert len(answers) == 1, answers
 
 
 @pytest.mark.parametrize("family", ["k1k2", "cliques", "chordal"])

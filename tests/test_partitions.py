@@ -9,11 +9,21 @@ from blockvd.instance import Instance
 from blockvd.partitions import (
     Partition,
     all_partitions,
-    bell_number,
     inc_is_forest,
     one_coarsenings,
     uplus,
 )
+
+
+def bell_number(m: int) -> int:
+    """The number of partitions of an m-element set, by the Bell triangle."""
+    row = [1]
+    for _ in range(m):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 def P(m, *parts):
@@ -151,8 +161,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: all_partitions(-1), lambda: Partition.singletons(-2), lambda: bell_number(-1)],
-        ids=["all_partitions", "singletons", "bell_number"],
+        [lambda: all_partitions(-1), lambda: Partition.singletons(-2)],
+        ids=["all_partitions", "singletons"],
     )
     def test_negative_ground_set_size_is_rejected(self, build):
         # at the call, as Partition.from_parts(-1, []) rejects it
