@@ -17,37 +17,44 @@ attached, held as the pair (pattern mask, h mask).  The units depend
 only on the bag and X, so no key stores them.  The value is the family
 of partitions of the bag components realized by some partial solution,
 each mapped to the least set of vertices deleted below the bag by a
-partial solution realizing it; its size is the partition's budget, and a
-partition needing more than the node's cap (below) is dropped.  After
-every node each family is held to the representative-set bound of
-m * 2^(m-1) partitions over m bag components: the rank-based reduction
-runs only on a family above that bound.  It is given the family in ascending set size, so its greedy
+partial solution realizing it; a set larger than the state's budget
+(below) is dropped.  After every node each family is held to the
+representative-set bound of m * 2^(m-1) partitions over m bag
+components: the rank-based reduction runs only on a family above that
+bound.  It is given the family in ascending set size, so its greedy
 basis keeps, for every complement, a member of least size (the weighted
 reduction of Bodlaender, Cygan, Kratsch and Nederlof).  Bell(m) <=
 m * 2^(m-1) for every m <= 5, so on bags of width at most 4 no family
 can exceed it: ``reduce_table`` returns there without scanning.  The
 root's one state ((), (), ()) then holds a least deletion set.
 
-The cap of a node is k less a lower bound on the deletions still to
-come.  In component mode ``build_engine`` packs, once per solve, disjoint
-connected vertex sets that each induce an infeasible graph: more than d
-vertices, or a non-member of the family (``pack_infeasible``;
-``_infeasible`` asks the oracle's ``verify_solution`` with nothing
-deleted, so a piece is judged feasible in one place).  The
-families are closed under connected induced subgraphs, so a solution
-missing such a set U would leave G[U] inside one feasible component,
-which it cannot be: every solution hits every packed set.  At a node
-whose subtree forgets the vertices F, a set avoiding F can be hit only
-outside F, and no vertex deleted below the bag is, so a partition whose
-set w has |w| plus the number of such packed sets above k completes to
-no solution (``node_caps``).  The cap is one per node, so of two
+The budget of a state is k less a lower bound on the deletions it has
+made in the bag or must still make above it.  In component mode
+``build_engine`` packs, once per solve, disjoint connected vertex sets
+that each induce an infeasible graph: more than d vertices, or a
+non-member of the family (``pack_infeasible``; ``_infeasible`` asks the
+oracle's ``verify_solution`` with nothing deleted, so a piece is judged
+feasible in one place).  The families are closed under connected
+induced subgraphs, so a solution missing such a set U would leave G[U]
+inside one feasible component, which it cannot be: every solution hits
+every packed set.  At a node whose subtree forgets the vertices F, a
+solution extending a state holds its set w and its deleted bag set X,
+and the rest of the bag is kept.  A packed set avoiding F and X can
+then be hit only outside F and the bag, one further vertex each, so a
+set w with |w| + |X| plus the number of such packed sets above k
+completes to no solution (``Engine._budget``).  The engine keeps per
+node the packed sets avoiding F and per vertex the bit of its packed set
+(``packed_masks``).  The budget reads only the state key, so of two
 equal-size sets for one partition both stay or both go, and a least
 solution's path is never cut: decisions and minima equal those of the
-uncapped walk.  F grows only at a forget and a join, so only the leaf
-(where F is empty), the deleted branch of a forget and the join read
-the cap; an introduce or a surviving forget keeps every set within it.
-Block mode passes no packing, so every cap there is k: on the block
-workloads a packing cut states by 2% at most, for more time than it saved.
+unbudgeted walk.  The walk checks it only where X or F grows, once per
+distinct X in a transition: at the leaf (both empty), on the deleted
+branch of an introduce (the only place X grows) and at a join.  A forget
+needs no check: where v is deleted it moves from X to w, which leaves
+|w| + |X| and F with X as they were, and where v survives F only grows.
+An introduce's surviving branch keeps X and F.  Block mode passes no
+packing, so a budget there is k - |X|: on the block workloads a packing
+cut states by 2% at most, for more time than it saved.
 
 Throughout this module d is the size of the engine's label alphabet, not
 the instance's bound.  A label only has to be distinct inside one final
@@ -56,7 +63,7 @@ the bound and p, for a family whose members have at most p vertices
 (``PFamilySpec.labels``): ``k1k2`` runs on two labels at every bound.
 The bound itself reaches the engine only through the pattern universe,
 whose members have no more vertices than it allows, and through the
-component-mode packing behind the caps.
+component-mode packing behind the budgets.
 
 Hypothesis slots hold pattern *sets* rather than single patterns: a
 state with slot S stands for the union of the single-pattern states over
@@ -153,7 +160,8 @@ positions back through the sorted keep is monotone, so every order the
 transitions rely on (components by least vertex, units by their sorted
 tuples) is the same in positions as in vertex ids.  An engine keeps to
 itself only its mode, graph, k, decomposition, per-vertex neighbour
-masks (which give a keep its shape), node caps and canonization switch.
+masks (which give a keep its shape), packed-set masks and canonization
+switch.
 """
 
 from __future__ import annotations
@@ -165,7 +173,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .decomposition import NiceTreeDecomposition
 from .families import Pattern, PFamilySpec, _enumerate_patterns
-from .graph import Graph, biconnected_blocks, connected_components
+from .graph import Graph, _check_range, biconnected_blocks, connected_components
 from .oracle import verify_solution
 from .partitions import Partition, inc_is_forest, uplus
 from .repset import rep_partitions
@@ -364,7 +372,7 @@ def pack_infeasible(
     The set is packed as soon as it is infeasible, at d + 1 vertices at
     the latest; a set that runs out of neighbours first is dropped.  Sets
     of vertices forgotten late avoid the forgotten vertices of most
-    nodes, where they tighten the budget (``node_caps``).
+    nodes, where they tighten the budget (``Engine._budget``).
 
     The sets are worked on in forget ranks (the last forgotten vertex has
     rank 0), so the latest forgotten vertex of a mask is its lowest bit.
@@ -408,32 +416,32 @@ def pack_infeasible(
     return tuple(packing)
 
 
-def node_caps(ntd: NiceTreeDecomposition, k: int, packing: Sequence[int]) -> tuple[int, ...]:
-    """Each node's budget for the vertices deleted below its bag: k less
-    the packed sets that avoid every vertex forgotten below it.
+def packed_masks(
+    ntd: NiceTreeDecomposition, n: int, packing: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per node, the mask of the packed sets that avoid every vertex
+    forgotten below it; per vertex, the bit of its packed set (0 if none).
 
-    Every solution hits each packed set, the sets are disjoint, and one
-    avoiding the forgotten vertices F of a node can only be hit outside
-    F, where no deletion below the bag lies.  So a partial solution that
-    deletes more than the cap below the bag completes to no solution.
+    Bit i stands for ``packing[i]``.  ``Engine._budget`` reads both.
     """
+    set_bit = [0] * n
+    for i, u in enumerate(packing):
+        for v in _bits(u):
+            set_bit[v] = 1 << i
     if not packing:
-        return (k,) * ntd.num_nodes
+        return (0,) * ntd.num_nodes, tuple(set_bit)
+    every = (1 << len(packing)) - 1
     # bit i of hit[node] is set when packed set i holds a vertex forgotten
     # below the node
-    set_bit = {v: 1 << i for i, u in enumerate(packing) for v in _bits(u)}
     hit = [0] * ntd.num_nodes
-    caps = [0] * ntd.num_nodes
-    base = k - len(packing)
     for node in ntd.postorder():
         h = 0
         for child in ntd.children[node]:
             h |= hit[child]
         if ntd.kinds[node] == "forget":
-            h |= set_bit.get(ntd.acted[node], 0)
+            h |= set_bit[ntd.acted[node]]
         hit[node] = h
-        caps[node] = base + h.bit_count()
-    return tuple(caps)
+    return tuple(every & ~h for h in hit), tuple(set_bit)
 
 
 class _Universe:
@@ -540,9 +548,10 @@ class Engine:
 
         # bit w of _nbr[v] is set when w is a neighbour of v
         self._nbr = [sum(1 << w for w in g.neighbors(v)) for v in g.vertices()]
-        # per node, the most vertices a partial solution may delete below
-        # the bag: k less the packed sets it must still hit (``node_caps``)
-        self._caps = node_caps(ntd, k, packing)
+        # per node, the packed sets that avoid the vertices forgotten below
+        # it, and per vertex, the bit of its packed set: with k they give
+        # each (node, X) its budget (``_budget``)
+        self._avoid, self._set_bit = packed_masks(ntd, g.n, packing)
 
         # reference path: tests switch canonization off to compare against
         self.canonize = True
@@ -555,9 +564,11 @@ class Engine:
         return _shape_of(self._nbr, keep)
 
     def view(self, keep: Iterable[int]) -> _View:
-        """Components and units of the graph induced by keep, in vertex ids:
-        the image of its shape's view through the sorted keep."""
-        key = tuple(sorted(keep))
+        """Components and units of the graph induced by the set keep, in
+        vertex ids: the image of its shape's view through the sorted keep.
+        An id outside 0..n-1 raises InvalidInput."""
+        key = tuple(sorted(set(keep)))
+        _check_range(self.g, key)
         sv = _shape_view(len(key), self._shape(key), self.mode)
         return _View(
             key,
@@ -588,6 +599,21 @@ class Engine:
             for b in labs[j + 1 :]:
                 got &= row[b - 1] if (a, b) in mapped else ~row[b - 1]
         return got
+
+    def _budget(self, avoid: int, xk: tuple[int, ...]) -> int:
+        """The most vertices a state with deleted bag set xk may delete
+        below the bag, at a node whose packed sets avoiding the forgotten
+        vertices F are avoid: k less |X| less the packed sets that avoid X
+        too, each of which a solution must hit outside F and the bag.
+        Without a packing (block mode) it is k - |X|.
+        """
+        budget = self.k - len(xk)
+        if avoid:
+            set_bit = self._set_bit
+            for u in xk:
+                avoid &= ~set_bit[u]
+            budget -= avoid.bit_count()
+        return budget
 
     def linked(self, amask: int, bmask: int) -> int:
         """Mask of the patterns with an edge between a label in amask and
@@ -769,25 +795,25 @@ class Engine:
         open subtrees are held unless the caller keeps them.
         """
         ntd = self.ntd
-        caps = self._caps
+        avoid = self._avoid
         tables: dict[int, dict] = {}
         for node in ntd.postorder():
             kind = ntd.kinds[node]
             bag = ntd.bags[node]
-            # an introduce keeps the forgotten vertices, and a forget where
-            # v survives only adds v to them, raising the cap: neither
-            # needs the check
+            # a forget leaves |w| + |X| and F with X as they were where v
+            # is deleted, and only grows F where v survives: it needs no
+            # budget check
             if kind == "leaf":
-                table = self._leaf_table(caps[node])
+                table = self._leaf_table(avoid[node])
             elif kind == "introduce":
                 (child,) = ntd.children[node]
-                table = self._introduce(bag, ntd.acted[node], tables.pop(child))
+                table = self._introduce(bag, ntd.acted[node], tables.pop(child), avoid[node])
             elif kind == "forget":
                 (child,) = ntd.children[node]
-                table = self._forget(bag, ntd.acted[node], tables.pop(child), caps[node])
+                table = self._forget(bag, ntd.acted[node], tables.pop(child))
             elif kind == "join":
                 c1, c2 = ntd.children[node]
-                table = self._join(bag, tables.pop(c1), tables.pop(c2), caps[node])
+                table = self._join(bag, tables.pop(c1), tables.pop(c2), avoid[node])
             else:  # pragma: no cover
                 raise AssertionError(kind)
             self.reduce_table(table)
@@ -812,12 +838,12 @@ class Engine:
     # ------------------------------------------------------------------
     # leaf
 
-    def _leaf_table(self, cap: int) -> dict:
+    def _leaf_table(self, avoid: int) -> dict:
         """The empty partial solution, unless the packed sets alone need
         more than k deletions: then no state survives, and the walk
         decides NO at the leaf."""
         table: dict = {}
-        if cap >= 0:
+        if self._budget(avoid, ()) >= 0:
             self.emit(table, (), (), (), [(Partition(()), frozenset())])
         return table
 
@@ -828,21 +854,31 @@ class Engine:
         """The step between the graph on the sorted keep and the graph without v."""
         return _step(len(keep), self._shape(keep), keep.index(v), self.mode)
 
-    def _introduce(self, bag: tuple[int, ...], v: int, child: dict) -> dict:
+    def _introduce(self, bag: tuple[int, ...], v: int, child: dict, avoid: int) -> dict:
         table: dict = {}
-        steps: dict[tuple[int, ...], _Step] = {}
+        # per child X: the step, X + v and the budget of X + v
+        steps: dict[tuple[int, ...], tuple[_Step, tuple[int, ...], int]] = {}
         for (xk, lk, gh), fam in child.items():
+            got = steps.get(xk)
+            if got is None:
+                keep = tuple(u for u in bag if u not in xk)
+                xv = tuple(sorted(xk + (v,)))
+                got = steps[xk] = (self._step_of(keep, v), xv, self._budget(avoid, xv))
+            step, xv, budget = got
             # v joins the deleted set: nothing else changes, and the
             # stored (L, gh) is canonical already.  The key is new here (no
             # surviving-branch key holds v in X), so the family passes on
-            # as it is; no merge targets it later
-            table[(tuple(sorted(xk + (v,))), lk, gh)] = fam
+            # as it is, less the sets over the budget of X + v; no merge
+            # targets it later
+            kept = fam
+            for w in fam.values():
+                if len(w) > budget:
+                    kept = {p: w for p, w in fam.items() if len(w) <= budget}
+                    break
+            if kept:
+                table[(xv, lk, gh)] = kept
             # v survives with some label; the family moves the same way
-            # whatever the label
-            step = steps.get(xk)
-            if step is None:
-                keep = tuple(u for u in bag if u not in xk)
-                step = steps[xk] = self._step_of(keep, v)
+            # whatever the label, and X and F stay as they were
             moved = [(self._intro_partition(step, p), w) for p, w in fam.items()]
             for target in self._targets(
                 self._intro_target_memo, self._introduce_targets, step, lk, gh
@@ -948,14 +984,15 @@ class Engine:
                 targets.append(self.canon(lkey_p, tuple(slots)))
         return tuple(dict.fromkeys(targets))
 
-    def _forget(self, bag: tuple[int, ...], v: int, child: dict, cap: int) -> dict:
+    def _forget(self, bag: tuple[int, ...], v: int, child: dict) -> dict:
         table: dict = {}
         steps: dict[tuple[int, ...], _Step] = {}
         for (xk, lk, gh), fam in child.items():
             if v in xk:
-                # v is deleted below the parent: one more deletion, within
-                # the cap; the stored (L, gh) is canonical already
-                items = [(p, w | {v}) for p, w in fam.items() if len(w) < cap]
+                # v is deleted below the parent: it moves from X to the
+                # set, within the same budget; the stored (L, gh) is
+                # canonical already
+                items = [(p, w | {v}) for p, w in fam.items()]
                 self._merge(table, (tuple(u for u in xk if u != v), lk, gh), items)
                 continue
             step = steps.get(xk)
@@ -1066,7 +1103,7 @@ class Engine:
     # ------------------------------------------------------------------
     # join
 
-    def _join(self, bag: tuple[int, ...], left: dict, right: dict, cap: int) -> dict:
+    def _join(self, bag: tuple[int, ...], left: dict, right: dict, avoid: int) -> dict:
         """Pair every right state with each image of each left state of
         its (X, L), combining their hypotheses unit by unit.
 
@@ -1078,15 +1115,21 @@ class Engine:
         left image sigma(l) pairs with it into sigma of l's pairing: the
         same canonical key with the same family, a no-op merge.  Such a
         right state therefore pairs with each left state's first image
-        alone, its stored gh.
+        alone, its stored gh.  The joints are held to the budget of the
+        right state's X at this node, where F is the union of the
+        children's.
         """
         table: dict = {}
         index = self._join_index(left)
         linked = self.linked
+        budgets: dict[tuple[int, ...], int] = {}
         for (rxk, rlk, rgh), rfam in right.items():
             lefts = index.get((rxk, rlk))
             if lefts is None:
                 continue
+            budget = budgets.get(rxk)
+            if budget is None:
+                budget = budgets[rxk] = self._budget(avoid, rxk)
             rimages = self._orbit(rlk, rgh)[1]
             rsig = rimages[rlk, rgh]
             symmetric = len(rimages) == 1
@@ -1103,7 +1146,7 @@ class Engine:
                             entries.append((common, h1 | h2))
                         else:
                             self.emit(
-                                table, rxk, rlk, tuple(entries), self._joints(lfam, rfam, cap)
+                                table, rxk, rlk, tuple(entries), self._joints(lfam, rfam, budget)
                             )
                     if symmetric:
                         break
@@ -1119,9 +1162,9 @@ class Engine:
         return index
 
     def _joints(
-        self, lfam: dict, rfam: dict, cap: int
+        self, lfam: dict, rfam: dict, budget: int
     ) -> Iterator[tuple[Partition, Witness]]:
-        """Acyclic joints of two families within the cap, each with the
+        """Acyclic joints of two families within the budget, each with the
         union of the two deletion sets.
 
         The sets come from different subtrees below the bag, so they are
@@ -1134,7 +1177,7 @@ class Engine:
             if row is None:
                 row = memo[p1] = {}
             for p2, w2 in rfam.items():
-                if n1 + len(w2) > cap:
+                if n1 + len(w2) > budget:
                     continue
                 joint = row.get(p2)
                 if joint is None:

@@ -4,7 +4,9 @@
 states combine a bag deletion set, a labeling of the rest, and one shape
 hypothesis per non-trivial block of the bag graph; families of
 boundary-component partitions, each with its least deletion set, are
-kept representative after every node.  The engine labels bag vertices
+kept representative after every node.  Block mode packs no infeasible
+sets, so a state with deleted bag set X keeps only the sets of at most
+k - |X| vertices deleted below the bag.  The engine labels bag vertices
 from ``PFamilySpec.labels(d)`` labels, min(d, p) for a family whose
 members have at most p vertices, so ``k1k2`` (feedback vertex set) runs
 on two labels at every d; the witness check reads the instance's own d.

@@ -11,13 +11,14 @@ and the witness check reads the instance's own d.
 
 ``build_engine`` also hands the engine a greedy packing of disjoint
 connected vertex sets that no solution may leave whole
-(``_dpcore.pack_infeasible``), built at the instance's own d.  At each
-node the engine then allows k less the packed sets that avoid the
-vertices forgotten below it.  Every family here keeps each connected
-induced subgraph of a member (``k1k2``, ``cliques``, ``chordal``,
-``all``, and ``cycles`` at d <= 3, the only bounds its universe builds),
-so a solution that missed a packed set U would leave G[U] inside one
-feasible component, and U with it.
+(``_dpcore.pack_infeasible``), built at the instance's own d.  A state
+with deleted bag set X then keeps a set w deleted below the bag only
+while |w| + |X| plus the packed sets that avoid X and the vertices
+forgotten below the node is at most k.  Every family here keeps each
+connected induced subgraph of a member (``k1k2``, ``cliques``,
+``chordal``, ``all``, and ``cycles`` at d <= 3, the only bounds its
+universe builds), so a solution that missed a packed set U would leave
+G[U] inside one feasible component, and U with it.
 
 The decomposition enters only as ``Instance.td`` (the min-fill
 ``heuristic_td`` when it is None); ``to_nice`` validates it and builds

@@ -163,12 +163,13 @@ class TestSteps:
     def test_intro_isolated_vertex_extends_partition(self):
         g = Graph(2, [])
         engine = self._leaf_engine(g)
-        leaf = engine._leaf_table(engine.k)
-        t0 = engine._introduce((0,), 0, leaf)
+        # block mode packs nothing: every node's avoid mask is 0
+        leaf = engine._leaf_table(0)
+        t0 = engine._introduce((0,), 0, leaf, 0)
         # take any surviving state with vertex 0 labeled
         keys = [key for key in t0 if key[0] == ()]
         assert keys
-        t1 = engine._introduce((0, 1), 1, t0)
+        t1 = engine._introduce((0, 1), 1, t0, 0)
         for key in t1:
             if key[0] == ():
                 fam = t1[key]
@@ -187,34 +188,34 @@ class TestSteps:
         linked = Partition.from_parts(2, [[0, 1]])
         child = {}
         engine.emit(child, (), (1, 1), (), [(linked, frozenset())])
-        out = engine._introduce((0, 1, 2), 2, child)
+        out = engine._introduce((0, 1, 2), 2, child, 0)
         for key, fam in out.items():
             if key[0] == ():  # vertex 2 not deleted
                 assert not fam
         # the unlinked partition survives
         child2 = {}
         engine.emit(child2, (), (1, 1), (), [(Partition.singletons(2), frozenset())])
-        out2 = engine._introduce((0, 1, 2), 2, child2)
+        out2 = engine._introduce((0, 1, 2), 2, child2, 0)
         assert any(key[0] == () and out2[key] for key in out2)
 
     def test_reduced_introduce_forget_and_join(self):
         g = path(3)
         inst = Instance(g, 3, 1, "chordal", "block")
         engine = build_engine(inst)
-        t0 = engine._introduce((1,), 1, engine._leaf_table(engine.k))
+        t0 = engine._introduce((1,), 1, engine._leaf_table(0), 0)
         unreduced = {key: list(fam) for key, fam in t0.items()}
         engine.reduce_table(t0)
         # families within the representative-set bound stay whole
         assert {key: list(fam) for key, fam in t0.items()} == unreduced
-        t1 = engine._introduce((0, 1), 0, t0)
+        t1 = engine._introduce((0, 1), 0, t0, 0)
         engine.reduce_table(t1)
         # forget vertex 0: the partition collapses back to one component
-        t2 = engine._forget((1,), 0, t1, engine.k)
+        t2 = engine._forget((1,), 0, t1)
         engine.reduce_table(t2)
         fam = t2[next(k for k in sorted(t2) if k[0] == ())]
         assert fam and all(p.m == 1 for p in fam)
         # joining a branch with itself keeps the single-component family
-        t3 = engine._join((1,), t2, t2, engine.k)
+        t3 = engine._join((1,), t2, t2, 0)
         engine.reduce_table(t3)
         jfam = next(t3[k] for k in sorted(t3) if k[0] == ())
         assert jfam and all(p.m == 1 for p in jfam)

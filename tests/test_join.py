@@ -28,9 +28,10 @@ from test_walk import symmetric_instances
 FAMILIES = ("k1k2", "cliques", "chordal")
 
 
-def reference_join(engine, left: dict, right: dict, cap: int, fired: dict) -> dict:
+def reference_join(engine, left: dict, right: dict, avoid: int, fired: dict) -> dict:
     """The join table of two child tables, built the long way, keeping the
-    joints of at most cap deletions.
+    joints within the budget of their X at a node whose packed sets
+    avoiding the forgotten vertices are avoid.
 
     fired counts the pairings the engine treats specially: those where
     some unit's two h masks meet (``clash``), and the images past the
@@ -39,6 +40,7 @@ def reference_join(engine, left: dict, right: dict, cap: int, fired: dict) -> di
     """
     table: dict = {}
     for (rxk, rlk, rgh), rfam in right.items():
+        budget = engine._budget(avoid, rxk)
         symmetric = len(engine._orbit(rlk, rgh)[1]) == 1
         for (xk, lk, gh), lfam in left.items():
             if (xk, lk) != (rxk, rlk):
@@ -59,7 +61,7 @@ def reference_join(engine, left: dict, right: dict, cap: int, fired: dict) -> di
                         (uplus(p1, p2), w1 | w2)
                         for p1, w1 in lfam.items()
                         for p2, w2 in rfam.items()
-                        if len(w1) + len(w2) <= cap and inc_is_forest(p1.m, (p1, p2))
+                        if len(w1) + len(w2) <= budget and inc_is_forest(p1.m, (p1, p2))
                     ]
                     engine.emit(table, rxk, rlk, tuple(entries), items)
     return table
@@ -106,9 +108,9 @@ def test_join_builds_the_reference_table_in_its_order(mode):
                 if ntd.kinds[node] != "join":
                     continue
                 left, right = (tables[c] for c in ntd.children[node])
-                cap = engine._caps[node]
-                got = engine._join(ntd.bags[node], left, right, cap)
-                want = reference_join(engine, left, right, cap, fired)
+                avoid = engine._avoid[node]
+                got = engine._join(ntd.bags[node], left, right, avoid)
+                want = reference_join(engine, left, right, avoid, fired)
                 assert ordered(got) == ordered(want), (inst, canonize, node)
                 joins += 1
     assert joins > 0

@@ -13,9 +13,9 @@ leaves the minimum unchanged, and solving along another decomposition
 of the same graph gives the same answer.  On 20-vertex partial
 3-trees, raising d never raises the block or the component minimum, the
 ``k1k2`` minimum is the same for d = 2..5, a pendant vertex leaves the
-block minimum unchanged, and the block minimum, found without caps, is
-at most the component minimum, found under the caps of the
-component-mode packing.
+block minimum unchanged, and the block minimum, found without a
+packing, is at most the component minimum, found under the budgets of
+the component-mode packing.
 """
 
 import random
@@ -209,7 +209,7 @@ def test_a_disjoint_union_needs_the_sum_of_the_minima(mode, family):
 def assert_raising_d_never_raises_the_minimum(mode: str, family: str) -> None:
     # a block or component that fits bound d fits d + 1, so a least
     # solution at d solves at d + 1.  Each solve's budget is the minimum
-    # one bound lower, where the caps of the component walk are tightest
+    # one bound lower, where the budgets of the component walk are tightest
     rng = random.Random(f"raise-d:{family}")
     for _ in range(3):
         g, td = partial_ktree(rng, 20, 3, 0.7)
@@ -233,7 +233,7 @@ def test_raising_d_never_raises_the_block_minimum(family):
 @pytest.mark.parametrize("mode", ["block", "component"])
 def test_the_k1k2_minimum_does_not_depend_on_d_at_20_vertices(mode):
     # no k1k2 member has more than two vertices, so d = 2..5 ask the same
-    # question; each d builds its own caps in component mode
+    # question; each d builds its own packing in component mode
     rng = random.Random(f"k1k2-d:{mode}")
     for _ in range(3):
         g, td = partial_ktree(rng, 20, 3, 0.7)

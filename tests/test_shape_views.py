@@ -17,6 +17,7 @@ import pytest
 
 from blockvd._dpcore import Engine, _drop_position, _shape_view, _step
 from blockvd.decomposition import heuristic_td, to_nice
+from blockvd.errors import InvalidInput
 from blockvd.families import enumerate_ud, get_family
 from blockvd.graph import Graph, biconnected_blocks, connected_components
 
@@ -213,6 +214,22 @@ def test_shape_ignores_vertex_degree_outside_the_bag():
     assert engine._shape((1, 3, 5)) == 0b100
     assert engine._shape((0, 6)) == 0b1
     assert engine.view((0, 3, 5)).units == ((0, 3, 5),)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("keep", [[-1, 0], [0, 4], [4]], ids=["minus-one", "n", "n-alone"])
+def test_view_rejects_ids_outside_the_graph(mode, keep):
+    # -1 would index vertex n-1 from the end and report the edge (-1, 0)
+    engine = engine_of(Graph(4, [(0, 3), (0, 1)]), mode)
+    with pytest.raises(InvalidInput, match="outside 0..3"):
+        engine.view(keep)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_view_treats_keep_as_a_set(mode):
+    engine = engine_of(Graph(3, [(0, 1), (1, 2)]), mode)
+    assert engine.view([0, 0, 1]) == engine.view([0, 1])
+    assert engine.view([0, 0, 1]).units == ((0, 1),)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -46,45 +46,45 @@ def observe(idx: int) -> tuple:
 # case -> (decision, states, retained, witness)
 EXPECTED = {
     0: (True, 134, 134, None),
-    1: (False, 58, 58, None),
-    2: (True, 163, 193, None),
+    1: (False, 23, 23, None),
+    2: (True, 137, 160, None),
     3: (False, 0, 0, None),
     4: (True, 110, 114, None),
-    5: (True, 266, 266, None),
+    5: (True, 247, 247, None),
     6: (True, 74, 74, None),
-    7: (False, 26, 26, None),
-    8: (False, 82, 82, None),
-    9: (True, 39, 39, (1,)),
+    7: (False, 7, 7, None),
+    8: (False, 44, 44, None),
+    9: (True, 20, 20, (1,)),
     10: (True, 70, 70, ()),
-    11: (False, 133, 133, None),
-    12: (True, 55, 57, (1,)),
-    13: (True, 152, 152, (0, 2)),
+    11: (False, 50, 50, None),
+    12: (True, 32, 33, (1,)),
+    13: (True, 145, 145, (0, 2)),
     14: (True, 111, 123, (6,)),
-    15: (True, 51, 51, (3, 4)),
-    16: (True, 76, 78, None),
-    17: (True, 141, 141, None),
-    18: (True, 111, 111, None),
-    19: (True, 54, 54, None),
-    20: (True, 32, 32, None),
-    21: (False, 118, 118, None),
-    22: (True, 69, 69, None),
-    23: (True, 262, 262, None),
-    24: (True, 52, 52, (3,)),
+    15: (True, 45, 45, (3, 4)),
+    16: (True, 69, 71, None),
+    17: (True, 100, 100, None),
+    18: (True, 91, 91, None),
+    19: (True, 52, 52, None),
+    20: (True, 31, 31, None),
+    21: (False, 57, 57, None),
+    22: (True, 66, 66, None),
+    23: (True, 176, 176, None),
+    24: (True, 29, 29, (3,)),
     25: (True, 78, 78, (1,)),
     26: (True, 63, 63, (4,)),
     27: (True, 47, 47, (0,)),
-    28: (True, 115, 123, (6,)),
-    29: (True, 349, 349, (4, 7)),
-    30: (True, 54, 54, (3,)),
-    31: (False, 85, 85, None),
-    32: (True, 128, 132, None),
-    33: (True, 107, 107, None),
-    34: (True, 56, 64, None),
-    35: (True, 157, 157, None),
-    36: (False, 145, 145, None),
-    37: (True, 92, 92, None),
-    38: (True, 28, 28, None),
-    39: (True, 66, 66, None),
+    28: (True, 57, 59, (6,)),
+    29: (True, 314, 314, (4, 7)),
+    30: (True, 50, 50, (3,)),
+    31: (False, 47, 47, None),
+    32: (True, 77, 79, None),
+    33: (True, 100, 100, None),
+    34: (True, 54, 62, None),
+    35: (True, 154, 154, None),
+    36: (False, 51, 51, None),
+    37: (True, 91, 91, None),
+    38: (True, 24, 24, None),
+    39: (True, 61, 61, None),
 }
 
 

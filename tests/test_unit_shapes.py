@@ -70,7 +70,7 @@ def test_block_intro_vertex_in_two_blocks():
     kept_below = (1 << hosts[0]) | (1 << touching[0]) | (1 << others[0])
     hm = 1 << 2  # label 3 is already attached to the block {0,1}
     child = _child(engine, (1, 2, 1), ((kept_below, hm),))
-    out = engine._introduce((0, 1, 2, 3), 2, child)
+    out = engine._introduce((0, 1, 2, 3), 2, child, 0)
     kept = [key for key in out if key[0] == ()]
     # labels 1 and 2 repeat a label of {0,1,2}; label 3 is attached to it
     assert [lk for _, lk, _ in kept] == [(1, 2, 4, 1)]
@@ -94,7 +94,7 @@ def test_block_forget_splits_block_into_two_pieces():
     lab = {0: 1, 1: 2, 2: 3, 3: 4}
     cands = engine.compat_set(unit, edges, lab)
     child = _child(engine, (1, 2, 3, 4), ((cands, 0),))
-    out = engine._forget((1, 2, 3), 0, child, engine.k)
+    out = engine._forget((1, 2, 3), 0, child)
     pieces = [(1, 2), (2, 3)]
     _assert_pieces_share_one_pattern(engine, (1, 2, 3), out, pieces, members(cands), lv=1)
 
@@ -107,7 +107,7 @@ def test_component_forget_splits_component_into_two_pieces():
     cands = engine.compat_set(unit, edges, {0: 1, 1: 2, 2: 3})
     assert len(members(cands)) > 1
     child = _child(engine, (1, 2, 3), ((cands, 0),))
-    out = engine._forget((1, 2), 0, child, engine.k)
+    out = engine._forget((1, 2), 0, child)
     pieces = [(1,), (2,)]
     _assert_pieces_share_one_pattern(engine, (1, 2), out, pieces, members(cands), lv=1)
 

@@ -211,12 +211,12 @@ def test_engines_on_equal_patterns_share_one_universe():
     # a different d or pattern tuple gets its own universe
     other = Engine("block", g, 5, 1, patterns, ntd)
     assert other._canon_memo is not a._canon_memo
-    # only the mode, graph, k, decomposition, neighbour masks and node caps
-    # are per engine; the canonization switch is the same True in every engine
+    # only the mode, graph, k, decomposition, neighbour masks and packed
+    # set masks are per engine; the canonization switch is the same True in every engine
     h = cycle(6)
     c = Engine("component", h, 4, 2, patterns, to_nice(heuristic_td(h), h))
     own = {name for name, value in vars(c).items() if value is not vars(a)[name]}
-    assert own == {"mode", "g", "k", "ntd", "_nbr", "_caps"}
+    assert own == {"mode", "g", "k", "ntd", "_nbr", "_avoid", "_set_bit"}
     assert c._nbr != a._nbr
 
 
@@ -258,15 +258,15 @@ def test_bags_of_one_shape_share_one_context():
         engine.canonize = False
     child: dict = {}
     a.emit(child, (), (1, 2), (), [(Partition.singletons(2), frozenset())])
-    kept = {key: fam for key, fam in a._introduce((0, 1, 2), 1, child).items() if not key[0]}
+    kept = {key: fam for key, fam in a._introduce((0, 1, 2), 1, child, 0).items() if not key[0]}
     assert Partition.singletons(2) in step.intro_memo
     assert not step.forget_memo
     # the states where the vertex survives carry no vertex ids
-    assert {key: fam for key, fam in b._introduce((2, 4, 5), 4, child).items() if not key[0]} == kept
+    assert {key: fam for key, fam in b._introduce((2, 4, 5), 4, child, 0).items() if not key[0]} == kept
     # the forget from that shape reads the very step the introduce into it read
     assert _dpcore._step(3, 0b101, 1, "block") is step
     assert b._step_of((2, 4, 5), 4) is step
-    b._forget((2, 5), 4, b._introduce((2, 4, 5), 4, child), b.k)
+    b._forget((2, 5), 4, b._introduce((2, 4, 5), 4, child, 0))
     assert step.forget_memo
 
 
