@@ -117,28 +117,31 @@ Without canonization the record is (L, gh), its one image and no tied
 label, so introduce guesses every label.
 
 Deletion sets carry no labels, so canonization leaves them alone.
-Transitions add their produced states through ``Engine._merge``, which
-takes a canonical key and replaces a partition's set only by a strictly
-smaller one, so of equal sizes the first set stays.  The leaf and the
-join canonize each target key once, through ``Engine.emit``.  The keys
+Every transition adds its produced states through ``Engine._merge``,
+which takes a canonical key and (partition, deletion set) items, and
+replaces a partition's set only by a strictly smaller one, so of equal
+sizes the first set stays.  The leaf's one key ((), (), ()) is its own
+canonical form, and the join canonizes each target key once.  The keys
 an introduce or a forget produces from a child state read only the
 step, the child's (L, gh) and the universe, not the graph, k or the
 partitions, so each is computed once and read from the universe after
-(``Engine._targets``).  Where v is deleted the child's (L, gh) stays,
-and a stored key is canonical already: forget merges it with no canon,
-and introduce, where that key is new to the parent's table, passes the
-child's family on as it is.  No table changes once it is built, so a
-family object may sit in several tables.
+(``Engine._targets``); introduce drops the partitions that close a
+cycle first, and skips the targets when none is left.  Where v is
+deleted the child's (L, gh) stays, and a stored key is canonical
+already: forget merges it with no canon, and introduce, where that key
+is new to the parent's table, passes the child's family on as it is.
+No table changes once it is built, so a family object may sit in
+several tables.
 
 The pattern universe depends on d, the family and the mode, never on the
 graph.  A process therefore builds each universe once (``_universe``,
 keyed by d and the pattern tuple) and keeps with it every memo that reads
 nothing else: the pattern codes and slot masks, the label-permutation
 actions, label-orbit records, ``linked`` masks, the
-joins of partition pairs (one row per left partition), and the
-introduce and forget targets of each (step, L, gh).  Every engine on
-that universe shares them, so these memos only grow with the distinct
-states met over the process.
+joins of partition pairs (one row per left partition), and, in one
+memo, the introduce and forget targets of each (step, L, gh).  Every
+engine on that universe shares them, so these memos only grow with the
+distinct states met over the process.
 
 The bag views and the introduce/forget steps do not depend on the graph
 either, only on the shape of the bag graph.  ``keep = bag - X`` is a
@@ -499,11 +502,12 @@ class _Universe:
         # p1 -> p2 -> uplus(p1, p2), or False when their joint has a cycle;
         # read by identity, as the partition of no components is falsy
         self.join_memo: dict[Partition, dict[Partition, Partition | bool]] = {}
-        # (step, L, gh) -> the canonical (L, gh) targets of a child state,
-        # one memo per direction; they are kept here, not on the step,
-        # because every universe shares the steps
-        self.intro_target_memo: dict[tuple, tuple] = {}
-        self.forget_target_memo: dict[tuple, tuple] = {}
+        # (step, L, gh) -> the canonical (L, gh) targets of a child state
+        # under introduce or forget.  For one step an introduce's child L
+        # has one label fewer than a forget's, so the two never share a
+        # key.  Kept here, not on the step, because every universe shares
+        # the steps
+        self.target_memo: dict[tuple, tuple] = {}
 
 
 @cache
@@ -543,8 +547,7 @@ class Engine:
         self._canon_memo = u.canon_memo
         self._linked_memo = u.linked_memo
         self._join_memo = u.join_memo
-        self._intro_target_memo = u.intro_target_memo
-        self._forget_target_memo = u.forget_target_memo
+        self._target_memo = u.target_memo
 
         # bit w of _nbr[v] is set when w is a neighbour of v
         self._nbr = [sum(1 << w for w in g.neighbors(v)) for v in g.vertices()]
@@ -731,32 +734,17 @@ class Engine:
     # ------------------------------------------------------------------
     # table plumbing
 
-    def emit(
-        self,
-        table: dict,
-        xk: tuple[int, ...],
-        lkey: tuple[int, ...],
-        gh: tuple[GhEntry, ...],
-        items: Iterable[tuple[Partition | None, Witness]],
-    ) -> None:
-        """Add (partition, deletion set) items to one produced state, whose
-        key is canonized once."""
-        self._merge(table, (xk,) + self.canon(lkey, gh), items)
-
     def _merge(
-        self, table: dict, key: StateKey, items: Iterable[tuple[Partition | None, Witness]]
+        self, table: dict, key: StateKey, items: Iterable[tuple[Partition, Witness]]
     ) -> None:
         """Add (partition, deletion set) items to the state of a canonical key.
 
-        A None partition was rejected by the transition and is skipped.  A
-        partition the family already holds is replaced only by a strictly
+        A partition the family already holds is replaced only by a strictly
         smaller set, so of equal sizes the first set stays.  The family is
         created on its first partition, so no empty family is stored.
         """
         fam = table.get(key)
         for part, wit in items:
-            if part is None:
-                continue
             if fam is None:
                 fam = table[key] = {}
             else:
@@ -842,10 +830,10 @@ class Engine:
         """The empty partial solution, unless the packed sets alone need
         more than k deletions: then no state survives, and the walk
         decides NO at the leaf."""
-        table: dict = {}
-        if self._budget(avoid, ()) >= 0:
-            self.emit(table, (), (), (), [(Partition(()), frozenset())])
-        return table
+        if self._budget(avoid, ()) < 0:
+            return {}
+        # ((), ()) is its own canonical (L, gh)
+        return {((), (), ()): {Partition(()): frozenset()}}
 
     # ------------------------------------------------------------------
     # introduce and forget
@@ -879,35 +867,40 @@ class Engine:
                 table[(xv, lk, gh)] = kept
             # v survives with some label; the family moves the same way
             # whatever the label, and X and F stay as they were
-            moved = [(self._intro_partition(step, p), w) for p, w in fam.items()]
-            for target in self._targets(
-                self._intro_target_memo, self._introduce_targets, step, lk, gh
-            ):
-                self._merge(table, (xk,) + target, moved)
+            moved = [
+                (q, w) for p, w in fam.items() if (q := self._intro_partition(step, p)) is not None
+            ]
+            if moved:
+                for target in self._targets(self._introduce_targets, step, lk, gh):
+                    self._merge(table, (xk,) + target, moved)
         return table
 
-    def _targets(self, memo: dict, compute: Callable, step: _Step, lk: tuple, gh: tuple) -> tuple:
-        """The canonical (L, gh) targets of a child state under one step.
+    def _targets(self, compute: Callable, step: _Step, lk: tuple, gh: tuple) -> tuple:
+        """The canonical (L, gh) targets of a child state under one step,
+        by compute: ``_introduce_targets`` or ``_forget_targets``.
 
         They read only the step, the child's (L, gh) and the universe, so
-        each universe keeps them in memo.  Without canonization they are
-        computed afresh and not stored, as the memo is shared with
-        canonizing engines.
+        each universe keeps them, for both directions, in one memo.
+        Without canonization they are computed afresh and not stored, as
+        the memo is shared with canonizing engines.
         """
         if not self.canonize:
             return compute(step, lk, gh)
         key = (step, lk, gh)
+        memo = self._target_memo
         got = memo.get(key)
         if got is None:
             got = memo[key] = compute(step, lk, gh)
         return got
 
     def _intro_partition(self, step: _Step, part: Partition) -> Partition | None:
-        """Push a child partition through the introduce; None when rejected."""
+        """Push a child partition through the introduce; None when v
+        closes a cycle.  The step's memo keeps both outcomes."""
         memo = step.intro_memo
-        got = memo.get(part)
-        if got is not None:
-            return got if got is not False else None
+        try:
+            return memo[part]
+        except KeyError:
+            pass
         comp_map = step.comp_map
         vcomp = step.vcomp
         new_parts: list[set[int]] = []
@@ -916,7 +909,7 @@ class Engine:
             hits = sum(1 for o in p if comp_map[o] == vcomp)
             if hits > 1:
                 # v touches two components already linked below: a cycle
-                memo[part] = False
+                memo[part] = None
                 return None
             images = {comp_map[o] for o in p}
             if hits == 1:
@@ -1000,9 +993,7 @@ class Engine:
                 keep = tuple(sorted(u for u in bag + (v,) if u not in xk))
                 step = steps[xk] = self._step_of(keep, v)
             moved = [(self._forget_partition(step, p), w) for p, w in fam.items()]
-            for target in self._targets(
-                self._forget_target_memo, self._forget_targets, step, lk, gh
-            ):
+            for target in self._targets(self._forget_targets, step, lk, gh):
                 self._merge(table, (xk,) + target, moved)
         return table
 
@@ -1145,9 +1136,8 @@ class Engine:
                                 break
                             entries.append((common, h1 | h2))
                         else:
-                            self.emit(
-                                table, rxk, rlk, tuple(entries), self._joints(lfam, rfam, budget)
-                            )
+                            key = (rxk,) + self.canon(rlk, tuple(entries))
+                            self._merge(table, key, self._joints(lfam, rfam, budget))
                     if symmetric:
                         break
         return table

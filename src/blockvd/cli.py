@@ -235,7 +235,7 @@ def _cmd_enum_ud(args: argparse.Namespace) -> int:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     from .selfcheck import run_selftest
 
-    ok = run_selftest(trials=args.trials, verbose=True)
+    ok = run_selftest(args.trials)
     return 0 if ok else 1
 
 

@@ -143,7 +143,7 @@ def random_compatible_chordal_pair(
     return a, b
 
 
-def run_selftest(trials: int = 25, verbose: bool = False) -> bool:
+def run_selftest(trials: int) -> bool:
     if trials < 1:
         raise InvalidInput(f"trials must be at least 1, got {trials}")
     rng = random.Random(0)
@@ -155,7 +155,6 @@ def run_selftest(trials: int = 25, verbose: bool = False) -> bool:
     ok = True
     for name, fails in parts:
         status = "ok" if fails == 0 else f"FAILED ({fails})"
-        if verbose:
-            print(f"{name}: {status}")
+        print(f"{name}: {status}")
         ok = ok and fails == 0
     return ok

@@ -103,21 +103,22 @@ class TestTableInvariants:
             assert min(got, default=None) == min(want, default=None), y
         assert list(table[small]) == five
 
-    def test_emit_keeps_the_least_budget_and_its_first_witness(self):
+    def test_merge_keeps_the_least_budget_and_its_first_witness(self):
         from blockvd.partitions import Partition
 
         engine = build_engine(Instance(path(3), 3, 1, "chordal", "block"))
+        key = ((),) + engine.canon((1,), ())
         part = Partition.singletons(1)
         pair, one, other = frozenset({5, 6}), frozenset({7}), frozenset({8})
         lowered: dict = {}
-        engine.emit(lowered, (), (1,), (), [(part, pair)])
-        engine.emit(lowered, (), (1,), (), [(part, one)])
+        engine._merge(lowered, key, [(part, pair)])
+        engine._merge(lowered, key, [(part, one)])
         assert list(lowered.values()) == [{part: one}]
         kept: dict = {}
-        engine.emit(kept, (), (1,), (), [(part, one), (part, pair)])
+        engine._merge(kept, key, [(part, one), (part, pair)])
         assert list(kept.values()) == [{part: one}]
         # of equal budgets the first witness stays
-        engine.emit(kept, (), (1,), (), [(part, other)])
+        engine._merge(kept, key, [(part, other)])
         assert list(kept.values()) == [{part: one}]
 
     def test_witness_tables_consistent(self, rng):
@@ -186,15 +187,16 @@ class TestSteps:
 
         # child table: bag {0,1}, components {0} and {1} linked below
         linked = Partition.from_parts(2, [[0, 1]])
+        state = ((),) + engine.canon((1, 1), ())
         child = {}
-        engine.emit(child, (), (1, 1), (), [(linked, frozenset())])
+        engine._merge(child, state, [(linked, frozenset())])
         out = engine._introduce((0, 1, 2), 2, child, 0)
         for key, fam in out.items():
             if key[0] == ():  # vertex 2 not deleted
                 assert not fam
         # the unlinked partition survives
         child2 = {}
-        engine.emit(child2, (), (1, 1), (), [(Partition.singletons(2), frozenset())])
+        engine._merge(child2, state, [(Partition.singletons(2), frozenset())])
         out2 = engine._introduce((0, 1, 2), 2, child2, 0)
         assert any(key[0] == () and out2[key] for key in out2)
 

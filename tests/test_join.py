@@ -7,7 +7,7 @@ with each left state's first image alone.  The reference here pairs
 every right state with every image of every left state of its (X, L),
 checks each unit's pattern and h masks one by one, joins the families
 with ``uplus`` and ``inc_is_forest`` directly and merges through
-``Engine.emit``.  Both must build the same table, in the same order.
+``Engine._merge``.  Both must build the same table, in the same order.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def reference_join(engine, left: dict, right: dict, avoid: int, fired: dict) -> 
                         for p2, w2 in rfam.items()
                         if len(w1) + len(w2) <= budget and inc_is_forest(p1.m, (p1, p2))
                     ]
-                    engine.emit(table, rxk, rlk, tuple(entries), items)
+                    engine._merge(table, (rxk,) + engine.canon(rlk, tuple(entries)), items)
     return table
 
 

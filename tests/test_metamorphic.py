@@ -11,11 +11,11 @@ disjoint union is the sum of the two minima, reducing every family of
 two or more partitions keeps a least member for every completion and
 leaves the minimum unchanged, and solving along another decomposition
 of the same graph gives the same answer.  On 20-vertex partial
-3-trees, raising d never raises the block or the component minimum, the
-``k1k2`` minimum is the same for d = 2..5, a pendant vertex leaves the
-block minimum unchanged, and the block minimum, found without a
-packing, is at most the component minimum, found under the budgets of
-the component-mode packing.
+3-trees and 5-trees, raising d never raises the block or the component
+minimum, the ``k1k2`` minimum is the same for d = 2..5 and a pendant
+vertex leaves the block minimum unchanged.  On partial 3-trees the
+block minimum, found without a packing, is at most the component
+minimum, found under the budgets of the component-mode packing.
 """
 
 import random
@@ -206,13 +206,24 @@ def test_a_disjoint_union_needs_the_sum_of_the_minima(mode, family):
         assert got.decision and got.minimum == want
 
 
-def assert_raising_d_never_raises_the_minimum(mode: str, family: str) -> None:
+def at_widths(name: str, values: list[str]):
+    """Parametrize name over values and the width of the partial k-trees
+    over 3 and 5.  A width-3 case keeps its value's plain id; a width-5
+    case adds "-w5"."""
+    return pytest.mark.parametrize(
+        f"{name}, width",
+        [pytest.param(v, 3, id=v) for v in values]
+        + [pytest.param(v, 5, id=f"{v}-w5") for v in values],
+    )
+
+
+def assert_raising_d_never_raises_the_minimum(mode: str, family: str, width: int) -> None:
     # a block or component that fits bound d fits d + 1, so a least
     # solution at d solves at d + 1.  Each solve's budget is the minimum
     # one bound lower, where the budgets of the component walk are tightest
     rng = random.Random(f"raise-d:{family}")
     for _ in range(3):
-        g, td = partial_ktree(rng, 20, 3, 0.7)
+        g, td = partial_ktree(rng, 20, width, 0.7)
         k = g.n
         for d in (2, 3, 4, 5):
             got = solve(Instance(g, d, k, family, mode, td))
@@ -220,36 +231,36 @@ def assert_raising_d_never_raises_the_minimum(mode: str, family: str) -> None:
             k = got.minimum
 
 
-@pytest.mark.parametrize("family", ["k1k2", "cliques", "chordal"])
-def test_raising_d_never_raises_the_component_minimum(family):
-    assert_raising_d_never_raises_the_minimum("component", family)
+@at_widths("family", ["k1k2", "cliques", "chordal"])
+def test_raising_d_never_raises_the_component_minimum(family, width):
+    assert_raising_d_never_raises_the_minimum("component", family, width)
 
 
-@pytest.mark.parametrize("family", ["k1k2", "cliques", "chordal"])
-def test_raising_d_never_raises_the_block_minimum(family):
-    assert_raising_d_never_raises_the_minimum("block", family)
+@at_widths("family", ["k1k2", "cliques", "chordal"])
+def test_raising_d_never_raises_the_block_minimum(family, width):
+    assert_raising_d_never_raises_the_minimum("block", family, width)
 
 
-@pytest.mark.parametrize("mode", ["block", "component"])
-def test_the_k1k2_minimum_does_not_depend_on_d_at_20_vertices(mode):
+@at_widths("mode", ["block", "component"])
+def test_the_k1k2_minimum_does_not_depend_on_d_at_20_vertices(mode, width):
     # no k1k2 member has more than two vertices, so d = 2..5 ask the same
     # question; each d builds its own packing in component mode
     rng = random.Random(f"k1k2-d:{mode}")
     for _ in range(3):
-        g, td = partial_ktree(rng, 20, 3, 0.7)
+        g, td = partial_ktree(rng, 20, width, 0.7)
         minima = [solve(Instance(g, d, g.n, "k1k2", mode, td)).minimum for d in (2, 3, 4, 5)]
         assert len(set(minima)) == 1, minima
 
 
-@pytest.mark.parametrize("family", ["k1k2", "cliques", "chordal"])
-def test_a_pendant_vertex_leaves_the_block_minimum_unchanged(family):
+@at_widths("family", ["k1k2", "cliques", "chordal"])
+def test_a_pendant_vertex_leaves_the_block_minimum_unchanged(family, width):
     # the new edge is a block of its own, a K2 that every family holds and
     # every d >= 2 allows, so a least solution of G solves G plus the
     # pendant vertex, and one of the larger graph, less that vertex,
     # solves G.  Its bag hangs from a bag holding its neighbour
     rng = random.Random(f"pendant:{family}")
     for _ in range(3):
-        g, td = partial_ktree(rng, 20, 3, 0.7)
+        g, td = partial_ktree(rng, 20, width, 0.7)
         d = rng.choice([2, 3, 4])
         v = rng.randrange(g.n)
         grown = Graph(g.n + 1, list(g.edges()) + [(v, g.n)])

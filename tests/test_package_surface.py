@@ -1,10 +1,12 @@
-"""Every public function and method of the package is used by the package.
+"""Every function and method of the package is used by the package.
 
-A public top-level function, or a public method of a top-level class, in
-``src/blockvd`` must be referenced by name somewhere in the package (a
-call, an attribute load or an import) or stand on the short list below of
-documented entry points that nothing inside the package calls.  A helper
-that only the tests use belongs in the tests.
+A top-level function, or a method of a top-level class, in ``src/blockvd``
+must be referenced by name somewhere in the package (a call, an attribute
+load or an import).  A public one may instead stand on the short list
+below of documented entry points that nothing inside the package calls.
+A helper that only the tests use belongs in the tests, and a private
+helper that the package stopped calling belongs nowhere.  Dunder methods
+are called by the language, not by name, and are left out.
 """
 
 import ast
@@ -30,19 +32,19 @@ def _is_function(node: ast.AST) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
 
 
-def public_definitions() -> dict[str, str]:
-    """Each public top-level function and public method of a top-level
-    class, as module.qualified name -> the bare name a caller uses."""
+def definitions() -> dict[str, str]:
+    """Each top-level function and method of a top-level class, dunders
+    left out, as module.qualified name -> the bare name a caller uses."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if _is_function(node) and not node.name.startswith("_"):
+            if _is_function(node):
                 out[f"{path.stem}.{node.name}"] = node.name
-            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if _is_function(item) and not item.name.startswith("_"):
+                    if _is_function(item):
                         out[f"{path.stem}.{node.name}.{item.name}"] = item.name
-    return out
+    return {qual: name for qual, name in out.items() if not name.startswith("__")}
 
 
 def referenced_names() -> set[str]:
@@ -59,14 +61,24 @@ def referenced_names() -> set[str]:
     return names
 
 
-def test_every_public_function_is_used_or_a_listed_entry_point():
+def unused_definitions() -> dict[str, str]:
+    """The definitions that the package never references by name."""
     used = referenced_names()
+    return {qual: name for qual, name in definitions().items() if name not in used}
+
+
+def test_every_public_function_is_used_or_a_listed_entry_point():
     unused = sorted(
-        qual for qual, name in public_definitions().items()
-        if name not in used and qual not in ENTRY_POINTS
+        qual for qual, name in unused_definitions().items()
+        if not name.startswith("_") and qual not in ENTRY_POINTS
     )
     assert unused == [], "move test-only helpers into the tests that use them"
 
 
+def test_every_private_helper_is_used_by_the_package():
+    unused = sorted(qual for qual, name in unused_definitions().items() if name.startswith("_"))
+    assert unused == [], "delete the helpers the package no longer calls"
+
+
 def test_every_listed_entry_point_exists():
-    assert set(ENTRY_POINTS) <= set(public_definitions())
+    assert set(ENTRY_POINTS) <= set(definitions())

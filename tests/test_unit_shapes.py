@@ -3,7 +3,7 @@
 Block mode can introduce a vertex lying in two non-trivial blocks at
 once and can split one block into several pieces on a forget; component
 mode splits a component when it forgets a vertex joining its pieces.
-Each test builds a one-state child table with ``emit`` and inspects the
+Each test builds a one-state child table with ``_merge`` and inspects the
 produced table with canonization off, so the keys keep their labels.  A
 key holds no unit vertices: its hypothesis gh[j] belongs to unit j of
 ``engine.view`` of the surviving bag vertices, and the tests read the
@@ -26,7 +26,7 @@ def _engine(module, g, mode):
 
 def _child(engine, lk, gh):
     child: dict = {}
-    engine.emit(child, (), lk, gh, [(Partition.singletons(1), frozenset())])
+    engine._merge(child, ((),) + engine.canon(lk, gh), [(Partition.singletons(1), frozenset())])
     return child
 
 

@@ -116,11 +116,18 @@ def test_a_second_solve_computes_no_target_list(mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["block", "component"])
-def test_universes_sharing_steps_keep_their_own_targets(mode):
+def test_universes_sharing_steps_keep_their_own_targets(mode, monkeypatch):
     """k1k2 runs on a two-label universe and cliques on a four-label one,
     over the same bag steps.  Solved alternately on the same graphs in one
     process, each walks the tables it walks on cleared caches, node by
     node."""
+    introduced = set()
+
+    def recorded(self, step, lk, gh, compute=Engine._introduce_targets):
+        introduced.add((step, lk, gh))
+        return compute(self, step, lk, gh)
+
+    monkeypatch.setattr(Engine, "_introduce_targets", recorded)
     rng = random.Random(29)
     graphs = [random_graph(rng, 8, 11) for _ in range(4)]
     insts = [Instance(g, 4, 2, family, mode) for g in graphs for family in ("k1k2", "cliques")]
@@ -129,7 +136,8 @@ def test_universes_sharing_steps_keep_their_own_targets(mode):
     warm = [list(engine.walk()) for engine in engines]
     k1k2, cliques = engines[:2]
     assert (k1k2.d, cliques.d) == (2, 4)
-    steps = [{step for step, _, _ in e._intro_target_memo} for e in (k1k2, cliques)]
+    # the introduce keys of each universe's one target memo
+    steps = [{step for step, _, _ in e._target_memo.keys() & introduced} for e in (k1k2, cliques)]
     assert steps[0] & steps[1]
     for inst, got in zip(insts, warm):
         clear_caches()
@@ -137,6 +145,35 @@ def test_universes_sharing_steps_keep_their_own_targets(mode):
         assert [node for node, _ in got] == [node for node, _ in want]
         for (node, table), (_, expected) in zip(got, want):
             assert table == expected, (inst.family, node)
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_introduce_and_forget_never_look_up_one_target_key(mode, monkeypatch):
+    """Introduce and forget share one target memo per universe: for one
+    step an introduce's child L has one label fewer than a forget's, so
+    no (step, L, gh) is looked up by both.  The lookups are recorded in
+    ``_targets``, where a key met by both directions would show even when
+    the second one reads it from the memo."""
+    looked_up = {"_introduce_targets": set(), "_forget_targets": set()}
+    targets = Engine._targets
+
+    def recorded(self, compute, step, lk, gh):
+        looked_up[compute.__name__].add((step, lk, gh))
+        return targets(self, compute, step, lk, gh)
+
+    monkeypatch.setattr(Engine, "_targets", recorded)
+    rng = random.Random(31)
+    clear_caches()
+    engines = []
+    for family in ("k1k2", "cliques", "chordal"):
+        for d in (3, 4):
+            engines.append(BUILD[mode](Instance(random_graph(rng, 9, 13), d, 2, family, mode)))
+            engines[-1].run()
+    introduced, forgotten = looked_up.values()
+    assert introduced and forgotten
+    assert not introduced & forgotten
+    # the memos hold exactly the keys looked up
+    assert set().union(*(e._target_memo.keys() for e in engines)) == introduced | forgotten
 
 
 @pytest.mark.parametrize("mode", ["block", "component"])
@@ -257,7 +294,7 @@ def test_bags_of_one_shape_share_one_context():
     for engine in (a, b):
         engine.canonize = False
     child: dict = {}
-    a.emit(child, (), (1, 2), (), [(Partition.singletons(2), frozenset())])
+    a._merge(child, ((),) + a.canon((1, 2), ()), [(Partition.singletons(2), frozenset())])
     kept = {key: fam for key, fam in a._introduce((0, 1, 2), 1, child, 0).items() if not key[0]}
     assert Partition.singletons(2) in step.intro_memo
     assert not step.forget_memo
