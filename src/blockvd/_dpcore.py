@@ -171,12 +171,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import compress, product
+from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .decomposition import NiceTreeDecomposition
 from .families import Pattern, PFamilySpec, _enumerate_patterns
-from .graph import Graph, _check_range, biconnected_blocks, connected_components
+from .graph import Graph, _bits, _check_range, _mask_of, biconnected_blocks, connected_components
 from .oracle import verify_solution
 from .partitions import Partition, inc_is_forest, uplus
 from .repset import rep_partitions
@@ -184,29 +184,6 @@ from .repset import rep_partitions
 StateKey = tuple[tuple[int, ...], tuple[int, ...], tuple]
 GhEntry = tuple[int, int]  # (pattern mask, h mask)
 Witness = frozenset[int]
-
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of mask in increasing order.
-
-    Linear in the length of mask: its binary digits, lowest first, select
-    from the bit positions.  Clearing the lowest bit one at a time copies
-    the whole int per bit, which is quadratic on the slot masks of large
-    pattern universes.
-    """
-    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
-    return list(compress(range(len(digits)), digits))
-
-
-def _mask_of(bits: Iterable[int], size: int) -> int:
-    """The mask with the given bits set, all below size."""
-    buf = bytearray((size + 7) >> 3)
-    for q in bits:
-        buf[q >> 3] |= 1 << (q & 7)
-    return int.from_bytes(buf, "little")
-
 
 def _permute_bits(bits: Sequence[int], code: int) -> int:
     """The union of bits[i] over the set bits i of code."""
@@ -278,14 +255,15 @@ def _shape_view(t: int, shape: int, mode: str) -> _View:
 
     The units are the non-trivial blocks in block mode and the
     components in component mode, in sorted order either way:
-    ``biconnected_blocks`` sorts blocks by their sorted tuples, and
-    components come ordered by their smallest vertex.
+    ``biconnected_blocks`` returns its list of blocks sorted by their
+    sorted tuples, and ``connected_components`` orders components by
+    their smallest vertex.
     """
     edges = _shape_edges(t, shape)
     g = Graph(t, edges)
     comps = tuple(tuple(sorted(c)) for c in connected_components(g))
     if mode == "block":
-        units = tuple(tuple(sorted(b)) for b in biconnected_blocks(g).blocks if len(b) >= 2)
+        units = tuple(tuple(sorted(b)) for b in biconnected_blocks(g) if len(b) >= 2)
     elif mode == "component":
         units = comps
     else:
@@ -549,8 +527,9 @@ class Engine:
         self._join_memo = u.join_memo
         self._target_memo = u.target_memo
 
-        # bit w of _nbr[v] is set when w is a neighbour of v
-        self._nbr = [sum(1 << w for w in g.neighbors(v)) for v in g.vertices()]
+        # the graph's own neighbour masks (``Graph.masks``): bit w of
+        # _nbr[v] is set when w is a neighbour of v
+        self._nbr = g.masks
         # per node, the packed sets that avoid the vertices forgotten below
         # it, and per vertex, the bit of its packed set: with k they give
         # each (node, X) its budget (``_budget``)

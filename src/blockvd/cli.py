@@ -316,8 +316,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (BlockvdError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:
+        # reported once the handler has released the failed frames
+        message = "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, TooLarge
-from .graph import Graph, parse_ints
+from .graph import Graph, _bits, connected_components, parse_ints
 
 
 @dataclass(frozen=True)
@@ -228,79 +228,56 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
 
 
 def _bags_from_elimination(g: Graph, order: Sequence[int]) -> TreeDecomposition:
-    """Standard fill-in bag construction along an elimination ordering."""
+    """Standard fill-in bag construction along an elimination ordering.
+
+    Node i holds the i-th eliminated vertex and its later neighbours, and
+    its parent is the earliest of them.  The first nodes of the trees, one
+    per component of g, are chained in elimination order."""
     n = g.n
     if n == 0:
         return TreeDecomposition((frozenset(),), ())
-    pos = {v: i for i, v in enumerate(order)}
-    adj: list[set[int]] = [set(g.neighbors(v)) for v in range(n)]
-    bags: list[frozenset[int]] = [frozenset()] * n
-    for v in order:
-        later = {w for w in adj[v] if pos[w] > pos[v]}
-        bags[pos[v]] = frozenset(later | {v})
-        for a in later:
-            adj[a].discard(v)
-            for bb in later:
-                if a != bb:
-                    adj[a].add(bb)
-    edges = []
-    for v in order:
-        later = [w for w in bags[pos[v]] if w != v]
-        if later:
-            nxt = min(later, key=lambda w: pos[w])
-            edges.append((min(pos[v], pos[nxt]), max(pos[v], pos[nxt])))
-    # Disconnected graphs: chain the component roots so the node graph is a tree.
-    node_seen: set[int] = set()
-    roots = []
-    nadj: list[list[int]] = [[] for _ in range(n)]
-    for a, bb in edges:
-        nadj[a].append(bb)
-        nadj[bb].append(a)
-    for t in range(n):
-        if t in node_seen:
-            continue
-        roots.append(t)
-        stack = [t]
-        node_seen.add(t)
-        while stack:
-            u = stack.pop()
-            for w in nadj[u]:
-                if w not in node_seen:
-                    node_seen.add(w)
-                    stack.append(w)
-    for a, bb in zip(roots, roots[1:]):
-        edges.append((min(a, bb), max(a, bb)))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    # neighbour masks over elimination positions, filled in as we go
+    adj = [sum(1 << pos[w] for w in _bits(g.masks[v])) for v in order]
+    bags: list[frozenset[int]] = []
+    edges: list[tuple[int, int]] = []
+    for i, v in enumerate(order):
+        # neighbours eliminated after v; the bits at or below i, which the
+        # fill-in below sets too, are never read again
+        later = adj[i] >> i + 1 << i + 1
+        ps = _bits(later)
+        bags.append(frozenset([v] + [order[p] for p in ps]))
+        if ps:
+            edges.append((i, ps[0]))
+        for p in ps:
+            adj[p] |= later
+    firsts = sorted(min(pos[v] for v in comp) for comp in connected_components(g))
+    edges += zip(firsts, firsts[1:])
     return TreeDecomposition(tuple(bags), tuple(sorted(edges)))
 
 
 def heuristic_td(g: Graph) -> TreeDecomposition:
     """Min-fill elimination ordering; ties broken by lowest vertex id."""
-    n = g.n
-    if n == 0:
-        return TreeDecomposition((frozenset(),), ())
-    adj: list[set[int]] = [set(g.neighbors(v)) for v in range(n)]
-    remaining = set(range(n))
+    # closed neighbourhoods in the graph filled in so far
+    adj = [m | 1 << v for v, m in enumerate(g.masks)]
+    remaining = (1 << g.n) - 1
     order: list[int] = []
     while remaining:
-        best_v = -1
-        best_fill = None
-        for v in sorted(remaining):
-            nbrs = [w for w in adj[v] if w in remaining]
-            fill = 0
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    if nbrs[j] not in adj[nbrs[i]]:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best_fill = fill
-                best_v = v
-        v = best_v
-        nbrs = [w for w in adj[v] if w in remaining]
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                adj[nbrs[i]].add(nbrs[j])
-                adj[nbrs[j]].add(nbrs[i])
-        remaining.remove(v)
+        best = None
+        for v in _bits(remaining):
+            nb = adj[v] & remaining
+            # twice the fill-in: a missing edge is counted from both ends
+            fill = sum((nb & ~adj[w]).bit_count() for w in _bits(nb))
+            if best is None or fill < best[0]:
+                best = (fill, v, nb)
+                if not fill:
+                    break
+        _, v, nb = best
+        for w in _bits(nb):
+            adj[w] |= nb
+        remaining ^= 1 << v
         order.append(v)
     return _bags_from_elimination(g, order)
 
@@ -314,14 +291,9 @@ def exact_td_small(g: Graph, limit: int = 14) -> TreeDecomposition:
     n = g.n
     if n > limit:
         raise TooLarge(f"exact treewidth capped at {limit} vertices, got {n}")
-    if n == 0:
-        return TreeDecomposition((frozenset(),), ())
 
     full = (1 << n) - 1
-    nbr_mask = [0] * n
-    for v in range(n):
-        for w in g.neighbors(v):
-            nbr_mask[v] |= 1 << w
+    nbr_mask = g.masks
 
     def elim_degree(before: int, v: int) -> int:
         # vertices outside `before`+v reachable from v through `before`
@@ -426,7 +398,8 @@ def read_td(text: str, n: int) -> TreeDecomposition:
         if not all(1 <= x <= n for x in members):
             raise InvalidInput(f"bag line {line!r} names a vertex outside 1..{n}")
         by_id[bid] = frozenset(x - 1 for x in members)
-    if set(by_id) != set(range(1, nbags + 1)):
+    # checked without building 1..#bags, which the header may make huge
+    if len(by_id) != nbags or not all(1 <= bid <= nbags for bid in by_id):
         raise InvalidInput("bag ids must be 1..#bags")
     for a, b, line in edges:
         if not (1 <= a <= nbags and 1 <= b <= nbags):

@@ -11,7 +11,7 @@ from functools import cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, InvalidInput, NonChordalFamily
-from .graph import Graph, chordal_masks, induced_edges
+from .graph import Graph, _component, chordal_masks, induced_edges
 
 # the largest d whose pattern universe is built
 UD_CAP = 6
@@ -58,23 +58,6 @@ class Pattern:
         return f"<{ls}: {es}>" if es else f"<{ls}>"
 
 
-def _connected(adj: Sequence[int], alive: int) -> bool:
-    """Is the subgraph induced by the vertex mask alive connected?
-
-    Vertex i carries adjacency mask adj[i]; bit BFS from the lowest vertex.
-    """
-    seen = frontier = alive & -alive
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & alive & ~seen
-        seen |= frontier
-    return seen == alive
-
-
 def _biconnected(adj: Sequence[int]) -> bool:
     """At least two vertices, connected, and no cut vertex."""
     n = len(adj)
@@ -88,7 +71,8 @@ def _biconnected(adj: Sequence[int]) -> bool:
             return False
     full = (1 << n) - 1
     for v in range(n):
-        if not _connected(adj, full ^ 1 << v):
+        rest = full ^ 1 << v
+        if _component(adj, rest) != rest:
             return False
     return True
 
@@ -199,6 +183,7 @@ def _enumerate_patterns(
         ends = [(i, j) for i in range(s) for j in range(i + 1, s)]
         pairs = [(labels[i], labels[j]) for i, j in ends]
         npairs = len(ends)
+        full = (1 << s) - 1
         first = (1 << npairs) - 1 if family.complete_only else 0
         for emask in range(first, 1 << npairs):
             adj = [0] * s
@@ -209,7 +194,7 @@ def _enumerate_patterns(
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
                 rest ^= low
-            if not (_biconnected(adj) if biconnected else _connected(adj, (1 << s) - 1)):
+            if not (_biconnected(adj) if biconnected else _component(adj, full) == full):
                 continue
             if not family.contains(adj):
                 continue

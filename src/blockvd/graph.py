@@ -1,24 +1,30 @@
 """Core graph representation and structural primitives.
 
-Undirected simple graphs over dense vertex ids 0..n-1.  Most operations
-take an optional ``within`` vertex set and then act on the induced
-subgraph without re-indexing, so callers can keep host-graph ids
-throughout.
+Undirected simple graphs over dense vertex ids 0..n-1.  A graph keeps
+one neighbour mask per vertex (``Graph.masks``), the adjacency that the
+components and blocks here, the pattern enumeration, the elimination
+orderings and the engine's bag shapes all read.  Most operations take an
+optional ``within`` vertex set and then act on the induced subgraph
+without re-indexing, so callers can keep host-graph ids throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Sequence
+from itertools import compress
+from typing import Collection, Iterable, Sequence
 
 from .errors import IncompatibleBoundary, InvalidInput
 from .partitions import Partition
 
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class Graph:
-    """Immutable undirected simple graph with sorted adjacency lists."""
+    """Immutable undirected simple graph with sorted adjacency lists and
+    neighbour masks: bit w of ``masks[v]`` is set when vw is an edge."""
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj", "_edges", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -36,6 +42,7 @@ class Graph:
         self._edges = frozenset(
             (u, v) for u in range(n) for v in self._adj[u] if u < v
         )
+        self.masks: tuple[int, ...] = tuple(sum(1 << w for w in s) for s in adj)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -92,119 +99,115 @@ def induced_masks(g: Graph, verts: Sequence[int]) -> list[int]:
     return [sum(1 << pos[w] for w in g.neighbors(v) if w in pos) for v in verts]
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask in increasing order.
+
+    Linear in the length of mask: its binary digits, lowest first, select
+    from the bit positions.  Clearing the lowest bit one at a time copies
+    the whole int per bit, which is quadratic on long masks.
+    """
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
+    return list(compress(range(len(digits)), digits))
+
+
+def _mask_of(bits: Iterable[int], size: int) -> int:
+    """The mask with the given bits set, all below size."""
+    buf = bytearray((size + 7) >> 3)
+    for q in bits:
+        buf[q >> 3] |= 1 << (q & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _vertex_mask(g: Graph, within: Iterable[int] | None) -> int:
+    """The mask of the vertex set within (all of g by default)."""
+    if within is None:
+        return (1 << g.n) - 1
+    verts = tuple(within)
+    _check_range(g, verts)
+    return _mask_of(verts, g.n)
+
+
+def _component(masks: Sequence[int], alive: int) -> int:
+    """The component of alive's lowest vertex in the subgraph induced by
+    the vertex mask alive.  Each frontier is walked by its lowest bit,
+    which beats ``_bits`` on the tiny graphs of the pattern enumeration."""
+    seen = frontier = alive & -alive
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & alive & ~seen
+        seen |= frontier
+    return seen
+
+
 def connected_components(
     g: Graph, within: Iterable[int] | None = None
 ) -> list[frozenset[int]]:
-    """Connected components as vertex sets, sorted by minimum element."""
-    verts = sorted(within) if within is not None else list(range(g.n))
-    _check_range(g, verts)
-    vset = set(verts)
-    seen: set[int] = set()
+    """Connected components of the subgraph induced by within (all of g
+    by default) as vertex sets, sorted by minimum element."""
+    alive = _vertex_mask(g, within)
     comps: list[frozenset[int]] = []
-    for s in verts:
-        if s in seen:
-            continue
-        stack = [s]
-        seen.add(s)
-        comp = {s}
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w in vset and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
+    while alive:
+        comp = _component(g.masks, alive)
+        comps.append(frozenset(_bits(comp)))
+        alive ^= comp
     return comps
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Maximal biconnected subgraphs plus the cut vertices."""
-
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
 
 
 def biconnected_blocks(
     g: Graph, within: Iterable[int] | None = None
-) -> BlockDecomposition:
-    """Blocks via iterative low-point DFS; isolated vertices are K1 blocks.
+) -> list[frozenset[int]]:
+    """Blocks of the subgraph induced by within (all of g by default),
+    by iterative low-point DFS; isolated vertices are K1 blocks.
 
     Blocks are returned sorted by their sorted vertex tuples, so the
     output is independent of traversal order.
     """
-    verts = sorted(within) if within is not None else list(range(g.n))
-    _check_range(g, verts)
-    vset = set(verts)
+    alive = _vertex_mask(g, within)
+    masks = g.masks
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
     blocks: list[frozenset[int]] = []
-    cuts: set[int] = set()
-    timer = 0
-    touched: set[int] = set()
-
-    for root in verts:
+    for root in _bits(alive):
         if root in disc:
             continue
-        # Each stack frame is (vertex, iterator over remaining neighbors).
-        disc[root] = low[root] = timer
-        timer += 1
-        parent[root] = None
-        estack: list[tuple[int, int]] = []
-        frames: list[tuple[int, Iterator[int]]] = [
-            (root, iter(g.neighbors(root)))
-        ]
-        root_children = 0
+        if not masks[root] & alive:
+            blocks.append(frozenset((root,)))
+            continue
+        disc[root] = low[root] = len(disc)
+        # the vertices found but not yet put in a block, in DFS order
+        found = [root]
+        # each frame is (vertex, its DFS parent, its neighbours left to scan)
+        frames = [(root, -1, iter(_bits(masks[root] & alive)))]
         while frames:
-            u, it = frames[-1]
-            advanced = False
+            u, parent, it = frames[-1]
             for w in it:
-                if w not in vset:
-                    continue
-                if w not in disc:
-                    parent[w] = u
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    estack.append((u, w))
-                    frames.append((w, iter(g.neighbors(w))))
-                    if u == root:
-                        root_children += 1
-                    advanced = True
-                    break
-                if w != parent[u] and disc[w] < disc[u]:
-                    estack.append((u, w))
+                if w in disc:
+                    # the parent counts too: the block test below only
+                    # asks whether low[u] fell below disc[parent]
                     low[u] = min(low[u], disc[w])
-            if advanced:
-                continue
-            frames.pop()
-            if frames:
-                p = frames[-1][0]
-                low[p] = min(low[p], low[u])
-                if low[u] >= disc[p]:
-                    # p separates the subtree at u: pop one block.
-                    comp: set[int] = set()
-                    while estack:
-                        a, b = estack.pop()
-                        comp.add(a)
-                        comp.add(b)
-                        touched.add(a)
-                        touched.add(b)
-                        if (a, b) == (p, u):
-                            break
-                    blocks.append(frozenset(comp))
-                    if parent[p] is not None or root_children > 1:
-                        cuts.add(p)
-        if root_children > 1:
-            cuts.add(root)
-
-    for v in verts:
-        if v not in touched:
-            blocks.append(frozenset((v,)))
-
+                else:
+                    disc[w] = low[w] = len(disc)
+                    found.append(w)
+                    frames.append((w, u, iter(_bits(masks[w] & alive))))
+                    break
+            else:
+                frames.pop()
+                if parent < 0:
+                    continue
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= disc[parent]:
+                    # parent separates the subtree at u: one block is the
+                    # parent and that subtree's vertices still unplaced
+                    block = {parent}
+                    while u not in block:
+                        block.add(found.pop())
+                    blocks.append(frozenset(block))
     blocks.sort(key=lambda b: tuple(sorted(b)))
-    return BlockDecomposition(tuple(blocks), frozenset(cuts))
+    return blocks
 
 
 def chordal_masks(adj: Sequence[int]) -> bool:
@@ -277,10 +280,9 @@ class BoundariedGraph:
 
 def s_blocks(bg: BoundariedGraph) -> list[frozenset[int]]:
     """Blocks of the induced graph that contain an edge inside the boundary."""
-    bd = biconnected_blocks(bg.host, bg.vertices)
     bedges = bg.boundary_edges()
     out = []
-    for blk in bd.blocks:
+    for blk in biconnected_blocks(bg.host, bg.vertices):
         if any(u in blk and v in blk for (u, v) in bedges):
             out.append(blk)
     return out
@@ -288,8 +290,7 @@ def s_blocks(bg: BoundariedGraph) -> list[frozenset[int]]:
 
 def nontrivial_boundary_blocks(bg: BoundariedGraph) -> list[frozenset[int]]:
     """Non-trivial blocks of G[S], sorted canonically."""
-    bd = biconnected_blocks(bg.host, bg.boundary)
-    return [b for b in bd.blocks if len(b) >= 2]
+    return [b for b in biconnected_blocks(bg.host, bg.boundary) if len(b) >= 2]
 
 
 def sum_boundaried(a: BoundariedGraph, b: BoundariedGraph) -> Graph:

@@ -33,7 +33,7 @@ def verify_solution(
         raise InvalidInput(f"deleted vertices {outside} are outside 0..{g.n - 1}")
     remaining = [v for v in range(g.n) if v not in gone]
     if mode == "block":
-        pieces: Iterable[frozenset[int]] = biconnected_blocks(g, remaining).blocks
+        pieces: Iterable[frozenset[int]] = biconnected_blocks(g, remaining)
     elif mode == "component":
         pieces = connected_components(g, remaining)
     else:
@@ -56,14 +56,16 @@ def brute_force_solve(inst: Instance) -> int | None:
     pointed at an instance it would chew on forever.
     """
     g = inst.graph
-    total = sum(comb(g.n, j) for j in range(inst.k + 1))
+    # no set has more than n vertices, however large k is
+    top = min(inst.k, g.n)
+    total = sum(comb(g.n, j) for j in range(top + 1))
     if g.n > 24 and total > _SUBSET_BUDGET:
         raise TooLarge(
             f"n={g.n}, k={inst.k}: {total} subsets exceed the oracle budget"
         )
     fam = get_family(inst.family)
     verts = list(range(g.n))
-    for size in range(inst.k + 1):
+    for size in range(top + 1):
         for subset in combinations(verts, size):
             if verify_solution(g, subset, inst.d, fam, inst.mode):
                 return size

@@ -1,5 +1,6 @@
 import os
 import random
+import resource
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,13 @@ def child_env(**extra: str) -> dict[str, str]:
     return env
 
 
+def capped_address_space() -> None:
+    """Cap the calling process's address space at 1 GiB: a ``preexec_fn``
+    for a child that may run out of memory, so that it fails fast instead
+    of filling the machine's."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 @pytest.fixture
 def rng():
     return random.Random(0)
@@ -51,7 +59,7 @@ def path(n: int) -> Graph:
 
 def is_block_labeling(g: Graph, labels: dict[int, int]) -> bool:
     """Is the labeling injective on every block of g?"""
-    for blk in biconnected_blocks(g).blocks:
+    for blk in biconnected_blocks(g):
         seen = set()
         for v in blk:
             l = labels[v]

@@ -170,7 +170,7 @@ class TestCriterion5ChordalSumEquivalence:
             bedges = induced_edges(total, a.boundary)
             sblocks = [
                 blk
-                for blk in bd.blocks
+                for blk in bd
                 if any(u in blk and v in blk for (u, v) in bedges)
             ]
             if not all(is_chordal(total, blk) for blk in sblocks):
@@ -219,7 +219,7 @@ class TestCriterion7FixedDGenerator:
         g = blk.instance.graph
         rem = set(range(g.n)) - blk.planted
         assert verify_solution(g, blk.planted, d, "cycles", "block")
-        for piece in biconnected_blocks(g, rem).blocks:
+        for piece in biconnected_blocks(g, rem):
             ie = induced_edges(g, piece)
             assert (len(piece), len(ie)) in ((1, 0), (2, 1), (d, d))
         _report(

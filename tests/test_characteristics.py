@@ -92,7 +92,7 @@ def _split_final_graph(rng, n, d, ud):
 
     g0 = random_chordal(rng, n)
     bd = biconnected_blocks(g0)
-    if any(len(b) > d for b in bd.blocks):
+    if any(len(b) > d for b in bd):
         return None
     boundary0 = frozenset(rng.sample(range(n), rng.randint(1, min(n, 4))))
     side = frozenset(rng.sample(range(n), rng.randint(0, n)))
@@ -113,7 +113,7 @@ def _split_final_graph(rng, n, d, ud):
     vb = frozenset(remap[v] for v in vb0)
     # greedy block labeling on the renamed graph
     labels = {}
-    for blk in biconnected_blocks(g).blocks:
+    for blk in biconnected_blocks(g):
         used = {labels[v] for v in blk if v in labels}
         for v in sorted(blk):
             if v in labels:
@@ -209,7 +209,7 @@ def run_equivalence_trials(rng: random.Random, target: int, d: int = 4) -> int:
             for v in range(total.n):
                 lab.setdefault(v, 1)  # dense-graph filler ids are isolated
             bdx = biconnected_blocks(total)
-            assert all(len(blk) <= d for blk in bdx.blocks)
+            assert all(len(blk) <= d for blk in bdx)
             assert is_block_labeling(total, lab)
             assert is_chordal(total)
             assert respects(total, a.boundary, lab, char)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from blockvd.cli import main
-from conftest import child_env
+from conftest import capped_address_space, child_env
 
 
 TRIANGLE = "p tw 3 3\n1 2\n2 3\n3 1\n"
@@ -21,13 +21,14 @@ TD_OUT_OF_RANGE = [
 TD_OUT_OF_RANGE_IDS = ["td-vertex-out-of-range", "td-edge-out-of-range", "td-vertex-count"]
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "blockvd.cli", *args],
         capture_output=True,
         cwd=cwd,
         env=child_env(),
         text=True,
+        **kwargs,
     )
 
 
@@ -311,6 +312,19 @@ class TestErrorPaths:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error:")
+
+    def test_out_of_memory_exit_two_one_line(self, tmp_path):
+        # a valid header whose vertex count outgrows the capped memory
+        (tmp_path / "huge.gr").write_text("p tw 300000000 0\n")
+        proc = run_cli(
+            ["td", "heuristic", "--graph", "huge.gr"],
+            tmp_path,
+            preexec_fn=capped_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "error: out of memory\n"
 
     @pytest.mark.parametrize(
         "graph, td, reason",

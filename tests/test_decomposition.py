@@ -1,10 +1,13 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
 from blockvd.decomposition import (
     TreeDecomposition,
     Violation,
+    _bags_from_elimination,
     exact_td_small,
     heuristic_td,
     read_td,
@@ -14,9 +17,18 @@ from blockvd.decomposition import (
 )
 from blockvd.errors import InvalidInput, TooLarge
 from blockvd.gadgets import GridISInstance, gen_fixed_d
-from blockvd.graph import Graph
+from blockvd.graph import Graph, connected_components
 
-from conftest import complete, cycle, path, random_chordal, random_graph, star_of_bags
+from conftest import (
+    capped_address_space,
+    child_env,
+    complete,
+    cycle,
+    path,
+    random_chordal,
+    random_graph,
+    star_of_bags,
+)
 
 
 def TD(bags, edges):
@@ -292,6 +304,105 @@ class TestToNice:
         assert to_nice(td, g).width == 2
 
 
+def reference_min_fill_order(g: Graph) -> list[int]:
+    """The min-fill elimination ordering, ties to the lowest id, on
+    adjacency sets: the fill of v counts its pairs of remaining
+    neighbours that are not adjacent."""
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    remaining = set(range(g.n))
+    order: list[int] = []
+    while remaining:
+        best_v, best_fill = -1, None
+        for v in sorted(remaining):
+            nbrs = [w for w in adj[v] if w in remaining]
+            fill = sum(
+                nbrs[j] not in adj[nbrs[i]]
+                for i in range(len(nbrs))
+                for j in range(i + 1, len(nbrs))
+            )
+            if best_fill is None or fill < best_fill:
+                best_v, best_fill = v, fill
+        nbrs = [w for w in adj[best_v] if w in remaining]
+        for a in nbrs:
+            adj[a].update(w for w in nbrs if w != a)
+        remaining.remove(best_v)
+        order.append(best_v)
+    return order
+
+
+def reference_bags_from_elimination(g: Graph, order: list[int]) -> TreeDecomposition:
+    """Fill-in bags along the ordering on adjacency sets; each node's
+    parent is its earliest later neighbour, and the trees of the forest
+    are chained by their lowest nodes, found by a search of the forest."""
+    if g.n == 0:
+        return TreeDecomposition((frozenset(),), ())
+    pos = {v: i for i, v in enumerate(order)}
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    bags = []
+    edges = []
+    for v in order:
+        later = {w for w in adj[v] if pos[w] > pos[v]}
+        bags.append(frozenset(later | {v}))
+        if later:
+            edges.append((pos[v], min(pos[w] for w in later)))
+        for a in later:
+            adj[a] |= later - {a}
+    nadj: list[list[int]] = [[] for _ in range(g.n)]
+    for a, b in edges:
+        nadj[a].append(b)
+        nadj[b].append(a)
+    seen: set[int] = set()
+    roots = []
+    for t in range(g.n):
+        if t in seen:
+            continue
+        roots.append(t)
+        seen.add(t)
+        stack = [t]
+        while stack:
+            for w in nadj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    edges += zip(roots, roots[1:])
+    return TreeDecomposition(tuple(bags), tuple(sorted(edges)))
+
+
+def sparse_graphs(count: int) -> list[Graph]:
+    """Seeded random graphs on 0 to 25 vertices, from empty to dense;
+    most of the sparse ones are disconnected."""
+    rng = random.Random(30)
+    out = [Graph(0), Graph(1), Graph(4)]
+    while len(out) < count:
+        n = rng.randint(0, 25)
+        out.append(random_graph(rng, n, rng.randint(0, n * (n - 1) // 4)))
+    return out
+
+
+class TestAgainstSetReference:
+    GRAPHS = sparse_graphs(240)
+
+    def test_graphs_include_disconnected_and_empty_ones(self):
+        assert sum(len(connected_components(g)) > 1 for g in self.GRAPHS) >= 100
+        assert any(g.n == 0 for g in self.GRAPHS)
+
+    def test_heuristic_matches_the_set_reference(self):
+        for g in self.GRAPHS:
+            td = heuristic_td(g)
+            want = reference_bags_from_elimination(g, reference_min_fill_order(g))
+            assert td.bags == want.bags, g.edges()
+            assert td.tree_edges == want.tree_edges, g.edges()
+
+    def test_fill_in_matches_the_set_reference_on_any_order(self):
+        rng = random.Random(31)
+        for g in self.GRAPHS:
+            order = rng.sample(range(g.n), g.n)
+            got = _bags_from_elimination(g, order)
+            want = reference_bags_from_elimination(g, order)
+            assert got.bags == want.bags, (g.edges(), order)
+            assert got.tree_edges == want.tree_edges, (g.edges(), order)
+
+
 class TestHeuristic:
     def test_tree_width_one(self):
         g = Graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
@@ -378,8 +489,33 @@ class TestTdIO:
             "s td 2 3 3\nb 1 1 2 3\nb 2 1\n1 3\n",  # tree edge to a missing bag
             "s td 2 3 3\nb 1 1 2 3\nb 2 1\n0 1\n",  # tree edge to bag 0
             "s td 1 3 5\nb 1 1 2 3\n",  # vertex count is not n
+            "s td 2 3 3\nb 1 1 2 3\n",  # fewer bags than the header says
+            "s td 2 3 3\nb 1 1 2 3\nb 3 1\n1 3\n",  # bag id above #bags
+            "s td 2 3 3\nb 0 1\nb 1 1 2 3\n1 2\n",  # bag id 0
         ],
     )
     def test_malformed_raises_invalid_input(self, text):
         with pytest.raises(InvalidInput):
             read_td(text, 3)
+
+    def test_a_huge_bag_count_is_rejected_at_once(self):
+        # the child's address space is capped, so a reader that builds
+        # 1..#bags from the header fails fast instead of filling memory
+        code = (
+            "from blockvd.decomposition import read_td\n"
+            "from blockvd.errors import InvalidInput\n"
+            "try:\n"
+            "    read_td('s td 1000000000000 2 3\\nb 1 1 2\\n', 3)\n"
+            "except InvalidInput as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env=child_env(),
+            preexec_fn=capped_address_space,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "bag ids must be 1..#bags\n"

@@ -150,7 +150,7 @@ class TestTableInvariants:
                         from blockvd.graph import biconnected_blocks, is_chordal
 
                         bd = biconnected_blocks(g, live)
-                        assert all(len(b) <= 3 for b in bd.blocks)
+                        assert all(len(b) <= 3 for b in bd)
                         assert is_chordal(Graph(g.n, [
                             e for e in g.edges() if set(e) <= live
                         ]))

@@ -52,7 +52,7 @@ class TestEnumerateUd:
             assert len(p.labels) >= 2
             g = _as_graph(p)
             assert len(connected_components(g)) == 1
-            assert len(biconnected_blocks(g).blocks) == 1
+            assert len(biconnected_blocks(g)) == 1
 
     def test_cycles_family_rejected_at_d4(self):
         with pytest.raises(NonChordalFamily):
@@ -114,7 +114,7 @@ def _reference_universe(d, name, biconnected):
             g = Graph(len(labels), es)
             if len(connected_components(g)) != 1:
                 continue
-            if biconnected and len(biconnected_blocks(g).blocks) != 1:
+            if biconnected and len(biconnected_blocks(g)) != 1:
                 continue
             if not _reference_member(name, g):
                 continue
@@ -194,7 +194,7 @@ class TestMaskPredicate:
                 continue
             want = _reference_member(name, g)
             assert verify_solution(g, (), 5, name, "component") == want, g.edges()
-            if len(biconnected_blocks(g).blocks) == 1:
+            if len(biconnected_blocks(g)) == 1:
                 assert verify_solution(g, (), 5, name, "block") == want, g.edges()
 
 

@@ -152,7 +152,7 @@ class TestGenFixedD:
         gen = gen_fixed_d(grid, 4, "block", planted=[1, 2])
         g = gen.instance.graph
         rem = set(range(g.n)) - gen.planted
-        for blk in biconnected_blocks(g, rem).blocks:
+        for blk in biconnected_blocks(g, rem):
             ie = induced_edges(g, blk)
             assert (len(blk), len(ie)) in ((2, 1), (4, 4), (1, 0))
         assert verify_solution(g, gen.planted, 4, "cycles", "block")

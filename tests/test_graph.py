@@ -55,6 +55,13 @@ def find_chordless_cycle(g: Graph) -> list[int] | None:
     return None
 
 
+def test_masks_hold_the_neighbours():
+    rng = random.Random(4)
+    for n in range(12):
+        g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+        assert g.masks == tuple(sum(1 << w for w in g.neighbors(v)) for v in range(n))
+
+
 class TestComponents:
     def test_empty(self):
         assert connected_components(Graph(0)) == []
@@ -94,31 +101,40 @@ def test_vertex_ids_outside_the_graph_are_rejected(call, bad):
         call(path(3), bad)
 
 
+def shared_vertices(blocks: list[frozenset[int]]) -> set[int]:
+    """The vertices that lie in two or more of the blocks."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    for blk in blocks:
+        shared |= seen & blk
+        seen |= blk
+    return shared
+
+
 class TestBlocks:
     def test_triangle_with_pendant(self):
         g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         bd = biconnected_blocks(g)
-        assert set(bd.blocks) == {frozenset({0, 1, 2}), frozenset({2, 3})}
-        assert bd.cut_vertices == frozenset({2})
+        assert set(bd) == {frozenset({0, 1, 2}), frozenset({2, 3})}
+        assert shared_vertices(bd) == {2}
 
     def test_path(self):
         bd = biconnected_blocks(path(4))
-        assert set(bd.blocks) == {
+        assert set(bd) == {
             frozenset({0, 1}),
             frozenset({1, 2}),
             frozenset({2, 3}),
         }
-        assert bd.cut_vertices == frozenset({1, 2})
+        assert shared_vertices(bd) == {1, 2}
 
     def test_k4(self):
         bd = biconnected_blocks(complete(4))
-        assert bd.blocks == (frozenset({0, 1, 2, 3}),)
-        assert bd.cut_vertices == frozenset()
+        assert bd == [frozenset({0, 1, 2, 3})]
 
     def test_isolated_are_singleton_blocks(self):
         g = Graph(3, [(0, 1)])
         bd = biconnected_blocks(g)
-        assert frozenset({2}) in bd.blocks
+        assert frozenset({2}) in bd
 
     def _brute_blocks(self, g: Graph):
         """Maximal vertex sets inducing biconnected subgraphs."""
@@ -146,9 +162,11 @@ class TestBlocks:
         for _ in range(25):
             n = rng.randint(1, 8)
             g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
-            assert set(biconnected_blocks(g).blocks) == self._brute_blocks(g)
+            assert set(biconnected_blocks(g)) == self._brute_blocks(g)
 
     def test_cut_vertices_match_definition(self):
+        # a vertex lies in two or more blocks exactly when removing it
+        # adds a component
         rng = random.Random(2)
         for _ in range(25):
             n = rng.randint(2, 9)
@@ -159,7 +177,7 @@ class TestBlocks:
                 for v in range(n)
                 if len(connected_components(g, set(range(n)) - {v})) > base
             }
-            assert biconnected_blocks(g).cut_vertices == cuts
+            assert shared_vertices(biconnected_blocks(g)) == cuts
 
 
 class TestChordal:
@@ -332,7 +350,7 @@ class TestChordalSumEquivalence:
             bedges = induced_edges(total, a.boundary)
             sblocks = [
                 blk
-                for blk in bd.blocks
+                for blk in bd
                 if any(u in blk and v in blk for (u, v) in bedges)
             ]
             if not all(is_chordal(total, blk) for blk in sblocks):
@@ -399,7 +417,7 @@ class TestSBlockLemmas:
         bedges = induced_edges(g, boundary & frozenset(vertices))
         return [
             blk
-            for blk in bd.blocks
+            for blk in bd
             if any(u in blk and v in blk for (u, v) in bedges)
         ]
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from blockvd import oracle
 from blockvd.errors import InvalidInput, TooLarge
 from blockvd.graph import Graph
 from blockvd.instance import Instance
@@ -55,6 +56,15 @@ class TestBruteForce:
     def test_guard(self):
         with pytest.raises(TooLarge):
             brute_force_solve(Instance(Graph(40, []), 2, 20, "k1k2", "block"))
+
+    def test_k_above_n_costs_what_k_equal_to_n_costs(self, monkeypatch):
+        # no set has more than n vertices, so sizes past n are never counted
+        sizes = []
+        real = oracle.comb
+        monkeypatch.setattr(oracle, "comb", lambda n, j: sizes.append(j) or real(n, j))
+        g = complete(3)
+        assert brute_force_solve(Instance(g, 2, 10**6, "k1k2", "block")) == 1
+        assert len(sizes) <= g.n + 1
 
     def test_monotone_supersets(self):
         rng = random.Random(0)

@@ -12,10 +12,10 @@ import random
 
 import pytest
 
-from blockvd._dpcore import Engine, _bits, _mask_of
+from blockvd._dpcore import Engine
 from blockvd.decomposition import heuristic_td, to_nice
 from blockvd.families import enumerate_component_patterns, enumerate_ud, get_family
-from blockvd.graph import Graph
+from blockvd.graph import Graph, _bits, _mask_of
 
 from conftest import clique_patterns, members
 
