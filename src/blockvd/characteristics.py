@@ -1,28 +1,167 @@
-"""Characteristics of labeled boundaried graphs.
+"""Spec-level boundaried-graph code: the reference for acceptance
+criteria 5 and 6, kept off the solver path.
+
+A boundaried graph is a view (host, vertices, boundary) of a graph with
+boundary S.  Two compatible ones glue into their sum
+(``sum_boundaried``), and the sum of two chordal pieces is chordal
+exactly when the incidence graph of their boundary partitions
+(``aux_partition``) is a forest.
 
 A characteristic assigns to every non-trivial boundary block B a
 hypothesis g(B) for the final shape of the block that will contain B,
 plus the set h(B) of labels of outside neighbors already attached to
-that block.  This module computes admissible characteristics; the
-dynamic programs apply the introduce, forget and join relations between
-them in table-driven form.
+that block; pieces with the same characteristic can be swapped.  This
+module computes admissible characteristics and checks a sum against
+one; the dynamic programs apply the introduce, forget and join
+relations between them in table-driven form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainMismatch, NoCharacteristic
-from .families import Pattern, label_isomorphic, partial_label_isomorphic
+from .errors import IncompatibleBoundary, InvalidInput, NoCharacteristic
+from .families import Pattern
 from .graph import (
-    BoundariedGraph,
     Graph,
+    _check_range,
+    biconnected_blocks,
+    connected_components,
     induced_edges,
-    nontrivial_boundary_blocks,
-    s_blocks,
 )
+from .partitions import Partition
+
+
+@dataclass(frozen=True)
+class BoundariedGraph:
+    """A view (host, vertices, boundary) of a graph with boundary S.
+
+    ``vertices`` may be any subset of the host's vertex set; all derived
+    structure (components, blocks, boundary grouping) is taken in the
+    induced subgraph.
+    """
+
+    host: Graph
+    vertices: frozenset[int]
+    boundary: frozenset[int]
+
+    def __post_init__(self) -> None:
+        if not self.boundary <= self.vertices:
+            raise InvalidInput("boundary must be a subset of the vertex set")
+        _check_range(self.host, self.vertices)
+
+    @classmethod
+    def whole(cls, g: Graph, boundary: Iterable[int]) -> "BoundariedGraph":
+        return cls(g, frozenset(range(g.n)), frozenset(boundary))
+
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return induced_edges(self.host, self.vertices)
+
+    def boundary_edges(self) -> frozenset[tuple[int, int]]:
+        return induced_edges(self.host, self.boundary)
+
+    def components(self) -> list[frozenset[int]]:
+        return connected_components(self.host, self.vertices)
+
+    def boundary_components(self) -> list[frozenset[int]]:
+        return connected_components(self.host, self.boundary)
+
+
+def s_blocks(bg: BoundariedGraph) -> list[frozenset[int]]:
+    """Blocks of the induced graph that contain an edge inside the boundary."""
+    bedges = bg.boundary_edges()
+    out = []
+    for blk in biconnected_blocks(bg.host, bg.vertices):
+        if any(u in blk and v in blk for (u, v) in bedges):
+            out.append(blk)
+    return out
+
+
+def nontrivial_boundary_blocks(bg: BoundariedGraph) -> list[frozenset[int]]:
+    """Non-trivial blocks of G[S], sorted canonically."""
+    return [b for b in biconnected_blocks(bg.host, bg.boundary) if len(b) >= 2]
+
+
+def sum_boundaried(a: BoundariedGraph, b: BoundariedGraph) -> Graph:
+    """Glue two compatible boundaried graphs along their shared boundary.
+
+    Compatibility is realized by shared vertex ids: the boundaries must be
+    identical sets with identical induced edges, and the non-boundary
+    vertex sets must be disjoint.  The result is a dense graph on
+    0..max(id); ids outside either vertex set come out isolated.
+    """
+    if a.boundary != b.boundary:
+        raise IncompatibleBoundary("boundary sets differ")
+    if a.boundary_edges() != b.boundary_edges():
+        raise IncompatibleBoundary("induced boundary subgraphs differ")
+    if (a.vertices - a.boundary) & (b.vertices - b.boundary):
+        raise IncompatibleBoundary("non-boundary vertex sets overlap")
+    union = a.vertices | b.vertices
+    n = (max(union) + 1) if union else 0
+    return Graph(n, sorted(a.edges() | b.edges()))
+
+
+def aux_partition(bg: BoundariedGraph) -> Partition:
+    """Group boundary components by the component of G containing them.
+
+    Ground-set index i refers to the i-th boundary component in canonical
+    order (components sorted by minimum vertex).
+    """
+    bcomps = bg.boundary_components()
+    comps = bg.components()
+    owner: dict[int, int] = {}
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            owner[v] = ci
+    groups: dict[int, list[int]] = {}
+    for bi, bc in enumerate(bcomps):
+        groups.setdefault(owner[min(bc)], []).append(bi)
+    return Partition.from_parts(len(bcomps), groups.values())
+
+
+def _label_image(
+    g: Graph, vertices: Iterable[int], labels: Mapping[int, int]
+) -> frozenset[tuple[int, int]]:
+    """The edges of G[vertices] as label pairs, smaller label first."""
+    return frozenset(
+        (min(labels[u], labels[v]), max(labels[u], labels[v]))
+        for (u, v) in induced_edges(g, vertices)
+    )
+
+
+def partial_label_isomorphic(
+    g: Graph,
+    vertices: Iterable[int],
+    labels: Mapping[int, int],
+    q: Pattern,
+) -> bool:
+    """Does the labeled subgraph match q's induced subgraph on its labels?
+
+    The vertex set is expected to induce a biconnected (or, for the
+    component variant, connected) subgraph; the map sends each vertex to
+    the pattern vertex carrying its label.
+    """
+    vs = list(vertices)
+    lset = {labels[v] for v in vs}
+    if len(lset) != len(vs) or not lset <= q.labels:
+        return False
+    return _label_image(g, vs, labels) == q.induced(lset)
+
+
+def label_isomorphic(
+    g: Graph,
+    vertices: Iterable[int],
+    labels: Mapping[int, int],
+    q: Pattern,
+) -> bool:
+    """Full label-isomorphism: same label set and matching edges."""
+    vs = set(vertices)
+    if frozenset(labels[v] for v in vs) != q.labels or len(vs) != len(q.labels):
+        return False
+    return partial_label_isomorphic(g, vs, labels, q)
+
 
 BlockKey = tuple[int, ...]
 
@@ -39,18 +178,6 @@ class Characteristic:
         mapping: Mapping[BlockKey, tuple[Pattern, frozenset[int]]],
     ) -> "Characteristic":
         return cls(tuple((k, mapping[k][0], mapping[k][1]) for k in sorted(mapping)))
-
-    def g(self, key: BlockKey) -> Pattern:
-        for k, p, _ in self.entries:
-            if k == key:
-                return p
-        raise DomainMismatch(f"block {key} not in characteristic domain")
-
-    def h(self, key: BlockKey) -> frozenset[int]:
-        for k, _, hh in self.entries:
-            if k == key:
-                return hh
-        raise DomainMismatch(f"block {key} not in characteristic domain")
 
 
 def _completeness_witnesses(
@@ -85,11 +212,7 @@ def _neighborhood_matches(
     if {labels[u] for u in closed} != q_closed:
         return False
     # edge sets must match under the label map
-    mapped = {
-        (min(labels[a], labels[b]), max(labels[a], labels[b]))
-        for (a, b) in induced_edges(g, closed)
-    }
-    return mapped == set(q.induced(q_closed))
+    return _label_image(g, closed, labels) == q.induced(q_closed)
 
 
 def sblock_pattern_candidates(

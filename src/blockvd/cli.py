@@ -199,7 +199,7 @@ def _cmd_td(args: argparse.Namespace) -> int:
     if args.action == "heuristic":
         td = heuristic_td(g)
     elif args.action == "exact":
-        td = exact_td_small(g, limit=args.limit)
+        td = exact_td_small(g)
     else:  # nice
         base = read_td(_read_input(args.td), g.n) if args.td else heuristic_td(g)
         ntd = to_nice(base, g)
@@ -290,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     tsub.add_argument("action", choices=["validate", "heuristic", "exact", "nice"])
     tsub.add_argument("--graph", required=True)
     tsub.add_argument("--td", default=None)
-    tsub.add_argument("--limit", type=int, default=14)
     tsub.add_argument("-o", "--output", default=None)
     tsub.set_defaults(func=_cmd_td)
 

@@ -8,6 +8,9 @@ from typing import Iterable, Sequence
 from .errors import InvalidInput, TooLarge
 from .graph import Graph, _bits, connected_components, parse_ints
 
+# the most vertices ``exact_td_small`` takes
+EXACT_TD_CAP = 14
+
 
 @dataclass(frozen=True)
 class TreeDecomposition:
@@ -282,15 +285,16 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
     return _bags_from_elimination(g, order)
 
 
-def exact_td_small(g: Graph, limit: int = 14) -> TreeDecomposition:
+def exact_td_small(g: Graph) -> TreeDecomposition:
     """Minimum-width decomposition by DP over elimination orderings.
 
     Memoizes, for every vertex subset S, the best max-elimination-degree
-    achievable when S is eliminated first.  Exponential in n; guarded.
+    achievable when S is eliminated first.  Exponential in n; guarded
+    by ``EXACT_TD_CAP``.
     """
     n = g.n
-    if n > limit:
-        raise TooLarge(f"exact treewidth capped at {limit} vertices, got {n}")
+    if n > EXACT_TD_CAP:
+        raise TooLarge(f"exact treewidth capped at {EXACT_TD_CAP} vertices, got {n}")
 
     full = (1 << n) - 1
     nbr_mask = g.masks

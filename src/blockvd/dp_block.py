@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from ._dpcore import Engine, SolveResult
 from .decomposition import heuristic_td, to_nice
+from .errors import InvalidInput
 from .families import enumerate_ud, get_family
 from .instance import Instance
 from .oracle import verify_solution
@@ -36,7 +37,7 @@ def build_engine(inst: Instance) -> Engine:
 def solve_block(inst: Instance, witness: bool = False) -> SolveResult:
     """Decide the block variant; optionally recover a verified deletion set."""
     if inst.mode != "block":
-        raise ValueError("instance mode must be 'block'")
+        raise InvalidInput("instance mode must be 'block'")
     result = build_engine(inst).run()
     if not witness:
         result.witness = None

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from ._dpcore import Engine, SolveResult, pack_infeasible
 from .decomposition import heuristic_td, to_nice
+from .errors import InvalidInput
 from .families import enumerate_component_patterns, get_family
 from .instance import Instance
 from .oracle import verify_solution
@@ -48,7 +49,7 @@ def build_engine(inst: Instance) -> Engine:
 def solve_component(inst: Instance, witness: bool = False) -> SolveResult:
     """Decide the component variant; optionally recover a verified set."""
     if inst.mode != "component":
-        raise ValueError("instance mode must be 'component'")
+        raise InvalidInput("instance mode must be 'component'")
     result = build_engine(inst).run()
     if not witness:
         result.witness = None

@@ -41,9 +41,5 @@ class NotAClique(BlockvdError):
     """A planted embedding is not a multicolored clique / subgraph image."""
 
 
-class DomainMismatch(BlockvdError):
-    """A block is not in the domain of a characteristic."""
-
-
 class NoCharacteristic(BlockvdError):
     """A labeled boundaried graph admits no characteristic for the universe."""

@@ -1,17 +1,18 @@
 """Block families, labeled patterns, and the pattern universes.
 
 A pattern identifies vertices with their labels, so label-isomorphism
-questions reduce to set comparisons.
+questions reduce to set comparisons; the label-isomorphism tests of the
+characteristics are spec-level code in ``characteristics``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceeded, InvalidInput, NonChordalFamily
-from .graph import Graph, _component, chordal_masks, induced_edges
+from .graph import _component, chordal_masks
 
 # the largest d whose pattern universe is built
 UD_CAP = 6
@@ -219,44 +220,3 @@ def enumerate_ud(d: int, family: PFamilySpec) -> tuple[Pattern, ...]:
 def enumerate_component_patterns(d: int, family: PFamilySpec) -> tuple[Pattern, ...]:
     """Connected family members on label subsets of [d] (>= 1 label)."""
     return _enumerate_patterns(d, family, biconnected=False)
-
-
-def partial_label_isomorphic(
-    g: Graph,
-    vertices: Iterable[int],
-    labels: Mapping[int, int],
-    q: Pattern,
-) -> bool:
-    """Does the labeled subgraph match q's induced subgraph on its labels?
-
-    The vertex set is expected to induce a biconnected (or, for the
-    component variant, connected) subgraph; the map sends each vertex to
-    the pattern vertex carrying its label.
-    """
-    vs = sorted(vertices)
-    lset = set()
-    for v in vs:
-        l = labels[v]
-        if l in lset:
-            return False
-        lset.add(l)
-    if not lset <= q.labels:
-        return False
-    mapped = frozenset(
-        (min(labels[u], labels[v]), max(labels[u], labels[v]))
-        for (u, v) in induced_edges(g, vs)
-    )
-    return mapped == q.induced(lset)
-
-
-def label_isomorphic(
-    g: Graph,
-    vertices: Iterable[int],
-    labels: Mapping[int, int],
-    q: Pattern,
-) -> bool:
-    """Full label-isomorphism: same label set and matching edges."""
-    vs = set(vertices)
-    if frozenset(labels[v] for v in vs) != q.labels or len(vs) != len(q.labels):
-        return False
-    return partial_label_isomorphic(g, vs, labels, q)

@@ -1,21 +1,21 @@
 """Core graph representation and structural primitives.
 
 Undirected simple graphs over dense vertex ids 0..n-1.  A graph keeps
-one neighbour mask per vertex (``Graph.masks``), the adjacency that the
-components and blocks here, the pattern enumeration, the elimination
-orderings and the engine's bag shapes all read.  Most operations take an
-optional ``within`` vertex set and then act on the induced subgraph
-without re-indexing, so callers can keep host-graph ids throughout.
+one neighbour mask per vertex (``Graph.masks``, built on first read),
+the adjacency that the components and blocks here, the pattern
+enumeration, the elimination orderings and the engine's bag shapes all
+read.  Most operations take an optional ``within`` vertex set and then
+act on the induced subgraph without re-indexing, so callers can keep
+host-graph ids throughout.  Only what a solve, the oracle or the file
+formats read lives here; the boundaried graphs of the paper's gluing
+lemmas are spec-level code in ``characteristics``.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import Collection, Iterable, Sequence
 
-from .errors import IncompatibleBoundary, InvalidInput
-from .partitions import Partition
+from .errors import InvalidInput
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -24,7 +24,7 @@ class Graph:
     """Immutable undirected simple graph with sorted adjacency lists and
     neighbour masks: bit w of ``masks[v]`` is set when vw is an edge."""
 
-    __slots__ = ("n", "_adj", "_edges", "masks")
+    __slots__ = ("n", "_adj", "_edges", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -42,7 +42,16 @@ class Graph:
         self._edges = frozenset(
             (u, v) for u in range(n) for v in self._adj[u] if u < v
         )
-        self.masks: tuple[int, ...] = tuple(sum(1 << w for w in s) for s in adj)
+        self._masks: tuple[int, ...] | None = None
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """The neighbour masks, built on first read: a mask spans the
+        vertex ids, so all of them take space quadratic in n, which a
+        routine that never reads them (``validate_td``) should not pay."""
+        if self._masks is None:
+            self._masks = tuple(sum(1 << w for w in nb) for nb in self._adj)
+        return self._masks
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -241,93 +250,6 @@ def is_chordal(g: Graph, within: Iterable[int] | None = None) -> bool:
     """Is the subgraph induced by within (all of g by default) chordal?"""
     verts = sorted(set(within)) if within is not None else range(g.n)
     return chordal_masks(induced_masks(g, verts))
-
-
-@dataclass(frozen=True)
-class BoundariedGraph:
-    """A view (host, vertices, boundary) of a graph with boundary S.
-
-    ``vertices`` may be any subset of the host's vertex set; all derived
-    structure (components, blocks, boundary grouping) is taken in the
-    induced subgraph.
-    """
-
-    host: Graph
-    vertices: frozenset[int]
-    boundary: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if not self.boundary <= self.vertices:
-            raise InvalidInput("boundary must be a subset of the vertex set")
-        _check_range(self.host, self.vertices)
-
-    @classmethod
-    def whole(cls, g: Graph, boundary: Iterable[int]) -> "BoundariedGraph":
-        return cls(g, frozenset(range(g.n)), frozenset(boundary))
-
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return induced_edges(self.host, self.vertices)
-
-    def boundary_edges(self) -> frozenset[tuple[int, int]]:
-        return induced_edges(self.host, self.boundary)
-
-    def components(self) -> list[frozenset[int]]:
-        return connected_components(self.host, self.vertices)
-
-    def boundary_components(self) -> list[frozenset[int]]:
-        return connected_components(self.host, self.boundary)
-
-
-def s_blocks(bg: BoundariedGraph) -> list[frozenset[int]]:
-    """Blocks of the induced graph that contain an edge inside the boundary."""
-    bedges = bg.boundary_edges()
-    out = []
-    for blk in biconnected_blocks(bg.host, bg.vertices):
-        if any(u in blk and v in blk for (u, v) in bedges):
-            out.append(blk)
-    return out
-
-
-def nontrivial_boundary_blocks(bg: BoundariedGraph) -> list[frozenset[int]]:
-    """Non-trivial blocks of G[S], sorted canonically."""
-    return [b for b in biconnected_blocks(bg.host, bg.boundary) if len(b) >= 2]
-
-
-def sum_boundaried(a: BoundariedGraph, b: BoundariedGraph) -> Graph:
-    """Glue two compatible boundaried graphs along their shared boundary.
-
-    Compatibility is realized by shared vertex ids: the boundaries must be
-    identical sets with identical induced edges, and the non-boundary
-    vertex sets must be disjoint.  The result is a dense graph on
-    0..max(id); ids outside either vertex set come out isolated.
-    """
-    if a.boundary != b.boundary:
-        raise IncompatibleBoundary("boundary sets differ")
-    if a.boundary_edges() != b.boundary_edges():
-        raise IncompatibleBoundary("induced boundary subgraphs differ")
-    if (a.vertices - a.boundary) & (b.vertices - b.boundary):
-        raise IncompatibleBoundary("non-boundary vertex sets overlap")
-    union = a.vertices | b.vertices
-    n = (max(union) + 1) if union else 0
-    return Graph(n, sorted(a.edges() | b.edges()))
-
-
-def aux_partition(bg: BoundariedGraph) -> Partition:
-    """Group boundary components by the component of G containing them.
-
-    Ground-set index i refers to the i-th boundary component in canonical
-    order (components sorted by minimum vertex).
-    """
-    bcomps = bg.boundary_components()
-    comps = bg.components()
-    owner: dict[int, int] = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            owner[v] = ci
-    groups: dict[int, list[int]] = {}
-    for bi, bc in enumerate(bcomps):
-        groups.setdefault(owner[min(bc)], []).append(bi)
-    return Partition.from_parts(len(bcomps), groups.values())
 
 
 def parse_ints(fields: Sequence[str], line: str) -> list[int]:

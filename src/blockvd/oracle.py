@@ -23,8 +23,8 @@ def verify_solution(
 
     Block mode checks every block of the remainder, component mode every
     connected component; both must have at most d vertices and satisfy
-    the family predicate.  Raises InvalidInput for a deleted vertex
-    outside 0..n-1.
+    the family predicate.  Raises InvalidInput for any other mode and for
+    a deleted vertex outside 0..n-1.
     """
     fam = get_family(family) if isinstance(family, str) else family
     gone = set(deleted)
@@ -37,7 +37,7 @@ def verify_solution(
     elif mode == "component":
         pieces = connected_components(g, remaining)
     else:
-        raise ValueError(f"bad mode {mode!r}")
+        raise InvalidInput(f"bad mode {mode!r}")
     for piece in pieces:
         if len(piece) > d:
             return False

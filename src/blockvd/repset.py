@@ -106,11 +106,8 @@ def rep_partitions(m: int, family: Sequence[Partition]) -> list[Partition]:
 
     buckets: dict[int, list[tuple[Partition, int]]] = {}
     for oi, orig in enumerate(originals):
-        covered: set[Partition] = set()
+        # distinct: each merges a different set of two or more parts
         for c in one_coarsenings(orig):
-            if c in covered:
-                continue
-            covered.add(c)
             buckets.setdefault(len(c), []).append((c, oi))
 
     kept: set[int] = set()

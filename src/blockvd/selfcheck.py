@@ -9,17 +9,11 @@ from __future__ import annotations
 
 import random
 
+from .characteristics import BoundariedGraph, aux_partition, s_blocks, sum_boundaried
 from .dp_block import solve_block
 from .dp_component import solve_component
 from .errors import InvalidInput
-from .graph import (
-    BoundariedGraph,
-    Graph,
-    aux_partition,
-    is_chordal,
-    s_blocks,
-    sum_boundaried,
-)
+from .graph import Graph, is_chordal
 from .instance import Instance
 from .oracle import brute_force_solve
 from .partitions import all_partitions, inc_is_forest

@@ -13,13 +13,13 @@ import time
 
 import pytest
 
+from blockvd.characteristics import aux_partition, sum_boundaried
 from blockvd.decomposition import exact_td_small, validate_td
 from blockvd.dp_block import solve_block
 from blockvd.dp_component import solve_component
 from blockvd.gadgets import GridISInstance, gen_clique_instance, gen_fixed_d
 from blockvd.graph import (
     Graph,
-    aux_partition,
     biconnected_blocks,
     connected_components,
     induced_edges,
@@ -155,7 +155,6 @@ class TestCriterion4RepresentativeSets:
 
 class TestCriterion5ChordalSumEquivalence:
     def test_equivalence(self):
-        from blockvd.graph import sum_boundaried
         from blockvd.selfcheck import random_compatible_chordal_pair
 
         rng = random.Random(5)

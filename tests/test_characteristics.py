@@ -2,10 +2,17 @@ import random
 
 import pytest
 
-from blockvd.characteristics import Characteristic, compute_characteristics, respects
+from blockvd.characteristics import (
+    BoundariedGraph,
+    Characteristic,
+    aux_partition,
+    compute_characteristics,
+    respects,
+    sum_boundaried,
+)
 from blockvd.errors import NoCharacteristic
 from blockvd.families import Pattern, enumerate_ud, get_family
-from blockvd.graph import BoundariedGraph, Graph
+from blockvd.graph import Graph
 
 
 def pat(labels, edges=()):
@@ -18,16 +25,21 @@ UD4 = enumerate_ud(4, get_family("chordal"))
 K3 = pat({1, 2, 3}, [(1, 2), (1, 3), (2, 3)])
 
 
+def entry(c: Characteristic, key) -> tuple[Pattern, frozenset[int]]:
+    """The (g, h) pair a characteristic assigns to the boundary block key."""
+    return next((q, h) for k, q, h in c.entries if k == key)
+
+
 class TestCompute:
     def test_bare_triangle(self):
         g = Graph(3, [(0, 1), (0, 2), (1, 2)])
         bg = BoundariedGraph.whole(g, {0, 1, 2})
         chars = compute_characteristics(bg, {0: 1, 1: 2, 2: 3}, UD3)
         key = (0, 1, 2)
-        assert any(c.g(key) == K3 and c.h(key) == frozenset() for c in chars)
+        assert (K3, frozenset()) in [entry(c, key) for c in chars]
         # every candidate must host the triangle
         for c in chars:
-            assert K3.induced({1, 2, 3}) <= c.g(key).edges
+            assert K3.induced({1, 2, 3}) <= entry(c, key)[0].edges
 
     def test_outside_neighbor_forces_completion(self):
         # triangle 0,1,2 on the boundary plus an attached inside vertex 3
@@ -37,8 +49,8 @@ class TestCompute:
         chars = compute_characteristics(bg, labels, UD4)
         key = (0, 1, 2)
         for c in chars:
-            assert c.h(key) == frozenset({4})
-            q = c.g(key)
+            q, h = entry(c, key)
+            assert h == frozenset({4})
             # the completed vertex must close its pattern neighborhood:
             # label 4 adjacent to exactly 1 and 2
             assert q.neighbors(4) == frozenset({1, 2})
@@ -144,12 +156,10 @@ def run_equivalence_trials(rng: random.Random, target: int, d: int = 4) -> int:
     from conftest import is_block_labeling
 
     from blockvd.graph import (
-        aux_partition,
         biconnected_blocks,
         connected_components,
         induced_edges,
         is_chordal,
-        sum_boundaried,
     )
     from blockvd.partitions import inc_is_forest
 

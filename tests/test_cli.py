@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -203,7 +204,34 @@ class TestGenAndTd:
         assert main(["td", "validate", "--graph", str(c5), "--td", out]) == 0
         assert main(["td", "exact", "--graph", str(c5), "-o", out]) == 0
         assert main(["td", "nice", "--graph", str(c5), "-o", out]) == 0
+        # the exact routine's vertex cap is fixed, not an option
+        with pytest.raises(SystemExit) as exc:
+            main(["td", "exact", "--graph", str(c5), "--limit", "14"])
+        assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_td_validate_long_path_in_small_memory(self, tmp_path):
+        # validation reads no neighbour masks, whose total size is
+        # quadratic in n: about 225 MB for this path
+        n = 60_000
+        (tmp_path / "p.gr").write_text(
+            f"p tw {n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n))
+        )
+        (tmp_path / "p.td").write_text(
+            f"s td {n - 1} 2 {n}\n"
+            + "".join(f"b {v} {v} {v + 1}\n" for v in range(1, n))
+            + "".join(f"{t} {t + 1}\n" for t in range(1, n - 1))
+        )
+        proc = run_cli(
+            ["td", "validate", "--graph", "p.gr", "--td", "p.td"],
+            tmp_path,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (256 << 20, 256 << 20)
+            ),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"ok: {n - 1} bags, width 1\n"
 
     def test_enum_ud(self, capsys):
         assert main(["enum-ud", "-d", "3", "--family", "cliques"]) == 0

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from blockvd.decomposition import (
+    EXACT_TD_CAP,
     TreeDecomposition,
     Violation,
     _bags_from_elimination,
@@ -450,7 +451,7 @@ class TestExact:
 
     def test_guard(self):
         with pytest.raises(TooLarge):
-            exact_td_small(Graph(20, []), limit=14)
+            exact_td_small(Graph(EXACT_TD_CAP + 1, []))
 
     def test_never_beats_heuristic(self):
         rng = random.Random(1)

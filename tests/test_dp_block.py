@@ -1,8 +1,10 @@
 import pytest
 
+from blockvd.characteristics import BoundariedGraph, aux_partition
 from blockvd.decomposition import exact_td_small
 from blockvd.dp_block import build_engine, solve_block
-from blockvd.graph import BoundariedGraph, Graph, aux_partition
+from blockvd.errors import InvalidInput
+from blockvd.graph import Graph
 from blockvd.instance import Instance
 from blockvd.oracle import brute_force_solve, verify_solution
 
@@ -18,9 +20,11 @@ class TestSpecExamples:
         inst = Instance(cycle(5), 3, 0, "k1k2", "block")
         assert not solve_block(inst).decision
 
-    def test_wrong_mode_rejected(self):
-        with pytest.raises(ValueError):
-            solve_block(Instance(cycle(5), 3, 1, "k1k2", "component"))
+    @pytest.mark.parametrize("mode", ["block", "component"])
+    def test_wrong_mode_rejected(self, mode):
+        other = "component" if mode == "block" else "block"
+        with pytest.raises(InvalidInput):
+            SOLVE[mode](Instance(cycle(5), 3, 1, "k1k2", other))
 
 
 class TestOracleAgreement:

@@ -2,6 +2,14 @@ from itertools import combinations
 
 import pytest
 
+from blockvd.characteristics import (
+    BoundariedGraph,
+    aux_partition,
+    label_isomorphic,
+    partial_label_isomorphic,
+    s_blocks,
+    sum_boundaried,
+)
 from blockvd.errors import CapExceeded, InvalidInput, NonChordalFamily
 from blockvd.families import (
     FAMILIES,
@@ -10,19 +18,8 @@ from blockvd.families import (
     enumerate_component_patterns,
     enumerate_ud,
     get_family,
-    label_isomorphic,
-    partial_label_isomorphic,
 )
-from blockvd.graph import (
-    BoundariedGraph,
-    Graph,
-    aux_partition,
-    biconnected_blocks,
-    connected_components,
-    is_chordal,
-    s_blocks,
-    sum_boundaried,
-)
+from blockvd.graph import Graph, biconnected_blocks, connected_components, is_chordal
 from blockvd.oracle import verify_solution
 from blockvd.partitions import inc_is_forest
 

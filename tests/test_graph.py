@@ -4,18 +4,21 @@ from itertools import combinations
 import pytest
 
 from blockvd import selfcheck
+from blockvd.characteristics import (
+    BoundariedGraph,
+    aux_partition,
+    nontrivial_boundary_blocks,
+    sum_boundaried,
+)
 from blockvd.errors import IncompatibleBoundary, InvalidInput
 from blockvd.graph import (
-    BoundariedGraph,
     Graph,
-    aux_partition,
     biconnected_blocks,
     connected_components,
     induced_edges,
     induced_masks,
     is_chordal,
     read_gr,
-    sum_boundaried,
     write_gr,
 )
 from blockvd.partitions import Partition, inc_is_forest
@@ -438,8 +441,6 @@ class TestSBlockLemmas:
         # tags constant on each side's boundary blocks stay constant on the
         # fused boundary blocks of the sum
         for a, b in self._forest_pairs(rng, 60):
-            from blockvd.graph import nontrivial_boundary_blocks
-
             bblocks = nontrivial_boundary_blocks(a)
             if len(bblocks) < 2:
                 continue
@@ -467,8 +468,6 @@ class TestSBlockLemmas:
     def test_aux_restriction_stays_forest(self, rng):
         # restricting the two sides to one fused block keeps the joint
         # incidence structure acyclic
-        from blockvd.graph import BoundariedGraph
-
         for a, b in self._forest_pairs(rng, 60):
             total = sum_boundaried(a, b)
             for blk in self._s_blocks(total, frozenset(range(total.n)), a.boundary):

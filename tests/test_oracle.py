@@ -24,6 +24,10 @@ class TestVerify:
         assert verify_solution(g, set(), 3, "chordal", "component")
         assert not verify_solution(g, set(), 2, "chordal", "component")
 
+    def test_bad_mode_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match="bad mode 'blk'"):
+            verify_solution(Graph(3), [], 3, "chordal", "blk")
+
     def test_cycles_family(self):
         assert verify_solution(cycle(4), set(), 4, "cycles", "component")
         assert not verify_solution(cycle(4), set(), 4, "chordal", "component")

@@ -7,6 +7,10 @@ below of documented entry points that nothing inside the package calls.
 A helper that only the tests use belongs in the tests, and a private
 helper that the package stopped calling belongs nowhere.  Dunder methods
 are called by the language, not by name, and are left out.
+
+Likewise every name a module imports must be read in that module or
+listed in its ``__all__``: an import that code moved elsewhere left
+behind only hides where a name really lives.
 """
 
 import ast
@@ -82,3 +86,30 @@ def test_every_private_helper_is_used_by_the_package():
 
 def test_every_listed_entry_point_exists():
     assert set(ENTRY_POINTS) <= set(definitions())
+
+
+def unused_imports() -> list[str]:
+    """module.name for each name a package module imports, ``__future__``
+    features aside, but neither loads nor lists in its ``__all__``."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        out += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+    return out
+
+
+def test_every_import_is_used():
+    assert unused_imports() == [], "delete the imports the module no longer reads"

@@ -101,9 +101,12 @@ class TestCoarsenings:
         assert one_coarsenings(x) == [x]
 
     def test_counting(self):
-        for p in range(1, 6):
-            x = Partition.singletons(p)
-            assert len(one_coarsenings(x)) == 2**p - p
+        # distinct, so a caller needs no dedupe of its own
+        for m in range(7):
+            for x in all_partitions(m):
+                cs = one_coarsenings(x)
+                p = len(x)
+                assert len(set(cs)) == len(cs) == 2**p - p
 
     def test_all_are_coarsenings(self):
         x = P(5, [0, 1], [2], [3, 4])
