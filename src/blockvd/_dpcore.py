@@ -117,10 +117,20 @@ Without canonization the record is (L, gh), its one image and no tied
 label, so introduce guesses every label.
 
 Deletion sets carry no labels, so canonization leaves them alone.
-Every transition adds its produced states through ``Engine._merge``,
-which takes a canonical key and (partition, deletion set) items, and
-replaces a partition's set only by a strictly smaller one, so of equal
-sizes the first set stays.  The leaf's one key ((), (), ()) is its own
+Every transition builds whole families, each partition with the least
+set produced for it (of equal sizes the first), and merges them, not
+single items: introduce moves a child state's family once for all of its
+targets, forget builds one family for its deleted branch and one for its
+surviving branch, and a join builds the joints of a left and a right
+state once for every key their images reach (``Engine._joints``), paying
+for the union of two sets only where it wins.  ``Engine._merge`` then
+adds a family to the state of a canonical key.  A new key stores the
+family object itself.  On a stored key a partition's set is replaced
+only by a strictly smaller one, so of equal sizes the first set stays;
+the stored family is copied before the first real change, and a merge
+that changes nothing copies nothing.  No stored family is ever changed
+in place, so one family object may sit under several keys of one table
+and in several tables.  The leaf's one key ((), (), ()) is its own
 canonical form, and the join canonizes each target key once.  The keys
 an introduce or a forget produces from a child state read only the
 step, the child's (L, gh) and the universe, not the graph, k or the
@@ -130,8 +140,6 @@ cycle first, and skips the targets when none is left.  Where v is
 deleted the child's (L, gh) stays, and a stored key is canonical
 already: forget merges it with no canon, and introduce, where that key
 is new to the parent's table, passes the child's family on as it is.
-No table changes once it is built, so a family object may sit in
-several tables.
 
 The pattern universe depends on d, the family and the mode, never on the
 graph.  A process therefore builds each universe once (``_universe``,
@@ -157,14 +165,18 @@ order.  A step keeps one memo of moved partitions per direction.  Views
 are keyed by (t, shape, mode) and steps by (t, shape, position of v,
 mode), both of the big graph; both are cached per process, so every
 engine with a bag of that shape shares one object, and ``Engine.view``
-is only the image of a view in vertex ids.  The transitions index labels
-by position, so the parent's label tuple is the label map.  Mapping
-positions back through the sorted keep is monotone, so every order the
-transitions rely on (components by least vertex, units by their sorted
-tuples) is the same in positions as in vertex ids.  An engine keeps to
-itself only its mode, graph, k, decomposition, per-vertex neighbour
-masks (which give a keep its shape), packed-set masks and canonization
-switch.
+is only the image of a view in vertex ids.  An introduce or a forget
+computes the shape of its whole bag (v included) once per node and
+reads the step of each deleted set X from a third process cache
+(``_bag_step``), keyed by that shape, the mask of X's bag positions and
+v's position, which drops X's positions to reach the kept graph.  The
+transitions index labels by position, so the parent's label tuple is
+the label map.  Mapping positions back through the sorted keep is
+monotone, so every order the transitions rely on (components by least
+vertex, units by their sorted tuples) is the same in positions as in
+vertex ids.  An engine keeps to itself only its mode, graph, k,
+decomposition, per-vertex neighbour masks (which give a bag its shape),
+packed-set masks and canonization switch.
 """
 
 from __future__ import annotations
@@ -328,6 +340,39 @@ def _step(t: int, shape: int, vpos: int, mode: str) -> _Step:
         vpos, len(big.comps), len(small.comps), comp_map, comp_of[vpos],
         split, tuple(carried), tuple(vunits), small.units,
     )
+
+
+@cache
+def _bag_step(t: int, shape: int, xmask: int, vpos: int, mode: str) -> _Step:
+    """The step of a t-vertex bag graph of this shape, less the positions
+    in xmask (the deleted bag vertices X), for v at bag position vpos.
+
+    A transition computes its bag's shape once and reads the step of
+    each X here: dropping X's positions, highest first, gives the shape
+    of the kept graph, and v moves down by the positions of X below it.
+    Shared by every engine in the process, like ``_step``, whose object
+    it returns.
+    """
+    for p in reversed(_bits(xmask)):
+        shape = _drop_position(t, shape, p)
+        t -= 1
+    return _step(t, shape, vpos - (xmask & ((1 << vpos) - 1)).bit_count(), mode)
+
+
+def _move_family(
+    move: Callable[[_Step, Partition], Partition | None], step: _Step, fam: dict
+) -> dict[Partition, Witness]:
+    """A family's partitions moved through a step, each with its least
+    deletion set: two partitions may move to one, and of equal sizes the
+    first set stays.  A partition that move sends to None is dropped."""
+    moved: dict[Partition, Witness] = {}
+    for p, w in fam.items():
+        q = move(step, p)
+        if q is not None:
+            cur = moved.get(q)
+            if cur is None or len(w) < len(cur):
+                moved[q] = w
+    return moved
 
 
 @cache
@@ -713,24 +758,32 @@ class Engine:
     # ------------------------------------------------------------------
     # table plumbing
 
-    def _merge(
-        self, table: dict, key: StateKey, items: Iterable[tuple[Partition, Witness]]
-    ) -> None:
-        """Add (partition, deletion set) items to the state of a canonical key.
+    def _merge(self, table: dict, key: StateKey, fam: dict[Partition, Witness]) -> None:
+        """Merge a family into the state of a canonical key.
 
-        A partition the family already holds is replaced only by a strictly
-        smaller set, so of equal sizes the first set stays.  The family is
-        created on its first partition, so no empty family is stored.
+        fam maps each partition to one deletion set, the least of those
+        the transition produced for it (of equal sizes the first).  A new
+        key stores fam itself, unless it is empty: no empty family is
+        stored.  On a stored key a partition's set is replaced only by a
+        strictly smaller one, so of equal sizes the first stays; the
+        stored family is copied before the first such change, and a merge
+        that changes nothing copies nothing.  No stored family is ever
+        changed in place, so one family object may sit under several keys
+        and in several tables.
         """
-        fam = table.get(key)
-        for part, wit in items:
-            if fam is None:
-                fam = table[key] = {}
-            else:
-                old = fam.get(part)
-                if old is not None and len(old) <= len(wit):
-                    continue
-            fam[part] = wit
+        if not fam:
+            return
+        old = table.setdefault(key, fam)
+        if old is fam:
+            return
+        new = None
+        for part, wit in fam.items():
+            cur = old.get(part)
+            if cur is not None and len(cur) <= len(wit):
+                continue
+            if new is None:
+                new = table[key] = old.copy()
+            new[part] = wit
 
     def reduce_table(self, table: dict) -> None:
         # every key covers the one bag; on at most 5 bag vertices there are
@@ -792,7 +845,7 @@ class Engine:
         table: dict = {}
         for _, table in self.walk():
             states += len(table)
-            retained += sum(len(f) for f in table.values())
+            retained += sum(map(len, table.values()))
         # the last table walked is the root's; its one state holds the
         # one partition of no bag components
         stats = {"states": states, "retained": retained}
@@ -817,20 +870,21 @@ class Engine:
     # ------------------------------------------------------------------
     # introduce and forget
 
-    def _step_of(self, keep: tuple[int, ...], v: int) -> _Step:
-        """The step between the graph on the sorted keep and the graph without v."""
-        return _step(len(keep), self._shape(keep), keep.index(v), self.mode)
-
     def _introduce(self, bag: tuple[int, ...], v: int, child: dict, avoid: int) -> dict:
         table: dict = {}
+        t = len(bag)
+        shape = self._shape(bag)
+        vpos = bag.index(v)
         # per child X: the step, X + v and the budget of X + v
         steps: dict[tuple[int, ...], tuple[_Step, tuple[int, ...], int]] = {}
         for (xk, lk, gh), fam in child.items():
             got = steps.get(xk)
             if got is None:
-                keep = tuple(u for u in bag if u not in xk)
+                xmask = sum(1 << bag.index(u) for u in xk)
                 xv = tuple(sorted(xk + (v,)))
-                got = steps[xk] = (self._step_of(keep, v), xv, self._budget(avoid, xv))
+                got = steps[xk] = (
+                    _bag_step(t, shape, xmask, vpos, self.mode), xv, self._budget(avoid, xv)
+                )
             step, xv, budget = got
             # v joins the deleted set: nothing else changes, and the
             # stored (L, gh) is canonical already.  The key is new here (no
@@ -845,10 +899,9 @@ class Engine:
             if kept:
                 table[(xv, lk, gh)] = kept
             # v survives with some label; the family moves the same way
-            # whatever the label, and X and F stay as they were
-            moved = [
-                (q, w) for p, w in fam.items() if (q := self._intro_partition(step, p)) is not None
-            ]
+            # whatever the label, and X and F stay as they were, so one
+            # moved family serves every target
+            moved = _move_family(self._intro_partition, step, fam)
             if moved:
                 for target in self._targets(self._introduce_targets, step, lk, gh):
                     self._merge(table, (xk,) + target, moved)
@@ -958,20 +1011,24 @@ class Engine:
 
     def _forget(self, bag: tuple[int, ...], v: int, child: dict) -> dict:
         table: dict = {}
+        big = tuple(sorted(bag + (v,)))
+        t = len(big)
+        shape = self._shape(big)
+        vpos = big.index(v)
         steps: dict[tuple[int, ...], _Step] = {}
         for (xk, lk, gh), fam in child.items():
             if v in xk:
                 # v is deleted below the parent: it moves from X to the
                 # set, within the same budget; the stored (L, gh) is
                 # canonical already
-                items = [(p, w | {v}) for p, w in fam.items()]
-                self._merge(table, (tuple(u for u in xk if u != v), lk, gh), items)
+                moved = {p: w | {v} for p, w in fam.items()}
+                self._merge(table, (tuple(u for u in xk if u != v), lk, gh), moved)
                 continue
             step = steps.get(xk)
             if step is None:
-                keep = tuple(sorted(u for u in bag + (v,) if u not in xk))
-                step = steps[xk] = self._step_of(keep, v)
-            moved = [(self._forget_partition(step, p), w) for p, w in fam.items()]
+                xmask = sum(1 << big.index(u) for u in xk)
+                step = steps[xk] = _bag_step(t, shape, xmask, vpos, self.mode)
+            moved = _move_family(self._forget_partition, step, fam)
             for target in self._targets(self._forget_targets, step, lk, gh):
                 self._merge(table, (xk,) + target, moved)
         return table
@@ -1104,6 +1161,9 @@ class Engine:
             rsig = rimages[rlk, rgh]
             symmetric = len(rimages) == 1
             for lfam, limages in lefts:
+                # the joints of one pair of states are the same family
+                # under each key its images reach, so they are built once
+                joints = None
                 for (_, lgh), lsig in limages:
                     if not lsig & rsig:
                         entries = []
@@ -1115,8 +1175,11 @@ class Engine:
                                 break
                             entries.append((common, h1 | h2))
                         else:
-                            key = (rxk,) + self.canon(rlk, tuple(entries))
-                            self._merge(table, key, self._joints(lfam, rfam, budget))
+                            if joints is None:
+                                joints = self._joints(lfam, rfam, budget)
+                            if joints:
+                                key = (rxk,) + self.canon(rlk, tuple(entries))
+                                self._merge(table, key, joints)
                     if symmetric:
                         break
         return table
@@ -1130,23 +1193,25 @@ class Engine:
             index.setdefault((xk, lk), []).append((fam, self._orbit(lk, gh)[1].items()))
         return index
 
-    def _joints(
-        self, lfam: dict, rfam: dict, budget: int
-    ) -> Iterator[tuple[Partition, Witness]]:
-        """Acyclic joints of two families within the budget, each with the
-        union of the two deletion sets.
+    def _joints(self, lfam: dict, rfam: dict, budget: int) -> dict[Partition, Witness]:
+        """The acyclic joints of two families within the budget, as one
+        family: each joint with the least union of two deletion sets that
+        reach it, of equal sizes the first.
 
         The sets come from different subtrees below the bag, so they are
-        disjoint and the union's size is the sum of theirs.
+        disjoint and the union's size is the sum of theirs: a joint's
+        union is built only when its size wins.
         """
         memo = self._join_memo
+        joints: dict[Partition, Witness] = {}
         for p1, w1 in lfam.items():
             n1 = len(w1)
             row = memo.get(p1)
             if row is None:
                 row = memo[p1] = {}
             for p2, w2 in rfam.items():
-                if n1 + len(w2) > budget:
+                size = n1 + len(w2)
+                if size > budget:
                     continue
                 joint = row.get(p2)
                 if joint is None:
@@ -1154,7 +1219,10 @@ class Engine:
                         uplus(p1, p2) if inc_is_forest(p1.m, (p1, p2)) else False
                     )
                 if joint is not False:
-                    yield joint, w1 | w2
+                    cur = joints.get(joint)
+                    if cur is None or size < len(cur):
+                        joints[joint] = w1 | w2
+        return joints
 
 
 def clear_caches() -> None:
@@ -1168,4 +1236,5 @@ def clear_caches() -> None:
     _universe.cache_clear()
     _shape_view.cache_clear()
     _step.cache_clear()
+    _bag_step.cache_clear()
     _infeasible.cache_clear()

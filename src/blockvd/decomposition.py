@@ -269,7 +269,13 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
     order: list[int] = []
     while remaining:
         best = None
-        for v in _bits(remaining):
+        # walked by the lowest bit, not listed: on a sparse graph the scan
+        # mostly stops at its first vertex
+        rest = remaining
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             nb = adj[v] & remaining
             # twice the fill-in: a missing edge is counted from both ends
             fill = sum((nb & ~adj[w]).bit_count() for w in _bits(nb))

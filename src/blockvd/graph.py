@@ -111,10 +111,23 @@ def induced_masks(g: Graph, verts: Sequence[int]) -> list[int]:
 def _bits(mask: int) -> list[int]:
     """The set bits of mask in increasing order.
 
-    Linear in the length of mask: its binary digits, lowest first, select
-    from the bit positions.  Clearing the lowest bit one at a time copies
-    the whole int per bit, which is quadratic on long masks.
+    Clearing the lowest bit copies the whole int, so walking the bits
+    that way costs their number times the length of mask, while reading
+    its binary digits, lowest first, costs a few passes over the length
+    alone.  A mask with at most 8 set bits, or with at most one per 16
+    of its length and at most 256 in all, is walked: a vertex's
+    neighbourhood, short or in a long sparse graph, then costs a handful
+    of copies, not a pass over every vertex id.  Any other mask is read
+    through its digits.
     """
+    count = mask.bit_count()
+    if count <= 8 or count << 4 <= min(mask.bit_length(), 4096):
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
     digits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
     return list(compress(range(len(digits)), digits))
 

@@ -146,13 +146,18 @@ def test_join_index_holds_the_images_with_an_equal_label_key(mode):
             joins += 1
             left = tables[ntd.children[node][0]]
             index = engine._join_index(left)
-            # each entry holds the state's family itself, so find its key
-            # by the family's identity
-            key_of = {id(fam): key for key, fam in left.items()}
+            # each entry holds the state's family itself, in table order
+            # within its (X, L); one family object may sit under several
+            # keys, so match the entries to the keys by that order
+            keys_of: dict = {}
+            for key in left:
+                keys_of.setdefault(key[:2], []).append(key)
+            assert list(index) == list(keys_of)
             got: dict = {}
             for (xk, lk), entries in index.items():
-                for fam, images in entries:
-                    key = key_of[id(fam)]
+                assert len(entries) == len(keys_of[xk, lk])
+                for key, (fam, images) in zip(keys_of[xk, lk], entries):
+                    assert fam is left[key]
                     assert (key[0], key[1]) == (xk, lk)
                     assert key not in got
                     # the first image is the stored gh itself

@@ -233,6 +233,20 @@ class TestGenAndTd:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"ok: {n - 1} bags, width 1\n"
 
+    def test_td_heuristic_long_path_in_bounded_time(self, tmp_path):
+        # min-fill stops each scan at its first zero-fill vertex, and a
+        # sparse neighbourhood mask is read in its few set bits, not in
+        # one pass over every vertex id: quadratic scans take minutes here
+        n = 40_000
+        (tmp_path / "p.gr").write_text(
+            f"p tw {n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n))
+        )
+        proc = run_cli(
+            ["td", "heuristic", "--graph", "p.gr", "-o", "p.td"], tmp_path, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "wrote p.td (width 1)\n"
+
     def test_enum_ud(self, capsys):
         assert main(["enum-ud", "-d", "3", "--family", "cliques"]) == 0
         out = capsys.readouterr().out

@@ -115,15 +115,33 @@ class TestTableInvariants:
         part = Partition.singletons(1)
         pair, one, other = frozenset({5, 6}), frozenset({7}), frozenset({8})
         lowered: dict = {}
-        engine._merge(lowered, key, [(part, pair)])
-        engine._merge(lowered, key, [(part, one)])
+        first = {part: pair}
+        engine._merge(lowered, key, first)
+        # a new key stores the family itself
+        assert lowered[key] is first
+        engine._merge(lowered, key, {part: one})
         assert list(lowered.values()) == [{part: one}]
+        # the lowering copied the stored family rather than change it
+        assert first == {part: pair}
         kept: dict = {}
-        engine._merge(kept, key, [(part, one), (part, pair)])
+        engine._merge(kept, key, {part: one})
+        stored = kept[key]
+        engine._merge(kept, key, {part: pair})
         assert list(kept.values()) == [{part: one}]
-        # of equal budgets the first witness stays
-        engine._merge(kept, key, [(part, other)])
+        # of equal budgets the first witness stays, and a merge that
+        # changes nothing copies nothing
+        engine._merge(kept, key, {part: other})
         assert list(kept.values()) == [{part: one}]
+        assert kept[key] is stored
+        # a new partition extends a copy, after the stored ones
+        two = Partition.from_parts(2, [[0, 1]])
+        engine._merge(kept, key, {two: pair})
+        assert list(kept[key].items()) == [(part, one), (two, pair)]
+        assert stored == {part: one}
+        # an empty family stores no key
+        empty: dict = {}
+        engine._merge(empty, key, {})
+        assert empty == {}
 
     def test_witness_tables_consistent(self, rng):
         # stored witnesses replay: the partition matches the components of
@@ -193,14 +211,14 @@ class TestSteps:
         linked = Partition.from_parts(2, [[0, 1]])
         state = ((),) + engine.canon((1, 1), ())
         child = {}
-        engine._merge(child, state, [(linked, frozenset())])
+        engine._merge(child, state, {linked: frozenset()})
         out = engine._introduce((0, 1, 2), 2, child, 0)
         for key, fam in out.items():
             if key[0] == ():  # vertex 2 not deleted
                 assert not fam
         # the unlinked partition survives
         child2 = {}
-        engine._merge(child2, state, [(Partition.singletons(2), frozenset())])
+        engine._merge(child2, state, {Partition.singletons(2): frozenset()})
         out2 = engine._introduce((0, 1, 2), 2, child2, 0)
         assert any(key[0] == () and out2[key] for key in out2)
 

@@ -6,8 +6,9 @@ per-unit work, and pairs a right state whose label orbit has one image
 with each left state's first image alone.  The reference here pairs
 every right state with every image of every left state of its (X, L),
 checks each unit's pattern and h masks one by one, joins the families
-with ``uplus`` and ``inc_is_forest`` directly and merges through
-``Engine._merge``.  Both must build the same table, in the same order.
+with ``uplus`` and ``inc_is_forest`` directly, item by item, and merges
+each pairing's family through ``Engine._merge``.  Both must build the
+same table, in the same order.
 """
 
 from __future__ import annotations
@@ -26,6 +27,17 @@ from conftest import BUILD, clique_patterns, random_graph, star_of_bags
 from test_walk import symmetric_instances
 
 FAMILIES = ("k1k2", "cliques", "chordal")
+
+
+def least_family(items) -> dict:
+    """(partition, deletion set) items as one family: the least set per
+    partition, of equal sizes the first."""
+    fam: dict = {}
+    for part, wit in items:
+        old = fam.get(part)
+        if old is None or len(wit) < len(old):
+            fam[part] = wit
+    return fam
 
 
 def reference_join(engine, left: dict, right: dict, avoid: int, fired: dict) -> dict:
@@ -63,7 +75,8 @@ def reference_join(engine, left: dict, right: dict, avoid: int, fired: dict) -> 
                         for p2, w2 in rfam.items()
                         if len(w1) + len(w2) <= budget and inc_is_forest(p1.m, (p1, p2))
                     ]
-                    engine._merge(table, (rxk,) + engine.canon(rlk, tuple(entries)), items)
+                    key = (rxk,) + engine.canon(rlk, tuple(entries))
+                    engine._merge(table, key, least_family(items))
     return table
 
 

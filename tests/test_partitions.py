@@ -179,4 +179,4 @@ def test_join_of_two_empty_partitions_is_not_a_rejection():
     (empty,) = all_partitions(0)
     fam = {empty: frozenset()}
     for _ in range(2):  # a memo miss, then a memo hit
-        assert list(engine._joints(fam, fam, engine.k)) == [((), frozenset())]
+        assert engine._joints(fam, fam, engine.k) == {Partition(()): frozenset()}

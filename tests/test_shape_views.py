@@ -3,7 +3,9 @@
 ``Engine.view`` and the steps come from per-process tables keyed by
 (t, shape, mode) and (t, shape, position of v, mode), built in bag
 positions; one step serves the introduce into a shape and the forget
-from it.  Their vertex-id images must equal the direct construction on
+from it.  A transition reads the step of each deleted set X through
+``_bag_step``, keyed by the shape of its whole bag and the mask of X's
+bag positions.  Their vertex-id images must equal the direct construction on
 the host graph, which this file keeps as the reference:
 ``connected_components`` and ``biconnected_blocks`` on the induced
 subgraph, and the introduce and forget contexts built from those views
@@ -15,7 +17,7 @@ from itertools import combinations
 
 import pytest
 
-from blockvd._dpcore import Engine, _drop_position, _shape_view, _step
+from blockvd._dpcore import Engine, _bag_step, _drop_position, _shape_view, _step
 from blockvd.decomposition import heuristic_td, to_nice
 from blockvd.errors import InvalidInput
 from blockvd.families import enumerate_ud, get_family
@@ -92,10 +94,17 @@ def reference_forget(g, mode, bag, v, xk) -> dict:
     }
 
 
+def bag_step(engine: Engine, bag, v, xk):
+    """The step a transition over the sorted bag, with v in it, reads for
+    the deleted set xk."""
+    xmask = sum(1 << bag.index(u) for u in xk)
+    return _bag_step(len(bag), engine._shape(bag), xmask, bag.index(v), engine.mode)
+
+
 def intro_image(engine: Engine, bag, v, xk) -> dict:
     """The step the engine's introduce reads, in vertex ids."""
     keep = tuple(u for u in bag if u not in xk)
-    step = engine._step_of(keep, v)
+    step = bag_step(engine, bag, v, xk)
     big = _shape_view(len(keep), engine._shape(keep), engine.mode)
 
     def ids(unit):
@@ -119,7 +128,7 @@ def intro_image(engine: Engine, bag, v, xk) -> dict:
 def forget_image(engine: Engine, bag, v, xk) -> dict:
     """The step the engine's forget reads, in vertex ids."""
     keep = tuple(sorted(u for u in bag + (v,) if u not in xk))
-    step = engine._step_of(keep, v)
+    step = bag_step(engine, tuple(sorted(bag + (v,))), v, xk)
     pkeep = tuple(u for u in keep if u != v)
 
     def ids(unit):
@@ -264,3 +273,26 @@ def test_every_step_covers_the_small_units_once(mode):
                 assert sorted(
                     (si, bi) for bi, sis in enumerate(step.split) for si in sis
                 ) == list(enumerate(step.comp_map))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bag_steps_are_the_steps_of_the_kept_graphs(mode):
+    # for every shape of at most 5 vertices, every position of v and
+    # every deleted set avoiding it: the step of the kept graph, in the
+    # very object ``_step`` gives
+    for t in range(1, 6):
+        pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
+        for shape in range(1 << len(pairs)):
+            for vpos in range(t):
+                for xmask in range(1 << t):
+                    if xmask >> vpos & 1:
+                        continue
+                    kept = [p for p in range(t) if not xmask >> p & 1]
+                    at = {p: i for i, p in enumerate(kept)}
+                    small = sum(
+                        1 << b
+                        for b, (i, j) in enumerate(combinations(range(len(kept)), 2))
+                        if shape >> pairs.index((kept[i], kept[j])) & 1
+                    )
+                    want = _step(len(kept), small, at[vpos], mode)
+                    assert _bag_step(t, shape, xmask, vpos, mode) is want

@@ -26,7 +26,7 @@ def _engine(module, g, mode):
 
 def _child(engine, lk, gh):
     child: dict = {}
-    engine._merge(child, ((),) + engine.canon(lk, gh), [(Partition.singletons(1), frozenset())])
+    engine._merge(child, ((),) + engine.canon(lk, gh), {Partition.singletons(1): frozenset()})
     return child
 
 

@@ -294,7 +294,7 @@ def test_bags_of_one_shape_share_one_context():
     for engine in (a, b):
         engine.canonize = False
     child: dict = {}
-    a._merge(child, ((),) + a.canon((1, 2), ()), [(Partition.singletons(2), frozenset())])
+    a._merge(child, ((),) + a.canon((1, 2), ()), {Partition.singletons(2): frozenset()})
     kept = {key: fam for key, fam in a._introduce((0, 1, 2), 1, child, 0).items() if not key[0]}
     assert Partition.singletons(2) in step.intro_memo
     assert not step.forget_memo
@@ -302,7 +302,7 @@ def test_bags_of_one_shape_share_one_context():
     assert {key: fam for key, fam in b._introduce((2, 4, 5), 4, child, 0).items() if not key[0]} == kept
     # the forget from that shape reads the very step the introduce into it read
     assert _dpcore._step(3, 0b101, 1, "block") is step
-    assert b._step_of((2, 4, 5), 4) is step
+    assert _dpcore._bag_step(3, b._shape((2, 4, 5)), 0, 1, "block") is step
     b._forget((2, 5), 4, b._introduce((2, 4, 5), 4, child, 0))
     assert step.forget_memo
 
@@ -319,7 +319,9 @@ def test_clear_caches_empties_every_process_cache():
         for name, obj in vars(module).items()
         if callable(getattr(obj, "cache_clear", None))
     }
-    assert set(cached) >= {"_enumerate_patterns", "_universe", "_shape_view", "_step", "_infeasible"}
+    assert set(cached) >= {
+        "_enumerate_patterns", "_universe", "_shape_view", "_step", "_bag_step", "_infeasible"
+    }
     assert all(fn.cache_info().currsize for fn in cached.values())
     clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in cached.items()} == dict.fromkeys(cached, 0)

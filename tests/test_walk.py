@@ -215,3 +215,71 @@ def test_no_walked_table_changes_after_it_is_yielded(mode):
                 ], inst
                 tables += 1
     assert tables > 0
+
+
+def copying_merge(self, table: dict, key, fam: dict) -> None:
+    """The reference merge: a private deep copy of the family, merged item
+    by item, so no family object is ever shared."""
+    target = table.get(key)
+    for part, wit in copy.deepcopy(fam).items():
+        if target is None:
+            target = table[key] = {}
+        else:
+            old = target.get(part)
+            if old is not None and len(old) <= len(wit):
+                continue
+        target[part] = wit
+
+
+@pytest.mark.parametrize("mode", ["block", "component"])
+def test_sharing_families_between_keys_changes_no_table(mode, monkeypatch):
+    """``_merge`` stores a new key's family object as it is and copies a
+    stored family only before changing it, so one family may sit under
+    several keys.  Every table the walk yields, and every solve, must
+    equal those built with private families merged item by item."""
+    rng = random.Random(39)
+    cases = []
+    for d in (3, 4, 5):
+        for _ in range(6):
+            n = rng.randint(7, 11)
+            g = random_graph(rng, n, rng.randint(n, 2 * n))
+            family = rng.choice(["k1k2", "cliques", "chordal"])
+            cases.append(Instance(g, d, rng.randint(1, 3), family, mode))
+
+    def walk_all() -> list:
+        return [
+            [(node, [(key, list(fam.items())) for key, fam in table.items()])
+             for node, table in BUILD[mode](inst).walk()]
+            for inst in cases
+        ]
+
+    def solve_all() -> list:
+        out = []
+        for inst in cases:
+            for witness in (False, True):
+                res = SOLVE[mode](inst, witness=witness)
+                out.append((res.decision, res.minimum, res.witness, res.stats))
+        return out
+
+    # the property is not vacuous: tables hold one family under several
+    # keys, and in component mode a merge changes such a family
+    seen = {"shared": 0, "changed": 0}
+    merge = Engine._merge
+
+    def counting_merge(self, table: dict, key, fam: dict) -> None:
+        old = table.get(key)
+        merge(self, table, key, fam)
+        if old is not None and table[key] is not old:
+            seen["changed"] += sum(f is old for f in table.values()) > 0
+
+    monkeypatch.setattr(Engine, "_merge", counting_merge)
+    for inst in cases:
+        for _, table in BUILD[mode](inst).walk():
+            seen["shared"] += len({id(fam) for fam in table.values()}) < len(table)
+    assert seen["shared"] > 0
+    assert seen["changed"] > 0 or mode == "block", seen
+    monkeypatch.setattr(Engine, "_merge", merge)
+    walked, solved = walk_all(), solve_all()
+    monkeypatch.setattr(Engine, "_merge", copying_merge)
+    assert walk_all() == walked
+    assert solve_all() == solved
