@@ -114,14 +114,12 @@ def _bits(mask: int) -> list[int]:
     Clearing the lowest bit copies the whole int, so walking the bits
     that way costs their number times the length of mask, while reading
     its binary digits, lowest first, costs a few passes over the length
-    alone.  A mask with at most 8 set bits, or with at most one per 16
-    of its length and at most 256 in all, is walked: a vertex's
-    neighbourhood, short or in a long sparse graph, then costs a handful
-    of copies, not a pass over every vertex id.  Any other mask is read
-    through its digits.
+    alone.  A mask with at most 8 set bits is walked: a vertex's
+    neighbourhood in a long sparse graph then costs a handful of copies,
+    not a pass over every vertex id.  Any other mask is read through its
+    digits.
     """
-    count = mask.bit_count()
-    if count <= 8 or count << 4 <= min(mask.bit_length(), 4096):
+    if mask.bit_count() <= 8:
         out = []
         while mask:
             low = mask & -mask
