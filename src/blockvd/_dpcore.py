@@ -187,6 +187,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .decomposition import NiceTreeDecomposition
+from .errors import InvalidInput
 from .families import Pattern, PFamilySpec, _enumerate_patterns
 from .graph import Graph, _bits, _check_range, _mask_of, biconnected_blocks, connected_components
 from .oracle import verify_solution
@@ -276,10 +277,8 @@ def _shape_view(t: int, shape: int, mode: str) -> _View:
     comps = tuple(tuple(sorted(c)) for c in connected_components(g))
     if mode == "block":
         units = tuple(tuple(sorted(b)) for b in biconnected_blocks(g) if len(b) >= 2)
-    elif mode == "component":
-        units = comps
     else:
-        raise ValueError(f"bad mode {mode!r}")
+        units = comps
     unit_edges = tuple(
         tuple((a, b) for a, b in edges if a in unit and b in unit) for unit in units
     )
@@ -550,7 +549,9 @@ class Engine:
         ntd: NiceTreeDecomposition,
         packing: Sequence[int] = (),
     ):
-        self.mode = mode  # "block" or "component"; read only by _shape_view
+        if mode not in ("block", "component"):
+            raise InvalidInput(f"bad mode {mode!r}")
+        self.mode = mode  # read only by _shape_view
         self.g = g
         self.d = d
         self.k = k

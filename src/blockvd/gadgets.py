@@ -409,6 +409,8 @@ def gen_unbounded_d(
     if si_pairs is not None:
         wanted = {(min(a, b), max(a, b)) for a, b in si_pairs}
         order = [(i, j) for (i, j) in order if i == j or (i, j) in wanted]
+    if not order:
+        raise InvalidInput("no gadget to place: no color pair is selected")
     for i, j in order:
         if i < j and not edge_values.get((i, j)):
             raise InvalidInput(f"no encoded pairs for color pair ({i},{j})")
@@ -640,6 +642,8 @@ def gen_subgraph_iso_instance(
         for i, j in pattern_edges
     }
     if planted is not None:
+        if len(planted) != k:
+            raise NotAClique(f"planted selection {list(planted)} is not in [1..{t}]^k")
         for i, j in pattern_edges:
             a, b = planted[i - 1], planted[j - 1]
             if (min(a, b), max(a, b)) not in hset:

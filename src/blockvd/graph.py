@@ -96,15 +96,22 @@ def _check_range(g: Graph, verts: Collection[int]) -> None:
 
 
 def induced_edges(g: Graph, within: Iterable[int]) -> frozenset[tuple[int, int]]:
+    """The edges of g with both ends in within.  An id outside 0..n-1
+    raises InvalidInput."""
     ws = set(within)
+    _check_range(g, ws)
     return frozenset((u, v) for (u, v) in g.edges() if u in ws and v in ws)
 
 
 def induced_masks(g: Graph, verts: Sequence[int]) -> list[int]:
     """Neighbor masks of the subgraph induced by verts: bit j of entry i
-    says that verts[i] and verts[j] are adjacent."""
+    says that verts[i] and verts[j] are adjacent.  An id outside 0..n-1
+    or a repeated one raises InvalidInput."""
     _check_range(g, verts)
     pos = {v: i for i, v in enumerate(verts)}
+    if len(pos) != len(verts):
+        repeated = next(v for i, v in enumerate(verts) if pos[v] != i)
+        raise InvalidInput(f"vertex {repeated} is repeated")
     return [sum(1 << pos[w] for w in g.neighbors(v) if w in pos) for v in verts]
 
 

@@ -8,6 +8,11 @@ i.e. when their joint incidence graph is connected.  Keeping a row basis
 therefore preserves, for every complementary partition, the existence of
 a connected joint - and, within a fixed part-count bucket, connected
 means acyclic.
+
+``reduce_connected`` is that reduction on one bucket, and the only
+caller of the GF(2) elimination.  ``rep_partitions``, which the DP runs
+on a family above the bound, buckets the one-coarsenings of the family
+by part count and reduces each bucket through it.
 """
 
 from __future__ import annotations
@@ -90,8 +95,12 @@ def rep_partitions(m: int, family: Sequence[Partition]) -> list[Partition]:
     """Representative subfamily of size at most m * 2^(m-1).
 
     Steps: dedupe, take all 1-coarsenings, bucket them by part count,
-    rank-reduce each bucket against the complementary part count, then
-    map retained coarsenings back to their original partitions.
+    hand each bucket of i parts to ``reduce_connected`` against the
+    complementary count m + 1 - i, then map the retained coarsenings back
+    to their original partitions.  A coarsening that several originals
+    share is listed once and stands for the first of them: a repeated
+    row is in the span of its first copy, so the greedy basis would
+    never keep it.
     """
     seen: set[Partition] = set()
     originals: list[Partition] = []
@@ -104,19 +113,17 @@ def rep_partitions(m: int, family: Sequence[Partition]) -> list[Partition]:
     if m == 0 or len(originals) <= 1:
         return originals
 
-    buckets: dict[int, list[tuple[Partition, int]]] = {}
+    # part count -> coarsening -> index of the first original it came from
+    buckets: dict[int, dict[Partition, int]] = {}
     for oi, orig in enumerate(originals):
-        # distinct: each merges a different set of two or more parts
         for c in one_coarsenings(orig):
-            buckets.setdefault(len(c), []).append((c, oi))
+            buckets.setdefault(len(c), {}).setdefault(c, oi)
 
-    kept: set[int] = set()
-    nbits = 1 << (m - 1)
-    for i in sorted(buckets):
-        pairs = buckets[i]
-        rows = [cut_row(c) for (c, _) in pairs]
-        for ki in gf2_independent_rows(rows, nbits):
-            kept.add(pairs[ki][1])
+    kept = {
+        first[c]
+        for i, first in buckets.items()
+        for c in reduce_connected(m, list(first), m + 1 - i)
+    }
     return [originals[oi] for oi in sorted(kept)]
 
 

@@ -1,7 +1,8 @@
 import pytest
 
+from blockvd._dpcore import Engine
 from blockvd.characteristics import BoundariedGraph, aux_partition
-from blockvd.decomposition import exact_td_small
+from blockvd.decomposition import exact_td_small, heuristic_td, to_nice
 from blockvd.dp_block import build_engine, solve_block
 from blockvd.errors import InvalidInput
 from blockvd.graph import Graph
@@ -25,6 +26,11 @@ class TestSpecExamples:
         other = "component" if mode == "block" else "block"
         with pytest.raises(InvalidInput):
             SOLVE[mode](Instance(cycle(5), 3, 1, "k1k2", other))
+
+    def test_engine_rejects_a_bad_mode(self):
+        g = path(2)
+        with pytest.raises(InvalidInput, match="bad mode 'blk'"):
+            Engine("blk", g, 2, 1, (), to_nice(heuristic_td(g), g))
 
 
 class TestOracleAgreement:

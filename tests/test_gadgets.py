@@ -9,6 +9,7 @@ from blockvd.gadgets import (
     gen_clique_instance,
     gen_fixed_d,
     gen_subgraph_iso_instance,
+    gen_unbounded_d,
     phi,
 )
 from blockvd.graph import (
@@ -256,6 +257,25 @@ class TestGenUnboundedD:
                 pattern_edges=[(1, 2), (2, 3), (1, 3)],
                 pattern_size=3,
                 planted=[1, 2, 3],
+            )
+
+    def test_short_planted_map_rejected_before_its_host_edges_are_read(self):
+        with pytest.raises(NotAClique, match="planted selection"):
+            gen_subgraph_iso_instance(
+                host_edges=[(1, 2)],
+                host_size=2,
+                pattern_edges=[(1, 2)],
+                pattern_size=2,
+                planted=[1],
+            )
+
+    def test_no_gadget_to_place_rejected(self):
+        # k = 2 has no diagonal gadget, so no selected pair leaves nothing
+        with pytest.raises(InvalidInput, match="no gadget"):
+            gen_unbounded_d(2, 2, {}, si_pairs=[])
+        with pytest.raises(InvalidInput, match="no gadget"):
+            gen_subgraph_iso_instance(
+                host_edges=[(1, 2)], host_size=2, pattern_edges=[], pattern_size=2
             )
 
     def test_larger_clique_instance(self):

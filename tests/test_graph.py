@@ -92,16 +92,25 @@ class TestComponents:
         lambda g, v: biconnected_blocks(g, [0, v]),
         lambda g, v: is_chordal(g, [0, v]),
         lambda g, v: induced_masks(g, [0, v]),
+        lambda g, v: induced_edges(g, [0, v]),
         lambda g, v: BoundariedGraph(g, frozenset({0, v}), frozenset({0})),
     ],
     ids=["connected_components", "biconnected_blocks", "is_chordal", "induced_masks",
-         "BoundariedGraph"],
+         "induced_edges", "BoundariedGraph"],
 )
 def test_vertex_ids_outside_the_graph_are_rejected(call, bad):
     # -1 used to stand for vertex 2 through negative indexing, and 3 used
     # to raise a bare IndexError
     with pytest.raises(InvalidInput, match="outside 0..2"):
         call(path(3), bad)
+
+
+def test_induced_masks_rejects_a_repeated_vertex():
+    # every copy of a repeated vertex would read the position of its last
+    # copy: [0, 0, 1] on the path 0-1-2 would give [4, 4, 2]
+    with pytest.raises(InvalidInput, match="vertex 0 is repeated"):
+        induced_masks(path(3), [0, 0, 1])
+    assert induced_masks(path(3), [0, 2, 1]) == [4, 4, 3]
 
 
 def shared_vertices(blocks: list[frozenset[int]]) -> set[int]:

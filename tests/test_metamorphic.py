@@ -11,7 +11,7 @@ disjoint union is the sum of the two minima, reducing every family of
 two or more partitions keeps a least member for every completion and
 leaves the minimum unchanged, and solving along another decomposition
 of the same graph gives the same answer.  On 20-vertex partial
-3-trees and 5-trees, raising d never raises the block or the component
+3-trees, 5-trees and 6-trees, raising d never raises the block or the component
 minimum, the ``k1k2`` minimum is the same for d = 2..5 and a pendant
 vertex leaves the block minimum unchanged.  On partial 3-trees the
 block minimum, found without a packing, is at most the component
@@ -208,12 +208,12 @@ def test_a_disjoint_union_needs_the_sum_of_the_minima(mode, family):
 
 def at_widths(name: str, values: list[str]):
     """Parametrize name over values and the width of the partial k-trees
-    over 3 and 5.  A width-3 case keeps its value's plain id; a width-5
-    case adds "-w5"."""
+    over 3, 5 and 6.  A width-3 case keeps its value's plain id; a wider
+    case adds "-w5" or "-w6"."""
     return pytest.mark.parametrize(
         f"{name}, width",
         [pytest.param(v, 3, id=v) for v in values]
-        + [pytest.param(v, 5, id=f"{v}-w5") for v in values],
+        + [pytest.param(v, w, id=f"{v}-w{w}") for w in (5, 6) for v in values],
     )
 
 

@@ -3,7 +3,8 @@
 A top-level function, or a method of a top-level class, in ``src/blockvd``
 must be referenced by name somewhere in the package (a call, an attribute
 load or an import).  A public one may instead stand on the short list
-below of documented entry points that nothing inside the package calls.
+below of documented entry points that nothing inside the package calls,
+and a name leaves that list once the package calls it.
 A helper that only the tests use belongs in the tests, and a private
 helper that the package stopped calling belongs nowhere.  Dunder methods
 are called by the language, not by name, and are left out.
@@ -25,7 +26,6 @@ ENTRY_POINTS = {
     "_dpcore.Engine.view": "README: the way to read a walked table's gh in vertex ids",
     "characteristics.compute_characteristics": "acceptance criterion 6 reads it",
     "characteristics.respects": "acceptance criterion 6 reads it",
-    "repset.reduce_connected": "acceptance criteria read the one-bucket reduction",
     "graph.Graph.has_edge": "core graph type API",
     "families.Pattern.has_edge": "core pattern type API",
     "partitions.Partition.singletons": "core partition type API",
@@ -86,6 +86,12 @@ def test_every_private_helper_is_used_by_the_package():
 
 def test_every_listed_entry_point_exists():
     assert set(ENTRY_POINTS) <= set(definitions())
+
+
+def test_no_listed_entry_point_is_used_by_the_package():
+    used = referenced_names()
+    stale = sorted(qual for qual in ENTRY_POINTS if qual.rsplit(".", 1)[1] in used)
+    assert stale == [], "drop it from ENTRY_POINTS"
 
 
 def unused_imports() -> list[str]:

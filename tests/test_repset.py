@@ -1,8 +1,4 @@
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -170,21 +166,3 @@ class TestExhaustiveEngine:
                     if had:
                         assert any(len(uplus(x, y)) == 1 for x in kept)
 
-
-def test_kernel_benchmark_runs_without_pythonpath(tmp_path):
-    """``benchmarks/bench_repset.py`` finds the checkout's own sources
-    from any working directory, with PYTHONPATH unset."""
-    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_repset.py"
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    runs = [(script.parents[1], ["--max-m", "4"]), (tmp_path, ["--max-m", "6", "--rows", "20"])]
-    for cwd, args in runs:
-        proc = subprocess.run(
-            [sys.executable, str(script), *args, "--reps", "1"],
-            cwd=cwd,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split()[:5] == ["m", "cols", "rows", "kept", "time"]
