@@ -11,15 +11,16 @@ one component.  A table entry is keyed by
     (X, L, gh)
 
 where X is the deleted bag subset, L the labeling of the rest by labels
-1..d, and gh[j] the hypothesis of unit j of ``view(bag - X)``: a set of
+0..d, and gh[j] the hypothesis of unit j of ``view(bag - X)``: a set of
 candidate final patterns plus the labels of outside neighbors already
-attached, held as the pair (pattern mask, h mask).  The units depend
-only on the bag and X, so no key stores them.  The value is the family
-of partitions of the bag components realized by some partial solution,
-each mapped to the least set of vertices deleted below the bag by a
-partial solution realizing it; a set larger than the state's budget
-(below) is dropped.  After every node each family is held to the
-representative-set bound of m * 2^(m-1) partitions over m bag
+attached, held as the pair (pattern mask, h mask).  A kept vertex carries
+label 0 exactly when it lies in no unit (below), a label 1..d otherwise.
+The units depend only on the bag and X, so no key stores them.  The
+value is the family of partitions of the bag components realized by some
+partial solution, each mapped to the least set of vertices deleted below
+the bag by a partial solution realizing it; a set larger than the
+state's budget (below) is dropped.  After every node each family is held
+to the representative-set bound of m * 2^(m-1) partitions over m bag
 components: the rank-based reduction runs only on a family above that
 bound.  It is given the family in ascending set size, so its greedy
 basis keeps, for every complement, a member of least size (the weighted
@@ -65,6 +66,26 @@ The bound itself reaches the engine only through the pattern universe,
 whose members have no more vertices than it allows, and through the
 component-mode packing behind the budgets.
 
+Only the checks of a unit read labels, so a vertex is labeled only while
+it lies in a unit: it takes a label when it enters one (introduce) and
+label 0 when it leaves the last (forget).  In component mode every
+vertex lies in its component's unit, so no key holds a 0; in block mode
+label 0 marks the vertices isolated in G[bag - X].  A label need not
+follow a vertex from one final block into the next: the final blocks
+meet in a block-cut forest, two of them share at most one vertex, and
+the patterns ask only for a labeling of each block on its own.  So a
+vertex u in no unit may take a fresh label when it enters a unit with a
+newly introduced neighbour v, as long as the final block B through u
+and v has no forgotten vertex next to u, which would have read u's old
+label.  It has none.  Say f were one.  The child's bag separates f,
+forgotten, from v, not yet introduced, and every (f, v)-separator of B
+holds u, as f-u-v is a path of B.  B is chordal (the DP takes only
+families of chordal members) and 2-connected, so a minimal such
+separator inside the bag is a clique of two or more vertices, which
+gives u a neighbour in G[bag - X] and so a unit.  The final blocks that
+did meet forgotten vertices at u were checked while u lay in their
+units, and no open unit reads u's label.
+
 Hypothesis slots hold pattern *sets* rather than single patterns: a
 state with slot S stands for the union of the single-pattern states over
 S, which all carry the same family until some transition distinguishes
@@ -79,13 +100,14 @@ to one final shape (several blocks or components sinking together).  All
 checks are per-unit and independent of the stored partitions, which is
 what makes the representative-set reduction valid.
 
-States are canonicalized under permutations of the label alphabet at
-every d.  A permutation acts on L, patterns and h masks but never on
-partitions, and the canonical (L, gh) is its least image over all d!
-permutations.  That image renumbers L by first appearance, so only the
-images that do so compete.  They are the orbit of one of them under the
-permutations of the u+1..d labels absent from L, for u distinct labels
-in L, walked through the adjacent transpositions (j j+1), u < j < d:
+States are canonicalized under permutations of the label alphabet 1..d
+at every d; label 0 is fixed by all of them.  A permutation acts on L,
+patterns and h masks but never on partitions, and the canonical (L, gh)
+is its least image over all d! permutations.  That image renumbers the
+nonzero labels of L by first appearance, so only the images that do so
+compete.  They are the orbit of one of them under the permutations of
+the u+1..d labels absent from L, for u distinct nonzero labels in L,
+walked through the adjacent transpositions (j j+1), u < j < d:
 |orbit| * (d - u - 1) slot relabels instead of (d - u)!.  Component-mode
 slots are mostly symmetric in the absent labels, so their orbits are
 small.  A slot relabels only the patterns it holds, each through its
@@ -108,13 +130,17 @@ sigma(l) pairs with it into sigma of l's pairing, whose canonical key and
 family are those of l's own: such a right state pairs with each left
 state's first image alone.
 
-Introduce reads the tied labels.  A stored L numbers its u labels 1..u,
-so labels u+1..d are absent.  When the swap (j j+1) of two absent labels
-fixes gh, it fixes the whole state, and giving the new vertex label j+1
-yields the image under it of giving it label j: the same canonical key
-and the same family.  Label j+1 is then tied, and introduce skips it.
-Without canonization the record is (L, gh), its one image and no tied
-label, so introduce guesses every label.
+Introduce reads the tied labels.  A stored L numbers its u nonzero
+labels 1..u, so labels u+1..d are absent.  When the swap (j j+1) of two
+absent labels fixes gh, it fixes the whole state, and label j+1 is tied.
+A run of labels each tied to the one below is permuted freely by the
+swaps, so of the labelings of v and the vertices entering a unit with it
+(v first), introduce tries only those that use the run's labels in
+increasing order of first appearance (restricted growth): one of each
+orbit, all of whose members give the same canonical key and the same
+family.  For v alone that skips every tied label.  Without
+canonization the record is (L, gh), its one image and no tied label, so
+introduce guesses every labeling.
 
 Deletion sets carry no labels, so canonization leaves them alone.
 Every transition builds whole families, each partition with the least
@@ -306,6 +332,10 @@ class _Step:
     carried: tuple[tuple[int, int], ...]
     vunits: tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...]], ...]
     small_units: tuple[tuple[int, ...], ...]  # in small positions
+    # the big positions other than vpos in a unit through v and in no small
+    # unit, which carry label 0 in the small graph only: in block mode the
+    # neighbours of v isolated in the small graph, in component mode none
+    fresh: tuple[int, ...]
     # moved partitions, one memo per direction: with equal component
     # counts one partition can key both, with different images
     intro_memo: dict = field(default_factory=dict)
@@ -326,6 +356,7 @@ def _step(t: int, shape: int, vpos: int, mode: str) -> _Step:
     )
     lifted = [tuple(up[i] for i in unit) for unit in small.units]
     small_index = {unit: si for si, unit in enumerate(lifted)}
+    covered = {p for unit in lifted for p in unit}
     carried = []
     vunits = []
     for bi, (unit, edges) in enumerate(zip(big.units, big.unit_edges)):
@@ -335,9 +366,10 @@ def _step(t: int, shape: int, vpos: int, mode: str) -> _Step:
             vunits.append((bi, unit, edges, inside))
         else:
             carried.append((bi, small_index[unit]))
+    fresh = {p for _, unit, _, _ in vunits for p in unit} - covered - {vpos}
     return _Step(
         vpos, len(big.comps), len(small.comps), comp_map, comp_of[vpos],
-        split, tuple(carried), tuple(vunits), small.units,
+        split, tuple(carried), tuple(vunits), small.units, tuple(sorted(fresh)),
     )
 
 
@@ -356,6 +388,31 @@ def _bag_step(t: int, shape: int, xmask: int, vpos: int, mode: str) -> _Step:
         shape = _drop_position(t, shape, p)
         t -= 1
     return _step(t, shape, vpos - (xmask & ((1 << vpos) - 1)).bit_count(), mode)
+
+
+@cache
+def _fresh_labelings(d: int, count: int, tied: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The labelings of count fresh vertices of an introduce, v's label
+    first, one of each orbit under the permutations that fix the child
+    state, in lexicographic order.
+
+    Label l is tied when the swap of l - 1 and l fixes the child state
+    (``_orbit``), so the swaps permute a run of labels each tied to the
+    one below freely.  A labeling takes a tied label l only after an
+    earlier fresh vertex took l - 1: it takes each run's labels in
+    increasing order of first appearance (restricted growth), and so
+    holds one labeling of each orbit.  A fresh vertex shares a unit with
+    v, so none but v takes v's label.
+    """
+    out: list[tuple[int, ...]] = [(l,) for l in range(1, d + 1) if l not in tied]
+    for _ in range(count - 1):
+        out = [
+            ls + (l,)
+            for ls in out
+            for l in range(1, d + 1)
+            if l != ls[0] and (l not in tied or l - 1 in ls)
+        ]
+    return tuple(out)
 
 
 def _move_family(
@@ -708,15 +765,16 @@ class Engine:
         """The record of the label orbit of (L, gh): (least image, images,
         tied labels).
 
-        The renumbering sigma0 sends the u distinct labels of L to 1..u by
-        first appearance and the absent labels, in increasing order, to
-        u+1..d.  The images are the orbit of sigma0(gh) under the
-        permutations of u+1..d, walked through their generators (j j+1),
-        u < j < d; label j + 1 is tied when (j j+1) fixes sigma0(gh).
-        They map each (L, gh) image, in orbit order, to the h signature of
-        its gh (``_signature``).  Without canonization the record is built
-        afresh and not stored, as the memo is shared with canonizing
-        engines.
+        Label 0, of the positions in no unit, is fixed by every
+        permutation.  The renumbering sigma0 sends the u distinct nonzero
+        labels of L to 1..u by first appearance and the absent labels, in
+        increasing order, to u+1..d.  The images are the orbit of
+        sigma0(gh) under the permutations of u+1..d, walked through their
+        generators (j j+1), u < j < d; label j + 1 is tied when (j j+1)
+        fixes sigma0(gh).  They map each (L, gh) image, in orbit order, to
+        the h signature of its gh (``_signature``).  Without canonization
+        the record is built afresh and not stored, as the memo is shared
+        with canonizing engines.
         """
         if not self.canonize:
             pair = (lkey, gh)
@@ -725,12 +783,15 @@ class Engine:
         got = self._canon_memo.get(memo_key)
         if got is not None:
             return got
-        image = {l: new for new, l in enumerate(dict.fromkeys(lkey), 1)}
-        u = len(image)
+        image = {0: 0}
+        for l in lkey:
+            if l not in image:
+                image[l] = len(image)
+        u = len(image) - 1
         absent = [l for l in range(1, self.d + 1) if l not in image]
         image.update(zip(absent, range(u + 1, self.d + 1)))
         sigma0 = tuple(image[l] for l in range(1, self.d + 1))
-        lc = tuple(sigma0[l - 1] for l in lkey)
+        lc = tuple(image[l] for l in lkey)
         # lc == lkey when L is renumbered already, as in every stored
         # state; sigma0 is then the identity
         first = gh if lc == lkey else self._sigma_gh(sigma0, gh)
@@ -955,30 +1016,41 @@ class Engine:
         return res
 
     def _introduce_targets(self, step: _Step, lk: tuple[int, ...], gh: tuple) -> tuple:
-        """The canonical (L, gh) of each label v can survive with, up to
-        the symmetry of the child state, in label order and each once.
+        """The canonical (L, gh) of each labeling of v, surviving, and the
+        vertices entering a unit with it, up to the symmetry of the child
+        state, in labeling order and each once.
 
-        A unit through v keeps the candidate patterns common to the child
+        A vertex in no unit carries label 0.  Where v lands in no unit it
+        takes 0, nothing else changes, and there is one target.  Otherwise
+        v and the fresh vertices of the step, which had label 0 and enter
+        a unit through v, are labeled, v first (``_fresh_labelings``).  A
+        unit through v keeps the candidate patterns common to the child
         units it absorbs and inherits their attached labels.  Its labels
         must be distinct and none of them attached already; its patterns
         must host its labeled shape and keep v apart from the attached
-        labels.
+        labels.  A fresh vertex (block mode only) is a neighbour of v
+        alone in the bag graph, so its unit is the edge to v and absorbs no
+        child unit.
 
-        An absent label lv whose swap with lv - 1 fixes gh is tied
-        (``_orbit``) and skipped.  The swap fixes L and gh, the checks
-        above and ``compat_set``/``linked`` commute with it, and the moved
-        family does not depend on lv, so label lv would put the same
-        partitions under the same canonical key as label lv - 1.  A
-        repeated target is dropped: merging the same family into the
-        same state again changes nothing.
+        An absent label whose swap with the label below it fixes gh is
+        tied (``_orbit``), and the labelings take the tied labels of each
+        run in increasing order of first appearance only.  A permutation
+        of the run fixes L and gh, the checks above and
+        ``compat_set``/``linked`` commute with it, and the moved family
+        does not depend on the labels, so a labeling and its image put the
+        same partitions under the same canonical key.  A repeated target
+        is dropped: merging the same family into the same state again
+        changes nothing.
         """
-        tied = self._orbit(lk, gh)[2]
         vpos = step.vpos
         # the parent's unit order: carried slots are filled once, and each
-        # label overwrites the slots of the units through v
+        # labeling overwrites the slots of the units through v
         slots = [None] * (len(step.carried) + len(step.vunits))
         for bi, si in step.carried:
             slots[bi] = gh[si]
+        lkey = lk[:vpos] + (0,) + lk[vpos:]
+        if not step.vunits:
+            return (self.canon(lkey, tuple(slots)),)
         inherited = []
         for bi, unit, edges, inside in step.vunits:
             hm = 0
@@ -988,12 +1060,15 @@ class Engine:
                 hm |= shm
                 allowed &= pats
             inherited.append((bi, unit, edges, hm, allowed))
+        fresh = (vpos,) + step.fresh
+        labeled = list(lkey)
         targets = []
-        for lv in range(1, self.d + 1):
-            if lv in tied:
-                continue
+        for labels in _fresh_labelings(self.d, len(fresh), self._orbit(lk, gh)[2]):
+            for p, l in zip(fresh, labels):
+                labeled[p] = l
             # units hold parent positions, so the parent's labels index them
-            lkey_p = lk[:vpos] + (lv,) + lk[vpos:]
+            lkey_p = tuple(labeled)
+            lv = labels[0]
             for bi, unit, edges, hm, allowed in inherited:
                 unit_mask = 0
                 for u in unit:
@@ -1059,12 +1134,19 @@ class Engine:
         v, the first unit's varying slowest.  The order matters: of two
         equal-size sets for one partition, the first merged stays.  A
         repeated target is dropped: merging the same family into the same
-        state again changes nothing.
+        state again changes nothing.  The fresh vertices of the step lie
+        in no unit once v is gone, and their labels are set to 0: no
+        check reads them again.
         """
         vpos = step.vpos
         lv = lk[vpos]
         # units hold parent positions, so the parent's labels index them
         lkey_p = lk[:vpos] + lk[vpos + 1 :]
+        if step.fresh:
+            labeled = list(lkey_p)
+            for p in step.fresh:
+                labeled[p - (p > vpos)] = 0
+            lkey_p = tuple(labeled)
         units = step.small_units
         slots = [None] * len(units)
         for bi, si in step.carried:
@@ -1228,7 +1310,8 @@ class Engine:
 
 def clear_caches() -> None:
     """Drop every per-process memo: the pattern universes with their
-    memos, the bag views, the steps and the infeasibility verdicts.
+    memos, the bag views, the steps, the fresh labelings and the
+    infeasibility verdicts.
 
     A long-running caller can call it between solves to bound memory;
     the next solve rebuilds what it needs.
@@ -1238,4 +1321,5 @@ def clear_caches() -> None:
     _shape_view.cache_clear()
     _step.cache_clear()
     _bag_step.cache_clear()
+    _fresh_labelings.cache_clear()
     _infeasible.cache_clear()

@@ -1,11 +1,12 @@
 """Label canonization in the DP engine, checked against its definition.
 
 The canonical form of a state's (L, gh) is the lexicographic minimum of
-its images under all d! permutations of the label alphabet; the engine
-reaches only the images that renumber L by first appearance, by walking
-the orbit of one of them under the permutations of the labels absent
-from L.  The reference here is the definition itself, computed with
-``relabel_pattern``.
+its images under all d! permutations of the label alphabet 1..d; label
+0, which L gives the bag vertices in no unit, is fixed by every one of
+them.  The engine reaches only the images that renumber the nonzero
+labels of L by first appearance, by walking the orbit of one of them
+under the permutations of the labels absent from L.  The reference here
+is the definition itself, computed with ``relabel_pattern``.
 """
 
 from __future__ import annotations
@@ -59,6 +60,16 @@ def permute_mask(sigma: tuple[int, ...], mask: int) -> int:
     return sum(1 << (s - 1) for l, s in enumerate(sigma) if mask >> l & 1)
 
 
+def permute_labels(sigma: tuple[int, ...], lkey) -> tuple[int, ...]:
+    """L under sigma, which fixes label 0."""
+    return tuple(sigma[l - 1] if l else 0 for l in lkey)
+
+
+def label_count(lkey) -> int:
+    """The number u of distinct nonzero labels in L."""
+    return len(set(lkey) - {0})
+
+
 # per engine: pattern -> index, and per sigma the image index of each pattern
 _RELABEL: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -77,7 +88,7 @@ def sigma_image(engine, sigma: tuple[int, ...], lkey, gh):
         return got
 
     return (
-        tuple(sigma[l - 1] for l in lkey),
+        permute_labels(sigma, lkey),
         tuple(
             (sum(1 << image(q) for q in members(pats)), permute_mask(sigma, hm))
             for pats, hm in gh
@@ -172,7 +183,7 @@ def test_join_index_holds_the_images_with_an_equal_label_key(mode):
                 want = {
                     sigma_image(engine, sigma, lk, gh)[1]
                     for sigma in sigmas
-                    if all(sigma[l - 1] == l for l in lk)
+                    if all(sigma[l - 1] == l for l in lk if l)
                 }
                 assert len(ghs) == len(want)
                 assert set(ghs) == want
@@ -194,9 +205,10 @@ def universe(mode: str, d: int, family: str) -> tuple[Pattern, ...]:
 
 def first_appearance_images(engine, lkey, gh) -> set:
     """The reference image set: (L, gh) under each of the (d - u)!
-    permutations that renumber L by first appearance."""
+    permutations that renumber the nonzero labels of L by first
+    appearance."""
     d = engine.d
-    order = tuple(dict.fromkeys(lkey))
+    order = tuple(l for l in dict.fromkeys(lkey) if l)
     absent = [l for l in range(1, d + 1) if l not in order]
     want = set()
     for rest in permutations(range(len(order) + 1, d + 1)):
@@ -240,14 +252,14 @@ def test_tied_labels_are_the_absent_swaps_that_fix_gh(mode):
         for _, table in engine.walk():
             for _, lk, gh in table:
                 want = set()
-                for j in range(len(set(lk)) + 1, d):
+                for j in range(label_count(lk) + 1, d):
                     swap = tuple(range(1, j)) + (j + 1, j) + tuple(range(j + 2, d + 1))
                     if sigma_image(engine, swap, lk, gh) == (lk, gh):
                         want.add(j + 1)
                 got = engine._orbit(lk, gh)[2]
                 assert len(set(got)) == len(got)
                 assert set(got) == want, (lk, gh)
-                if len(set(lk)) + 1 < d:
+                if label_count(lk) + 1 < d:
                     tied += bool(want)
                     untied += not want
     # both outcomes occur among states with two or more absent labels
@@ -272,7 +284,7 @@ def orbit_images(free_key, sigmas, relabel) -> frozenset:
     return frozenset(
         (
             xk,
-            tuple(sigma[l - 1] for l in lk),
+            permute_labels(sigma, lk),
             tuple(
                 (frozenset(relabel(p, sigma) for p in pats), permute_mask(sigma, hm))
                 for pats, hm in gh

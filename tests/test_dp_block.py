@@ -215,7 +215,8 @@ class TestSteps:
 
         # child table: bag {0,1}, components {0} and {1} linked below
         linked = Partition.from_parts(2, [[0, 1]])
-        state = ((),) + engine.canon((1, 1), ())
+        # the bag {0,1} holds no unit, so both vertices carry label 0
+        state = ((),) + engine.canon((0, 0), ())
         child = {}
         engine._merge(child, state, {linked: frozenset()})
         out = engine._introduce((0, 1, 2), 2, child, 0)

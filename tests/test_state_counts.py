@@ -47,9 +47,9 @@ def observe(idx: int) -> tuple:
 EXPECTED = {
     0: (True, 134, 134, None),
     1: (False, 23, 23, None),
-    2: (True, 137, 160, None),
+    2: (True, 115, 125, None),
     3: (False, 0, 0, None),
-    4: (True, 110, 114, None),
+    4: (True, 105, 107, None),
     5: (True, 247, 247, None),
     6: (True, 74, 74, None),
     7: (False, 7, 7, None),
@@ -57,11 +57,11 @@ EXPECTED = {
     9: (True, 20, 20, (1,)),
     10: (True, 70, 70, ()),
     11: (False, 50, 50, None),
-    12: (True, 32, 33, (1,)),
+    12: (True, 30, 31, (1,)),
     13: (True, 145, 145, (0, 2)),
-    14: (True, 111, 123, (6,)),
+    14: (True, 103, 109, (6,)),
     15: (True, 45, 45, (3, 4)),
-    16: (True, 69, 71, None),
+    16: (True, 66, 68, None),
     17: (True, 100, 100, None),
     18: (True, 91, 91, None),
     19: (True, 52, 52, None),
@@ -73,13 +73,13 @@ EXPECTED = {
     25: (True, 78, 78, (1,)),
     26: (True, 63, 63, (4,)),
     27: (True, 47, 47, (0,)),
-    28: (True, 57, 59, (6,)),
+    28: (True, 52, 53, (6,)),
     29: (True, 314, 314, (4, 7)),
     30: (True, 50, 50, (3,)),
     31: (False, 47, 47, None),
-    32: (True, 77, 79, None),
+    32: (True, 73, 75, None),
     33: (True, 100, 100, None),
-    34: (True, 54, 62, None),
+    34: (True, 48, 52, None),
     35: (True, 154, 154, None),
     36: (False, 51, 51, None),
     37: (True, 91, 91, None),

@@ -69,20 +69,22 @@ def test_block_intro_vertex_in_two_blocks():
     # below the bag, the block {0,1} kept one of each
     kept_below = (1 << hosts[0]) | (1 << touching[0]) | (1 << others[0])
     hm = 1 << 2  # label 3 is already attached to the block {0,1}
-    child = _child(engine, (1, 2, 1), ((kept_below, hm),))
+    # vertex 3 is isolated in the child's bag graph, so it carries label 0
+    child = _child(engine, (1, 2, 0), ((kept_below, hm),))
     out = engine._introduce((0, 1, 2, 3), 2, child, 0)
     kept = [key for key in out if key[0] == ()]
-    # labels 1 and 2 repeat a label of {0,1,2}; label 3 is attached to it
-    assert [lk for _, lk, _ in kept] == [(1, 2, 4, 1)]
-    ((_, _, gh),) = kept
+    # labels 1 and 2 repeat a label of {0,1,2}; label 3 is attached to it.
+    # Vertex 3 enters the block {2,3} with any label but v's
+    assert [lk for _, lk, _ in kept] == [(1, 2, 4, 1), (1, 2, 4, 2), (1, 2, 4, 3)]
     assert engine.view((0, 1, 2, 3)).units == ((0, 1, 2), (2, 3))
-    (s1, h1), (s2, h2) = gh
-    assert (h1, h2) == (hm, 0)
-    # the absorbing block keeps only the child's candidate that hosts it
-    assert members(s1) == {hosts[0]}
-    # the new block {2,3} is hosted on the edge between labels 1 and 4
-    assert members(s2)
-    assert all(pats[q].has_edge(1, 4) for q in members(s2))
+    for _, lk, gh in kept:
+        (s1, h1), (s2, h2) = gh
+        assert (h1, h2) == (hm, 0)
+        # the absorbing block keeps only the child's candidate that hosts it
+        assert members(s1) == {hosts[0]}
+        # the new block {2,3} is hosted on the edge between 4 and 3's label
+        assert members(s2)
+        assert all(pats[q].has_edge(lk[3], 4) for q in members(s2))
 
 
 def test_block_forget_splits_block_into_two_pieces():

@@ -294,7 +294,8 @@ def test_bags_of_one_shape_share_one_context():
     for engine in (a, b):
         engine.canonize = False
     child: dict = {}
-    a._merge(child, ((),) + a.canon((1, 2), ()), {Partition.singletons(2): frozenset()})
+    # the bag {0, 2} holds no unit, so both vertices carry label 0
+    a._merge(child, ((),) + a.canon((0, 0), ()), {Partition.singletons(2): frozenset()})
     kept = {key: fam for key, fam in a._introduce((0, 1, 2), 1, child, 0).items() if not key[0]}
     assert Partition.singletons(2) in step.intro_memo
     assert not step.forget_memo
