@@ -1,11 +1,11 @@
-"""Spec-level boundaried-graph code: the reference for acceptance
-criteria 5 and 6, kept off the solver path.
+"""Spec-level code, kept off the solver path: the reference for
+acceptance criteria 4 (``verify_representative``), 5 and 6.
 
 A boundaried graph is a view (host, vertices, boundary) of a graph with
 boundary S.  Two compatible ones glue into their sum
 (``sum_boundaried``), and the sum of two chordal pieces is chordal
 exactly when the incidence graph of their boundary partitions
-(``aux_partition``) is a forest.
+(``aux_partition``) is a forest (``chordal_sum_agrees``).
 
 A characteristic assigns to every non-trivial boundary block B a
 hypothesis g(B) for the final shape of the block that will contain B,
@@ -20,18 +20,83 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import IncompatibleBoundary, InvalidInput, NoCharacteristic
+from .errors import IncompatibleBoundary, InvalidInput, NoCharacteristic, TooLarge
 from .families import Pattern
 from .graph import (
     Graph,
     _check_range,
     biconnected_blocks,
+    chordal_masks,
     connected_components,
-    induced_edges,
+    induced_masks,
 )
-from .partitions import Partition
+from .partitions import Partition, inc_is_forest
+
+
+def induced_edges(g: Graph, within: Iterable[int]) -> frozenset[tuple[int, int]]:
+    """The edges of g with both ends in within.  An id outside 0..n-1
+    raises InvalidInput."""
+    ws = set(within)
+    _check_range(g, ws)
+    return frozenset((u, v) for (u, v) in g.edges() if u in ws and v in ws)
+
+
+def is_chordal(g: Graph, within: Iterable[int] | None = None) -> bool:
+    """Is the subgraph induced by within (all of g by default) chordal?"""
+    verts = sorted(set(within)) if within is not None else range(g.n)
+    return chordal_masks(induced_masks(g, verts))
+
+
+def pattern_induced(q: Pattern, labels: Iterable[int]) -> frozenset[tuple[int, int]]:
+    """The edges of q with both ends in labels."""
+    ls = set(labels)
+    return frozenset((a, b) for (a, b) in q.edges if a in ls and b in ls)
+
+
+def pattern_neighbors(q: Pattern, z: int) -> frozenset[int]:
+    """The labels adjacent to z in q."""
+    return frozenset(b if a == z else a for a, b in q.edges if z in (a, b))
+
+
+def all_partitions(m: int) -> Iterator[Partition]:
+    """Every partition of {0..m-1}, in restricted-growth-string order.
+
+    A negative m raises at the call, not at the first item.
+    """
+    if m < 0:
+        raise InvalidInput(f"negative ground-set size {m}")
+    if m == 0:
+        return iter((Partition(()),))
+    rgs = [0] * m
+
+    def rec(i: int, maxv: int) -> Iterator[Partition]:
+        if i == m:
+            groups: dict[int, list[int]] = {}
+            for e, g in enumerate(rgs):
+                groups.setdefault(g, []).append(e)
+            yield Partition.from_parts(m, groups.values())
+            return
+        for v in range(maxv + 2):
+            rgs[i] = v
+            yield from rec(i + 1, max(maxv, v))
+
+    return rec(1, 0)
+
+
+def verify_representative(
+    m: int, family: Sequence[Partition], sub: Sequence[Partition]
+) -> bool:
+    """Exhaustive check of the representative-set definition (m <= 7)."""
+    if m > 7:
+        raise TooLarge("exhaustive verification capped at ground sets of size 7")
+    subs = list(sub)
+    for y in all_partitions(m):
+        if any(inc_is_forest(m, [x, y]) for x in family):
+            if not any(inc_is_forest(m, [x, y]) for x in subs):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -121,6 +186,18 @@ def aux_partition(bg: BoundariedGraph) -> Partition:
     return Partition.from_parts(len(bcomps), groups.values())
 
 
+def chordal_sum_agrees(a: BoundariedGraph, b: BoundariedGraph) -> bool | None:
+    """Is the sum of a and b chordal exactly when the incidence graph of
+    their boundary partitions is a forest?  None when a fused S-block of
+    the sum is not chordal, where the equivalence does not apply."""
+    total = sum_boundaried(a, b)
+    fused = s_blocks(BoundariedGraph.whole(total, a.boundary))
+    if not all(is_chordal(total, blk) for blk in fused):
+        return None
+    m = len(a.boundary_components())
+    return is_chordal(total) == inc_is_forest(m, [aux_partition(a), aux_partition(b)])
+
+
 def _label_image(
     g: Graph, vertices: Iterable[int], labels: Mapping[int, int]
 ) -> frozenset[tuple[int, int]]:
@@ -147,7 +224,7 @@ def partial_label_isomorphic(
     lset = {labels[v] for v in vs}
     if len(lset) != len(vs) or not lset <= q.labels:
         return False
-    return _label_image(g, vs, labels) == q.induced(lset)
+    return _label_image(g, vs, labels) == pattern_induced(q, lset)
 
 
 def label_isomorphic(
@@ -208,11 +285,11 @@ def _neighborhood_matches(
     z = labels[w]
     if z not in q.labels:
         return False
-    q_closed = {z} | set(q.neighbors(z))
+    q_closed = {z} | pattern_neighbors(q, z)
     if {labels[u] for u in closed} != q_closed:
         return False
     # edge sets must match under the label map
-    return _label_image(g, closed, labels) == q.induced(q_closed)
+    return _label_image(g, closed, labels) == pattern_induced(q, q_closed)
 
 
 def sblock_pattern_candidates(

@@ -25,7 +25,7 @@ class TreeDecomposition:
 
     @property
     def width(self) -> int:
-        return max((len(b) for b in self.bags), default=1) - 1
+        return max((len(b) for b in self.bags), default=0) - 1
 
     def neighbors(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.num_nodes)]

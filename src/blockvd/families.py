@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import CapExceeded, InvalidInput, NonChordalFamily
 from .graph import _component, chordal_masks
@@ -29,26 +29,6 @@ class Pattern:
         for a, b in self.edges:
             if a >= b or a not in self.labels or b not in self.labels:
                 raise InvalidInput(f"bad pattern edge ({a},{b})")
-
-    def has_edge(self, a: int, b: int) -> bool:
-        if a == b:
-            return False
-        if a > b:
-            a, b = b, a
-        return (a, b) in self.edges
-
-    def neighbors(self, a: int) -> frozenset[int]:
-        out = set()
-        for x, y in self.edges:
-            if x == a:
-                out.add(y)
-            elif y == a:
-                out.add(x)
-        return frozenset(out)
-
-    def induced(self, labels: Iterable[int]) -> frozenset[tuple[int, int]]:
-        ls = set(labels)
-        return frozenset((a, b) for (a, b) in self.edges if a in ls and b in ls)
 
     def sort_key(self) -> tuple:
         return (tuple(sorted(self.labels)), tuple(sorted(self.edges)))

@@ -8,7 +8,7 @@ read.  Most operations take an optional ``within`` vertex set and then
 act on the induced subgraph without re-indexing, so callers can keep
 host-graph ids throughout.  Only what a solve, the oracle or the file
 formats read lives here; the boundaried graphs of the paper's gluing
-lemmas are spec-level code in ``characteristics``.
+lemmas, and the tests that only they read, are in ``characteristics``.
 """
 from __future__ import annotations
 
@@ -56,11 +56,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edges
-
     @property
     def m(self) -> int:
         return len(self._edges)
@@ -93,14 +88,6 @@ def _check_range(g: Graph, verts: Collection[int]) -> None:
     if verts and not (0 <= min(verts) and max(verts) < g.n):
         bad = sorted({v for v in verts if not 0 <= v < g.n})
         raise InvalidInput(f"vertices {bad} are outside 0..{g.n - 1}")
-
-
-def induced_edges(g: Graph, within: Iterable[int]) -> frozenset[tuple[int, int]]:
-    """The edges of g with both ends in within.  An id outside 0..n-1
-    raises InvalidInput."""
-    ws = set(within)
-    _check_range(g, ws)
-    return frozenset((u, v) for (u, v) in g.edges() if u in ws and v in ws)
 
 
 def induced_masks(g: Graph, verts: Sequence[int]) -> list[int]:
@@ -262,12 +249,6 @@ def chordal_masks(adj: Sequence[int]) -> bool:
                 alive ^= 1 << v
                 stripped = True
     return not alive
-
-
-def is_chordal(g: Graph, within: Iterable[int] | None = None) -> bool:
-    """Is the subgraph induced by within (all of g by default) chordal?"""
-    verts = sorted(set(within)) if within is not None else range(g.n)
-    return chordal_masks(induced_masks(g, verts))
 
 
 def parse_ints(fields: Sequence[str], line: str) -> list[int]:

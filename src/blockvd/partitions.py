@@ -8,7 +8,7 @@ are those of the tuple.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidInput
 
@@ -39,11 +39,6 @@ class Partition(tuple[tuple[int, ...], ...]):
             raise InvalidInput("parts do not cover the ground set")
         return cls(norm)
 
-    @classmethod
-    def singletons(cls, m: int) -> "Partition":
-        _check_size(m)
-        return cls((i,) for i in range(m))
-
     @property
     def m(self) -> int:
         """Size of the ground set: the parts cover exactly 0..m-1."""
@@ -55,11 +50,6 @@ class Partition(tuple[tuple[int, ...], ...]):
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, p)) + "}" for p in self)
         return "{" + inner + "}"
-
-
-def _check_size(m: int) -> None:
-    if m < 0:
-        raise InvalidInput(f"negative ground-set size {m}")
 
 
 def _find(parent: list[int], a: int) -> int:
@@ -129,26 +119,3 @@ def inc_is_forest(m: int, partitions: Sequence[Partition]) -> bool:
             node += 1
     return True
 
-
-def all_partitions(m: int) -> Iterator[Partition]:
-    """Every partition of {0..m-1}, in restricted-growth-string order.
-
-    A negative m raises at the call, not at the first item.
-    """
-    _check_size(m)
-    if m == 0:
-        return iter((Partition(()),))
-    rgs = [0] * m
-
-    def rec(i: int, maxv: int) -> Iterator[Partition]:
-        if i == m:
-            groups: dict[int, list[int]] = {}
-            for e, g in enumerate(rgs):
-                groups.setdefault(g, []).append(e)
-            yield Partition.from_parts(m, groups.values())
-            return
-        for v in range(maxv + 2):
-            rgs[i] = v
-            yield from rec(i + 1, max(maxv, v))
-
-    return rec(1, 0)

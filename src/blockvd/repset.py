@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import BadBucket, TooLarge
-from .partitions import Partition, all_partitions, inc_is_forest, one_coarsenings
+from .errors import BadBucket
+from .partitions import Partition, one_coarsenings
 
 
 def gf2_independent_rows(rows: Sequence[int], nbits: int) -> list[int]:
@@ -126,16 +126,3 @@ def rep_partitions(m: int, family: Sequence[Partition]) -> list[Partition]:
     }
     return [originals[oi] for oi in sorted(kept)]
 
-
-def verify_representative(
-    m: int, family: Sequence[Partition], sub: Sequence[Partition]
-) -> bool:
-    """Exhaustive check of the representative-set definition (m <= 7)."""
-    if m > 7:
-        raise TooLarge("exhaustive verification capped at ground sets of size 7")
-    subs = list(sub)
-    for y in all_partitions(m):
-        if any(inc_is_forest(m, [x, y]) for x in family):
-            if not any(inc_is_forest(m, [x, y]) for x in subs):
-                return False
-    return True

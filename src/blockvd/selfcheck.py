@@ -9,15 +9,20 @@ from __future__ import annotations
 
 import random
 
-from .characteristics import BoundariedGraph, aux_partition, s_blocks, sum_boundaried
+from .characteristics import (
+    BoundariedGraph,
+    all_partitions,
+    chordal_sum_agrees,
+    is_chordal,
+    verify_representative,
+)
 from .dp_block import solve_block
 from .dp_component import solve_component
 from .errors import InvalidInput
-from .graph import Graph, is_chordal
+from .graph import Graph
 from .instance import Instance
 from .oracle import brute_force_solve
-from .partitions import all_partitions, inc_is_forest
-from .repset import rep_partitions, verify_representative
+from .repset import rep_partitions
 
 
 def random_graph(rng: random.Random, n: int, m: int) -> Graph:
@@ -85,15 +90,11 @@ def check_chordal_sum(rng: random.Random, trials: int) -> int:
         pair = random_compatible_chordal_pair(rng)
         if pair is None:
             continue
-        a, b = pair
-        total = sum_boundaried(a, b)
-        whole = BoundariedGraph.whole(total, a.boundary)
-        if not all(is_chordal(total, blk) for blk in s_blocks(whole)):
+        agrees = chordal_sum_agrees(*pair)
+        if agrees is None:
             continue
         done += 1
-        m = len(whole.boundary_components())
-        forest = inc_is_forest(m, [aux_partition(a), aux_partition(b)])
-        if is_chordal(total) != forest:
+        if not agrees:
             fails += 1
     return fails
 

@@ -10,6 +10,7 @@ from blockvd import clear_caches, dp_block, dp_component  # clear_caches: re-exp
 from blockvd.decomposition import TreeDecomposition
 from blockvd.families import Pattern
 from blockvd.graph import Graph, biconnected_blocks
+from blockvd.partitions import Partition
 from blockvd.selfcheck import random_chordal, random_graph
 
 # each mode's engine builder and solver
@@ -55,6 +56,11 @@ def complete(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def singletons(m: int) -> Partition:
+    """The partition of {0..m-1} into singletons."""
+    return Partition((i,) for i in range(m))
 
 
 def is_block_labeling(g: Graph, labels: dict[int, int]) -> bool:

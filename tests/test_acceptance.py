@@ -13,22 +13,21 @@ import time
 
 import pytest
 
-from blockvd.characteristics import aux_partition, sum_boundaried
+from blockvd.characteristics import (
+    all_partitions,
+    chordal_sum_agrees,
+    induced_edges,
+    is_chordal,
+    verify_representative,
+)
 from blockvd.decomposition import exact_td_small, validate_td
 from blockvd.dp_block import solve_block
 from blockvd.dp_component import solve_component
 from blockvd.gadgets import GridISInstance, gen_clique_instance, gen_fixed_d
-from blockvd.graph import (
-    Graph,
-    biconnected_blocks,
-    connected_components,
-    induced_edges,
-    is_chordal,
-)
+from blockvd.graph import Graph, biconnected_blocks, connected_components
 from blockvd.instance import Instance
 from blockvd.oracle import brute_force_solve, verify_solution
-from blockvd.partitions import all_partitions, inc_is_forest
-from blockvd.repset import rep_partitions, verify_representative
+from blockvd.repset import rep_partitions
 
 from conftest import child_env, random_graph
 
@@ -163,21 +162,11 @@ class TestCriterion5ChordalSumEquivalence:
             pair = random_compatible_chordal_pair(rng)
             if pair is None:
                 continue
-            a, b = pair
-            total = sum_boundaried(a, b)
-            bd = biconnected_blocks(total)
-            bedges = induced_edges(total, a.boundary)
-            sblocks = [
-                blk
-                for blk in bd
-                if any(u in blk and v in blk for (u, v) in bedges)
-            ]
-            if not all(is_chordal(total, blk) for blk in sblocks):
+            agrees = chordal_sum_agrees(*pair)
+            if agrees is None:
                 continue
             done += 1
-            m = len(connected_components(a.host, a.boundary))
-            forest = inc_is_forest(m, [aux_partition(a), aux_partition(b)])
-            assert is_chordal(total) == forest
+            assert agrees, pair
         _report(
             "criterion 5 PASS: chordality of 500 sums matches incidence acyclicity"
         )

@@ -7,6 +7,10 @@ from blockvd.characteristics import (
     Characteristic,
     aux_partition,
     compute_characteristics,
+    induced_edges,
+    is_chordal,
+    pattern_induced,
+    pattern_neighbors,
     respects,
     sum_boundaried,
 )
@@ -39,7 +43,7 @@ class TestCompute:
         assert (K3, frozenset()) in [entry(c, key) for c in chars]
         # every candidate must host the triangle
         for c in chars:
-            assert K3.induced({1, 2, 3}) <= entry(c, key)[0].edges
+            assert pattern_induced(K3, {1, 2, 3}) <= entry(c, key)[0].edges
 
     def test_outside_neighbor_forces_completion(self):
         # triangle 0,1,2 on the boundary plus an attached inside vertex 3
@@ -53,7 +57,7 @@ class TestCompute:
             assert h == frozenset({4})
             # the completed vertex must close its pattern neighborhood:
             # label 4 adjacent to exactly 1 and 2
-            assert q.neighbors(4) == frozenset({1, 2})
+            assert pattern_neighbors(q, 4) == frozenset({1, 2})
 
     def test_no_characteristic_for_square(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -155,12 +159,7 @@ def run_equivalence_trials(rng: random.Random, target: int, d: int = 4) -> int:
     """
     from conftest import is_block_labeling
 
-    from blockvd.graph import (
-        biconnected_blocks,
-        connected_components,
-        induced_edges,
-        is_chordal,
-    )
+    from blockvd.graph import biconnected_blocks, connected_components
     from blockvd.partitions import inc_is_forest
 
     ud = enumerate_ud(d, get_family("chordal"))

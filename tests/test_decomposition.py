@@ -499,6 +499,14 @@ class TestTdIO:
         with pytest.raises(InvalidInput):
             read_td(text, 3)
 
+    def test_no_bags_reaches_the_validator(self):
+        # a decomposition without bags has no largest bag, so the header
+        # "s td 0 0 3" is consistent: the validator, not the reader,
+        # rejects the file
+        td = read_td("s td 0 0 3\n", 3)
+        assert td.bags == () and td.width == -1
+        assert validate_td(path(3), td) == Violation("shape", "decomposition has no nodes")
+
     def test_a_huge_bag_count_is_rejected_at_once(self):
         # the child's address space is capped, so a reader that builds
         # 1..#bags from the header fails fast instead of filling memory

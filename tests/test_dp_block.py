@@ -9,7 +9,7 @@ from blockvd.graph import Graph
 from blockvd.instance import Instance
 from blockvd.oracle import brute_force_solve, verify_solution
 
-from conftest import BUILD, SOLVE, cycle, path, random_graph, star_of_bags
+from conftest import BUILD, SOLVE, cycle, path, random_graph, singletons, star_of_bags
 
 
 class TestSpecExamples:
@@ -87,8 +87,8 @@ class TestTableInvariants:
     def test_reduce_table_runs_only_above_the_bound(self, rng):
         # m=6 has Bell(6) = 203 > 6 * 2^5 partitions, so the family is
         # reduced; every m=5 family fits under 5 * 2^4 and stays whole
-        from blockvd.partitions import all_partitions, inc_is_forest
-        from blockvd.repset import verify_representative
+        from blockvd.characteristics import all_partitions, verify_representative
+        from blockvd.partitions import inc_is_forest
 
         engine = build_engine(Instance(path(3), 3, 1, "chordal", "block"))
         six, five = list(all_partitions(6)), list(all_partitions(5))
@@ -118,7 +118,7 @@ class TestTableInvariants:
 
         engine = build_engine(Instance(path(3), 3, 1, "chordal", "block"))
         key = ((),) + engine.canon((1,), ())
-        part = Partition.singletons(1)
+        part = singletons(1)
         pair, one, other = frozenset({5, 6}), frozenset({7}), frozenset({8})
         lowered: dict = {}
         first = {part: pair}
@@ -175,7 +175,8 @@ class TestTableInvariants:
                         )
                         assert aux_partition(sub) == part
                         # the partial solution is a valid chordal-block graph
-                        from blockvd.graph import biconnected_blocks, is_chordal
+                        from blockvd.characteristics import is_chordal
+                        from blockvd.graph import biconnected_blocks
 
                         bd = biconnected_blocks(g, live)
                         assert all(len(b) <= 3 for b in bd)
@@ -225,7 +226,7 @@ class TestSteps:
                 assert not fam
         # the unlinked partition survives
         child2 = {}
-        engine._merge(child2, state, {Partition.singletons(2): frozenset()})
+        engine._merge(child2, state, {singletons(2): frozenset()})
         out2 = engine._introduce((0, 1, 2), 2, child2, 0)
         assert any(key[0] == () and out2[key] for key in out2)
 

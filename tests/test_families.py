@@ -6,6 +6,7 @@ from blockvd.characteristics import (
     BoundariedGraph,
     aux_partition,
     label_isomorphic,
+    is_chordal,
     partial_label_isomorphic,
     s_blocks,
     sum_boundaried,
@@ -19,7 +20,7 @@ from blockvd.families import (
     enumerate_ud,
     get_family,
 )
-from blockvd.graph import Graph, biconnected_blocks, connected_components, is_chordal
+from blockvd.graph import Graph, biconnected_blocks, connected_components
 from blockvd.oracle import verify_solution
 from blockvd.partitions import inc_is_forest
 

@@ -12,13 +12,8 @@ from blockvd.gadgets import (
     gen_unbounded_d,
     phi,
 )
-from blockvd.graph import (
-    Graph,
-    biconnected_blocks,
-    connected_components,
-    induced_edges,
-    is_chordal,
-)
+from blockvd.characteristics import induced_edges, is_chordal
+from blockvd.graph import Graph, biconnected_blocks, connected_components
 from blockvd.oracle import verify_solution
 
 

@@ -7,7 +7,10 @@ from blockvd import selfcheck
 from blockvd.characteristics import (
     BoundariedGraph,
     aux_partition,
+    induced_edges,
+    is_chordal,
     nontrivial_boundary_blocks,
+    s_blocks,
     sum_boundaried,
 )
 from blockvd.errors import IncompatibleBoundary, InvalidInput
@@ -15,9 +18,7 @@ from blockvd.graph import (
     Graph,
     biconnected_blocks,
     connected_components,
-    induced_edges,
     induced_masks,
-    is_chordal,
     read_gr,
     write_gr,
 )
@@ -38,9 +39,9 @@ def find_chordless_cycle(g: Graph) -> list[int] | None:
                 continue
             # w must be non-adjacent to all of path except the head,
             # with the start allowed once the cycle is long enough
-            if any(g.has_edge(w, p) for p in path[1:-1]):
+            if any((min(w, p), max(w, p)) in g.edges() for p in path[1:-1]):
                 continue
-            closes = g.has_edge(w, start)
+            closes = (min(w, start), max(w, start)) in g.edges()
             if closes and len(path) >= 3:
                 return path + [w]
             if not closes:
@@ -156,7 +157,7 @@ class TestBlocks:
             if len(sub) != 1:
                 return False
             if len(vs) <= 2:
-                return len(vs) == 1 or g.has_edge(*sorted(vs))
+                return len(vs) == 1 or tuple(sorted(vs)) in g.edges()
             return all(
                 len(connected_components(g, set(vs) - {v})) == 1 for v in vs
             )
@@ -345,36 +346,6 @@ class TestAuxPartition:
         assert aux_partition(bg) == Partition.from_parts(2, [[0, 1]])
 
 
-class TestChordalSumEquivalence:
-    def test_cycle_in_aux_iff_not_chordal(self, rng):
-        # when every fused block is chordal, chordality of the sum is the
-        # acyclicity of the joint incidence structure
-        from blockvd.selfcheck import random_compatible_chordal_pair
-
-        done = 0
-        while done < 120:
-            pair = random_compatible_chordal_pair(rng)
-            if pair is None:
-                continue
-            a, b = pair
-            total = sum_boundaried(a, b)
-            bd = biconnected_blocks(total)
-            bedges = induced_edges(total, a.boundary)
-            sblocks = [
-                blk
-                for blk in bd
-                if any(u in blk and v in blk for (u, v) in bedges)
-            ]
-            if not all(is_chordal(total, blk) for blk in sblocks):
-                continue
-            done += 1
-            m = len(
-                connected_components(a.host, a.boundary)
-            )
-            forest = inc_is_forest(m, [aux_partition(a), aux_partition(b)])
-            assert is_chordal(total) == forest
-
-
 class TestGrIO:
     def test_round_trip(self):
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])
@@ -423,16 +394,6 @@ class TestSBlockLemmas:
             done += 1
             yield a, b
 
-    @staticmethod
-    def _s_blocks(g, vertices, boundary):
-        bd = biconnected_blocks(g, vertices)
-        bedges = induced_edges(g, boundary & frozenset(vertices))
-        return [
-            blk
-            for blk in bd
-            if any(u in blk and v in blk for (u, v) in bedges)
-        ]
-
     def test_sum_sblock_edges_come_from_side_sblocks(self, rng):
         # with an acyclic joint incidence structure, every edge of a fused
         # boundary block already lay in a boundary block of one side
@@ -440,9 +401,9 @@ class TestSBlockLemmas:
             total = sum_boundaried(a, b)
             side_edges = set()
             for side in (a, b):
-                for blk in self._s_blocks(side.host, side.vertices, side.boundary):
+                for blk in s_blocks(side):
                     side_edges |= induced_edges(side.host, blk)
-            for blk in self._s_blocks(total, frozenset(range(total.n)), a.boundary):
+            for blk in s_blocks(BoundariedGraph.whole(total, a.boundary)):
                 for e in induced_edges(total, blk):
                     assert e in side_edges
 
@@ -463,14 +424,14 @@ class TestSBlockLemmas:
                 return x
 
             for side in (a, b):
-                for blk in self._s_blocks(side.host, side.vertices, side.boundary):
+                for blk in s_blocks(side):
                     owners = [
                         i for i, bb in enumerate(bblocks) if bb <= blk
                     ]
                     for i in owners[1:]:
                         parent[find(i)] = find(owners[0])
             total = sum_boundaried(a, b)
-            for blk in self._s_blocks(total, frozenset(range(total.n)), a.boundary):
+            for blk in s_blocks(BoundariedGraph.whole(total, a.boundary)):
                 owners = [i for i, bb in enumerate(bblocks) if bb <= blk]
                 assert len({find(i) for i in owners}) <= 1
 
@@ -479,7 +440,7 @@ class TestSBlockLemmas:
         # incidence structure acyclic
         for a, b in self._forest_pairs(rng, 60):
             total = sum_boundaried(a, b)
-            for blk in self._s_blocks(total, frozenset(range(total.n)), a.boundary):
+            for blk in s_blocks(BoundariedGraph.whole(total, a.boundary)):
                 sf = blk & a.boundary
                 fa = BoundariedGraph(a.host, frozenset(blk & a.vertices), frozenset(sf))
                 fb = BoundariedGraph(b.host, frozenset(blk & b.vertices), frozenset(sf))

@@ -26,11 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockvd._dpcore import Engine
+from blockvd.characteristics import all_partitions
 from blockvd.decomposition import TreeDecomposition, exact_td_small, heuristic_td
 from blockvd.graph import Graph
 from blockvd.instance import Instance
 from blockvd.oracle import verify_solution
-from blockvd.partitions import all_partitions, inc_is_forest
+from blockvd.partitions import inc_is_forest
 from blockvd.repset import rep_partitions
 
 from conftest import SOLVE

@@ -12,6 +12,12 @@ are called by the language, not by name, and are left out.
 Likewise every name a module imports must be read in that module or
 listed in its ``__all__``: an import that code moved elsewhere left
 behind only hides where a name really lives.
+
+The solver's modules hold only what a solve, the oracle, the file formats
+or the CLI reads: every function and method of ``SOLVER_MODULES`` must be
+referenced from a package module other than the spec-level ones
+(``SPEC_MODULES``), which hold the reference code the acceptance
+criteria check the solver against.
 """
 
 import ast
@@ -26,9 +32,15 @@ ENTRY_POINTS = {
     "_dpcore.Engine.view": "README: the way to read a walked table's gh in vertex ids",
     "characteristics.compute_characteristics": "acceptance criterion 6 reads it",
     "characteristics.respects": "acceptance criterion 6 reads it",
-    "graph.Graph.has_edge": "core graph type API",
-    "families.Pattern.has_edge": "core pattern type API",
-    "partitions.Partition.singletons": "core partition type API",
+}
+
+SOLVER_MODULES = ("graph", "families", "partitions", "repset")
+SPEC_MODULES = ("characteristics", "selfcheck")
+
+# module.qualified name in SOLVER_MODULES -> why it stays although only
+# spec code, the tests or the benchmark read it
+SOLVER_ONLY_EXCEPTIONS = {
+    "graph.Graph.vertices": "perfbench/workloads.py reads it",
 }
 
 
@@ -51,10 +63,13 @@ def definitions() -> dict[str, str]:
     return {qual: name for qual, name in out.items() if not name.startswith("__")}
 
 
-def referenced_names() -> set[str]:
-    """Every name the package loads, reads as an attribute or imports."""
+def referenced_names(skip: tuple[str, ...] = ()) -> set[str]:
+    """Every name the package loads, reads as an attribute or imports,
+    outside the modules named in skip."""
     names = set()
     for path in PACKAGE.glob("*.py"):
+        if path.stem in skip:
+            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -92,6 +107,23 @@ def test_no_listed_entry_point_is_used_by_the_package():
     used = referenced_names()
     stale = sorted(qual for qual in ENTRY_POINTS if qual.rsplit(".", 1)[1] in used)
     assert stale == [], "drop it from ENTRY_POINTS"
+
+
+def test_solver_modules_hold_only_what_the_solver_reads():
+    """A function or method of a solver module that only the spec
+    modules, the tests or the benchmark read belongs in
+    ``characteristics`` (spec code) or nowhere.
+
+    The rule matches bare names, so a definition whose name something
+    else off the spec path also carries passes unseen: it cannot tell
+    ``Pattern.neighbors`` from ``Graph.neighbors``, for one.  Such a
+    definition has to be moved by hand."""
+    used = referenced_names(skip=SPEC_MODULES)
+    spec_only = sorted(
+        qual for qual, name in definitions().items()
+        if qual.split(".", 1)[0] in SOLVER_MODULES and name not in used
+    )
+    assert spec_only == sorted(SOLVER_ONLY_EXCEPTIONS), "move it into characteristics"
 
 
 def unused_imports() -> list[str]:

@@ -18,6 +18,7 @@ import pytest
 
 from blockvd import _dpcore, dp_block, dp_component
 from blockvd._dpcore import packed_masks, pack_infeasible
+from blockvd.characteristics import pattern_induced
 from blockvd.decomposition import heuristic_td, to_nice
 from blockvd.errors import NonChordalFamily
 from blockvd.families import FAMILIES, Pattern, enumerate_component_patterns
@@ -160,7 +161,7 @@ def test_every_connected_induced_subgraph_of_a_member_is_a_member(family):
         for p in universe:
             for size in range(1, len(p.labels)):
                 for labels in map(frozenset, combinations(sorted(p.labels), size)):
-                    edges = p.induced(labels)
+                    edges = pattern_induced(p, labels)
                     if len(connected_components(Graph(d + 1, edges), labels)) == 1:
                         assert Pattern(labels, edges) in accepted, (family, d, p, labels)
     assert built > 0

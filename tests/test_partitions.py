@@ -2,17 +2,14 @@ import random
 
 import pytest
 
+from blockvd.characteristics import all_partitions
 from blockvd.dp_block import build_engine
 from blockvd.errors import InvalidInput
 from blockvd.graph import Graph
 from blockvd.instance import Instance
-from blockvd.partitions import (
-    Partition,
-    all_partitions,
-    inc_is_forest,
-    one_coarsenings,
-    uplus,
-)
+from blockvd.partitions import Partition, inc_is_forest, one_coarsenings, uplus
+
+from conftest import singletons
 
 
 def bell_number(m: int) -> int:
@@ -51,7 +48,7 @@ class TestPartition:
 
     def test_m_is_the_total_part_size(self):
         assert P(4, [3, 2], [1], [0]).m == 4
-        assert Partition.singletons(3).m == 3
+        assert singletons(3).m == 3
         for m in range(6):
             assert all(p.m == m for p in all_partitions(m))
         (empty,) = all_partitions(0)
@@ -80,7 +77,7 @@ class TestUplus:
 
     def test_singletons_identity(self):
         y = P(4, [0, 2], [1, 3])
-        assert uplus(Partition.singletons(4), y) == y
+        assert uplus(singletons(4), y) == y
 
     def test_commutative_associative(self):
         rng = random.Random(0)
@@ -164,8 +161,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: all_partitions(-1), lambda: Partition.singletons(-2)],
-        ids=["all_partitions", "singletons"],
+        [lambda: all_partitions(-1)],
+        ids=["all_partitions"],
     )
     def test_negative_ground_set_size_is_rejected(self, build):
         # at the call, as Partition.from_parts(-1, []) rejects it

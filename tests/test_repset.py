@@ -2,15 +2,12 @@ import random
 
 import pytest
 
+from blockvd.characteristics import all_partitions, verify_representative
 from blockvd.errors import BadBucket, TooLarge
-from blockvd.partitions import Partition, all_partitions, inc_is_forest, uplus
-from blockvd.repset import (
-    cut_row,
-    gf2_independent_rows,
-    reduce_connected,
-    rep_partitions,
-    verify_representative,
-)
+from blockvd.partitions import Partition, inc_is_forest, uplus
+from blockvd.repset import cut_row, gf2_independent_rows, reduce_connected, rep_partitions
+
+from conftest import singletons
 
 
 def reduce_connected_exhaustive(m: int, bucket: list[Partition], j: int) -> list[Partition]:
@@ -59,7 +56,7 @@ class TestKernels:
 class TestReduceConnected:
     def test_all_singletons_survives(self):
         m = 4
-        fam = [Partition.singletons(m)]
+        fam = [singletons(m)]
         assert reduce_connected(m, fam, 1) == fam
 
     def test_two_part_bucket_represents(self):
@@ -91,12 +88,12 @@ class TestReduceConnected:
     def test_bad_bucket(self):
         m = 3
         with pytest.raises(BadBucket):
-            reduce_connected(m, [Partition.singletons(m)], 2)
+            reduce_connected(m, [singletons(m)], 2)
         with pytest.raises(BadBucket):
             reduce_connected(
                 m,
                 [
-                    Partition.singletons(m),
+                    singletons(m),
                     Partition.from_parts(m, [[0, 1], [2]]),
                 ],
                 1,
@@ -134,7 +131,7 @@ class TestRepPartitions:
 
     def test_verify_rejects_empty_sub(self):
         m = 2
-        fam = [Partition.singletons(m)]
+        fam = [singletons(m)]
         assert not verify_representative(m, fam, [])
         assert verify_representative(m, fam, fam)
 

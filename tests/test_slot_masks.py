@@ -13,6 +13,7 @@ import random
 import pytest
 
 from blockvd._dpcore import Engine
+from blockvd.characteristics import pattern_induced
 from blockvd.decomposition import heuristic_td, to_nice
 from blockvd.families import enumerate_component_patterns, enumerate_ud, get_family
 from blockvd.graph import Graph, _bits, _mask_of
@@ -63,7 +64,7 @@ def random_shape(rng: random.Random, engine):
     if rng.random() < 0.5:
         p = rng.choice(engine.patterns)
         labels = rng.sample(sorted(p.labels), rng.randint(1, len(p.labels)))
-        linked = p.has_edge
+        linked = lambda a, b: (min(a, b), max(a, b)) in p.edges
     else:
         labels = rng.sample(range(1, engine.d + 1), rng.randint(1, engine.d))
         coin = {(a, b): rng.random() < 0.5 for a in labels for b in labels}
@@ -83,7 +84,7 @@ def test_compat_set_is_the_induced_shape_scan(engine):
         want = {
             q
             for q, p in enumerate(engine.patterns)
-            if labset <= p.labels and p.induced(labset) == mapped
+            if labset <= p.labels and pattern_induced(p, labset) == mapped
         }
         assert members(engine.compat_set(unit, edges, lab)) == want
         hosted += bool(want)

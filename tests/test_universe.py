@@ -22,9 +22,7 @@ from blockvd.families import UD_CAP, enumerate_component_patterns, enumerate_ud,
 from blockvd.graph import Graph
 from blockvd.instance import Instance
 from blockvd.oracle import brute_force_solve
-from blockvd.partitions import Partition
-
-from conftest import BUILD, SOLVE, clear_caches, cycle, random_chordal, random_graph
+from conftest import BUILD, SOLVE, clear_caches, cycle, random_chordal, random_graph, singletons
 
 ENUMERATE = {"block": enumerate_ud, "component": enumerate_component_patterns}
 
@@ -295,9 +293,9 @@ def test_bags_of_one_shape_share_one_context():
         engine.canonize = False
     child: dict = {}
     # the bag {0, 2} holds no unit, so both vertices carry label 0
-    a._merge(child, ((),) + a.canon((0, 0), ()), {Partition.singletons(2): frozenset()})
+    a._merge(child, ((),) + a.canon((0, 0), ()), {singletons(2): frozenset()})
     kept = {key: fam for key, fam in a._introduce((0, 1, 2), 1, child, 0).items() if not key[0]}
-    assert Partition.singletons(2) in step.intro_memo
+    assert singletons(2) in step.intro_memo
     assert not step.forget_memo
     # the states where the vertex survives carry no vertex ids
     assert {key: fam for key, fam in b._introduce((2, 4, 5), 4, child, 0).items() if not key[0]} == kept
